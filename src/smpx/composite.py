@@ -72,11 +72,10 @@ class BlockSelector(LinearMap):
         return y.blocks[self.index]
 
     def adjoint(self, u) -> BlockSymMatrix:
-        blocks = [
-            np.asarray(u, dtype=float) if i == self.index else np.zeros((p, p))
-            for i, p in enumerate(self.structure.block_sizes)
-        ]
-        return BlockSymMatrix(self.structure, blocks, _validate=False)
+        stacks = [np.zeros((len(idx), p, p)) for p, idx in self.structure.groups]
+        g, r = self.structure.slots[self.index]
+        stacks[g][r] = u
+        return BlockSymMatrix.from_stacks(self.structure, stacks)
 
     def norm_bound(self):
         return 1.0

@@ -35,16 +35,17 @@ class EigInstance:
     """Data matrices A_0..A_n on a common block structure.
 
     a_inf is the largest spectral norm among A_1..A_n (A_0 excluded).
-    Stacked per-block tensors are precomputed so operator and oracle calls
-    cost one vectorized pass.
+    A_1..A_n are held once, as one read-only (n, k, p, p) stack per
+    block-size group; ``mats[j]`` are views into it, and operator and oracle
+    calls index the stack with one vectorized pass per group.
     """
 
     structure: BlockStructure
     a0: BlockSymMatrix
-    mats: tuple  # A_1..A_n as BlockSymMatrix
+    mats: tuple  # A_1..A_n as BlockSymMatrix views of _stacks
     a_inf: float = field(init=False)
-    _stacks: tuple = field(init=False, repr=False)  # per block: (n, p, p)
-    _flats: tuple = field(init=False, repr=False)  # per block: (n, p * p)
+    _stacks: tuple = field(init=False, repr=False)  # per group: (n, k, p, p)
+    _flats: tuple = field(init=False, repr=False)  # per group: (k, n, p * p) views
 
     def __post_init__(self):
         if len(self.mats) < 2:
@@ -54,17 +55,24 @@ class EigInstance:
                 raise InputError("matrix does not match the instance structure")
         if self.a0.structure != self.structure:
             raise InputError("offset matrix does not match the instance structure")
-        object.__setattr__(
-            self, "a_inf", max(symmat.spectral_norm(m) for m in self.mats)
-        )
+        n = len(self.mats)
         stacks = tuple(
-            np.stack([m.blocks[i] for m in self.mats])
-            for i in range(len(self.structure.block_sizes))
+            np.stack([m.stacks[g] for m in self.mats])
+            for g in range(len(self.structure.groups))
         )
+        for s in stacks:
+            s.setflags(write=False)
         object.__setattr__(self, "_stacks", stacks)
-        object.__setattr__(
-            self, "_flats", tuple(s.reshape(len(self.mats), -1) for s in stacks)
-        )
+        object.__setattr__(self, "mats", tuple(
+            BlockSymMatrix.from_stacks(self.structure, [s[j] for s in stacks])
+            for j in range(n)
+        ))
+        object.__setattr__(self, "_flats", tuple(
+            s.reshape(n, s.shape[1], -1).transpose(1, 0, 2) for s in stacks
+        ))
+        object.__setattr__(self, "a_inf", max(
+            float(np.abs(np.linalg.eigvalsh(s)).max()) for s in stacks
+        ))
 
     @property
     def n(self) -> int:
@@ -77,17 +85,19 @@ class EigInstance:
     def combination(self, x: np.ndarray) -> BlockSymMatrix:
         """A_0 + sum_j x_j A_j."""
         x = np.asarray(x, dtype=float)
-        blocks = [
-            a0b + (x @ flat).reshape(a0b.shape)
-            for a0b, flat in zip(self.a0.blocks, self._flats)
-        ]
-        return BlockSymMatrix(self.structure, blocks, _validate=False)
+        return BlockSymMatrix.from_stacks(self.structure, [
+            a0 + (x @ flat).reshape(a0.shape)
+            for a0, flat in zip(self.a0.stacks, self._flats)
+        ])
 
     def trace_vector(self, y: BlockSymMatrix) -> np.ndarray:
-        """(Tr(y A_1), ..., Tr(y A_n))."""
+        """(Tr(y A_1), ..., Tr(y A_n)), the per-block products added in block order."""
+        per_group = [
+            flat @ ys.reshape(len(ys), -1, 1) for flat, ys in zip(self._flats, y.stacks)
+        ]
         out = np.zeros(self.n)
-        for flat, yb in zip(self._flats, y.blocks):
-            out += flat @ yb.ravel()
+        for g, r in self.structure.slots:
+            out += per_group[g][r, :, 0]
         return out
 
 
@@ -162,7 +172,7 @@ def exact_operator(inst: EigInstance, z: Pair) -> Pair:
 
 def _block_probabilities(y: BlockSymMatrix) -> np.ndarray:
     nu = y.block_traces()
-    if np.any(nu < -_TRACE_SLACK):
+    if (nu < -_TRACE_SLACK).any():
         raise NumericalError("block trace drifted negative beyond tolerance")
     nu = np.maximum(nu, 0.0)
     total = nu.sum()
@@ -173,13 +183,12 @@ def _block_probabilities(y: BlockSymMatrix) -> np.ndarray:
 
 def _xi_from_indices(inst: EigInstance, y: BlockSymMatrix, j: int, i: int) -> Pair:
     """Oracle value for sampled matrix index j and block index i."""
-    tr = float(np.trace(y.blocks[i]))
-    ybar = y.blocks[i] / max(tr, 1e-300)
-    xi_x = inst._flats[i] @ ybar.ravel()
-    xi_y = BlockSymMatrix(
-        inst.structure,
-        [-(a0b + mb) for a0b, mb in zip(inst.a0.blocks, inst.mats[j].blocks)],
-        _validate=False,
+    g, r = inst.structure.slots[i]
+    yb = y.stacks[g][r]
+    ybar = yb / max(float(yb.trace()), 1e-300)
+    xi_x = inst._flats[g][r] @ ybar.ravel()
+    xi_y = BlockSymMatrix.from_stacks(
+        inst.structure, [-(a0 + s[j]) for a0, s in zip(inst.a0.stacks, inst._stacks)]
     )
     return Pair(xi_x, xi_y)
 
@@ -195,7 +204,7 @@ def sample_xi(inst: EigInstance, z: Pair, stream) -> Pair:
     x, y = z.x, z.y
     j = inverse_cdf_index(np.cumsum(x), stream.uniform())
     nu = _block_probabilities(y)
-    i = inverse_cdf_index(np.cumsum(nu), stream.uniform())
+    i = inverse_cdf_index(nu.cumsum(), stream.uniform())
     return _xi_from_indices(inst, y, j, i)
 
 

@@ -83,7 +83,7 @@ def copy_point(a):
     if isinstance(a, Pair):
         return Pair(copy_point(a.x), copy_point(a.y))
     if isinstance(a, BlockSymMatrix):
-        return a  # immutable by convention
+        return a  # read-only storage, safe to share
     return np.array(a, dtype=float, copy=True)
 
 
@@ -316,12 +316,7 @@ class SpectahedronSetup(ProxSetup):
 
     @property
     def center(self):
-        n = self.structure.total_dim
-        c = BlockSymMatrix.identity(self.structure, 1.0 / n)
-        c._eig = [
-            (np.full(p, 1.0 / n), np.eye(p)) for p in self.structure.block_sizes
-        ]
-        return c
+        return BlockSymMatrix.identity(self.structure, 1.0 / self.structure.total_dim)
 
     def norm(self, z):
         return symmat.trace_norm(z)
@@ -337,8 +332,7 @@ class SpectahedronSetup(ProxSetup):
     def _require_interior(self, z):
         if not isinstance(z, BlockSymMatrix) or z.structure != self.structure:
             raise InputError("point does not match the block structure")
-        decomp = symmat.cached_eigh(z)
-        if min(vals[-1] for vals, _ in decomp) <= 0.0:
+        if min(vals.min() for vals in symmat.cached_eigh(z).vals) <= 0.0:
             raise DomainError("matrix has a nonpositive eigenvalue")
         return z
 

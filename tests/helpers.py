@@ -46,3 +46,64 @@ def mild_simplex_point(setup, stream) -> np.ndarray:
 def rel_err(a, b) -> float:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return float(np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(b))))
+
+
+# ---------------------------------------------------------------------------
+# per-block reference loops for the stacked block-matrix kernels; each takes
+# and returns plain lists of 2-D blocks and keeps the kernels' summation order
+
+
+def ref_eigh(blocks):
+    """(eigenvalues descending, eigenvectors) per block, one LAPACK call each."""
+    out = []
+    for b in blocks:
+        vals, vecs = np.linalg.eigh(b)
+        out.append((vals[::-1].copy(), vecs[:, ::-1].copy()))
+    return out
+
+
+def ref_entropy_map(blocks):
+    decomp = ref_eigh(blocks)
+    shift = max(vals[0] for vals, _ in decomp)
+    ws = [np.exp(vals - shift) for vals, _ in decomp]
+    total = sum(float(w.sum()) for w in ws)
+    return [(q * (w / total)) @ q.T for (_, q), w in zip(decomp, ws)]
+
+
+def ref_matrix_log(blocks):
+    return [(q * np.log(np.maximum(vals, 1e-300))) @ q.T for vals, q in ref_eigh(blocks)]
+
+
+def ref_frob_inner(xs, ys):
+    return float(sum(np.sum(x * y) for x, y in zip(xs, ys)))
+
+
+def _ref_flat(mats, i):
+    """(n, p * p) rows of block i of every data matrix."""
+    return np.stack([m[i] for m in mats]).reshape(len(mats), -1)
+
+
+def ref_trace_vector(mats, y_blocks):
+    """(Tr(y A_1), ..., Tr(y A_n)) with mats[j] the block list of A_{j+1}."""
+    out = np.zeros(len(mats))
+    for i, yb in enumerate(y_blocks):
+        out += _ref_flat(mats, i) @ yb.ravel()
+    return out
+
+
+def ref_combination(a0, mats, x):
+    return [
+        a0b + (x @ _ref_flat(mats, i)).reshape(a0b.shape) for i, a0b in enumerate(a0)
+    ]
+
+
+def ref_sample_xi(a0, mats, x, y_blocks, stream):
+    """One randomized-oracle draw: (xi_x, xi_y blocks, j, i)."""
+    from smpx.rng import inverse_cdf_index
+
+    j = inverse_cdf_index(np.cumsum(x), stream.uniform())
+    nu = np.maximum(np.array([np.trace(b) for b in y_blocks]), 0.0)
+    i = inverse_cdf_index(np.cumsum(nu / nu.sum()), stream.uniform())
+    ybar = y_blocks[i] / max(float(np.trace(y_blocks[i])), 1e-300)
+    xi_x = _ref_flat(mats, i) @ ybar.ravel()
+    return xi_x, [-(a + m) for a, m in zip(a0, mats[j])], j, i

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import ref_combination, ref_sample_xi, ref_trace_vector
 
 from smpx import bench, composite, eigopt, symmat
 from smpx.errors import ConfigError
@@ -225,3 +226,49 @@ class TestObjective:
             f, gap = eigopt.objective_and_gap(inst, z)
             assert gap >= -1e-8
             assert f >= eigopt.dual_value(inst, z.y) - 1e-8
+
+
+@pytest.mark.parametrize("sizes", [(3, 1, 3, 2), (4, 4, 4)])
+class TestStackedInstance:
+    """The instance holds A_1..A_n once and matches the per-block loops."""
+
+    def test_mats_are_read_only_views_of_one_stack(self, sizes):
+        inst = load("eig_min", {"n": 5, "blocks": list(sizes)}, 21)
+        for j, m in enumerate(inst.mats):
+            for s, full in zip(m.stacks, inst._stacks):
+                assert s.base is full
+                assert np.shares_memory(s, full[j])
+        with pytest.raises(ValueError):
+            inst.mats[0].blocks[0][0, 0] = 1.0
+
+    def test_operator_matches_reference(self, sizes):
+        inst = load("eig_min", {"n": 5, "blocks": list(sizes)}, 22)
+        setup = eigopt.build_setup(inst)
+        mats = [m.blocks for m in inst.mats]
+        stream = RandomStream(23)
+        for _ in range(5):
+            z = setup.random_point(stream)
+            assert np.array_equal(
+                inst.trace_vector(z.y), ref_trace_vector(mats, z.y.blocks)
+            )
+            for x, y in zip(inst.combination(z.x).blocks,
+                            ref_combination(inst.a0.blocks, mats, z.x)):
+                assert np.array_equal(x, y)
+
+    def test_sample_xi_matches_reference(self, sizes):
+        inst = load("eig_min", {"n": 5, "blocks": list(sizes)}, 24)
+        setup = eigopt.build_setup(inst)
+        mats = [m.blocks for m in inst.mats]
+        z = setup.random_point(RandomStream(25))
+        got_stream, ref_stream = RandomStream(26), RandomStream(26)
+        seen = set()
+        for _ in range(200):
+            xi = eigopt.sample_xi(inst, z, got_stream)
+            xi_x, xi_y, j, i = ref_sample_xi(
+                inst.a0.blocks, mats, z.x, z.y.blocks, ref_stream
+            )
+            seen.add(i)
+            assert np.array_equal(xi.x, xi_x)
+            for x, y in zip(xi.y.blocks, xi_y):
+                assert np.array_equal(x, y)
+        assert seen == set(range(len(sizes)))

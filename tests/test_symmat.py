@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import ref_eigh, ref_entropy_map, ref_frob_inner, ref_matrix_log
 
 from smpx import symmat
 from smpx.errors import ConfigError, InputError
@@ -35,6 +36,30 @@ class TestConstruction:
         a = np.array([[1.0, 0.5], [0.5 + 1e-14, 2.0]])
         m = mat([a])
         assert np.allclose(m.blocks[0], m.blocks[0].T)
+
+    def test_blocks_and_stacks_are_read_only(self):
+        # points are shared between iterates (geometry.copy_point), so an
+        # in-place write must fail rather than corrupt another iterate
+        m = mat([np.eye(2), np.eye(3), 2.0 * np.eye(2)])
+        with pytest.raises(ValueError):
+            m.blocks[1][0, 0] = 5.0
+        with pytest.raises(ValueError):
+            m.stacks[0][0] = 0.0
+        z = symmat.entropy_map(m)
+        vals, _ = symmat.cached_eigh(z)[0]
+        with pytest.raises(ValueError):
+            vals[0] = 1.0
+        with pytest.raises(ValueError):
+            (z + m).blocks[0][0, 0] = 1.0
+
+    def test_size_groups(self):
+        s = BlockStructure((3, 1, 3, 2))
+        assert s.groups == ((3, (0, 2)), (1, (1,)), (2, (3,)))
+        assert s.slots == ((0, 0), (1, 0), (0, 1), (2, 0))
+        m = mat([np.full((p, p), float(i)) for i, p in enumerate(s.block_sizes)])
+        assert [b.shape for b in m.blocks] == [(3, 3), (1, 1), (3, 3), (2, 2)]
+        assert [float(b[0, 0]) for b in m.blocks] == [0.0, 1.0, 2.0, 3.0]
+        assert np.array_equal(m.block_traces(), [0.0, 1.0, 6.0, 6.0])
 
     def test_structure_mismatch_raises(self):
         a = mat([np.eye(2)])
@@ -164,3 +189,35 @@ class TestNorms:
     def test_block_traces(self):
         a = mat([np.diag([1.0, 2.0]), np.diag([3.0])])
         assert np.allclose(a.block_traces(), [3.0, 3.0])
+
+
+@pytest.mark.parametrize("sizes", [(3, 1, 3, 2), (4, 4, 4), (9, 2, 9)])
+class TestStackedMatchesReference:
+    """Stacked kernels equal the per-block loops bit for bit."""
+
+    def draw(self, sizes, seed, scale=3.0):
+        stream = RandomStream(seed)
+        return mat([stream.symmetric(p, scale) for p in sizes])
+
+    def test_eigh(self, sizes):
+        a = self.draw(sizes, 1)
+        got = symmat.eigh(a)
+        assert len(got) == len(sizes)
+        for (vals, q), (rv, rq) in zip(got, ref_eigh(a.blocks)):
+            assert np.array_equal(vals, rv)
+            assert np.array_equal(q, rq)
+
+    def test_entropy_map_and_matrix_log(self, sizes):
+        b = self.draw(sizes, 2)
+        z = symmat.entropy_map(b)
+        for x, y in zip(z.blocks, ref_entropy_map(b.blocks)):
+            assert np.array_equal(x, y)
+        fresh = BlockSymMatrix(z.structure, z.blocks)  # no cached decomposition
+        for x, y in zip(symmat.matrix_log(fresh).blocks, ref_matrix_log(fresh.blocks)):
+            assert np.array_equal(x, y)
+
+    def test_frob_inner_and_traces(self, sizes):
+        a, b = self.draw(sizes, 3), self.draw(sizes, 4)
+        assert symmat.frob_inner(a, b) == ref_frob_inner(a.blocks, b.blocks)
+        assert np.array_equal(a.block_traces(), [np.trace(x) for x in a.blocks])
+        assert a.trace() == float(sum(np.trace(x) for x in a.blocks))
