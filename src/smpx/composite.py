@@ -33,7 +33,7 @@ from .geometry import (
     ProxSetup,
     SpectahedronSetup,
 )
-from .rng import RandomStream
+from .rng import RandomStream, box_muller
 from .symmat import BlockStructure, BlockSymMatrix
 from .vi import StochasticOracle, VIProblem
 
@@ -199,22 +199,6 @@ class QuadraticMatrixComponent(Component):
         return max(curvature, grad_bound)
 
 
-def _unit_spectral_sym(stream: RandomStream, p: int) -> np.ndarray:
-    """Random symmetric matrix with unit spectral norm and zero mean.
-
-    A signed normalized rank-one outer product +-qq^T / q^T q: the spectral
-    norm is exactly one, the random sign removes the mean, and no
-    eigensolve is needed.
-    """
-    q = stream.normals(p)
-    nsq = float(np.dot(q, q))
-    if nsq == 0.0:
-        q = np.ones(p)
-        nsq = float(p)
-    sign = 1.0 if stream.uniform() < 0.5 else -1.0
-    return (sign / nsq) * np.outer(q, q)
-
-
 class NoisyAffineComponent(Component):
     """Affine component observed through a bounded-noise oracle.
 
@@ -238,10 +222,24 @@ class NoisyAffineComponent(Component):
         return self.base.grad_adjoint(x, u)
 
     def sample(self, x, stream: RandomStream):
-        u_f = _unit_spectral_sym(stream, self.p)
+        # U_f and U_g are signed normalized rank-one outer products
+        # +-qq^T / q^T q: spectral norm exactly one, mean zero, no eigensolve.
+        # One draw of uniforms holds, per matrix, the m Box-Muller pairs
+        # (the m first members, then the m second ones) and the sign, then
+        # the n Rademacher signs: the order of one call per variate.
+        p, m = self.p, (self.p + 1) // 2
+        u = stream.uniforms(2 * (2 * m + 1) + self.n)
+        rows = u[:2 * (2 * m + 1)].reshape(2, 2 * m + 1)
+        q = box_muller(rows[:, :m], rows[:, m:2 * m], p)
+        nsq = np.vecdot(q, q)
+        zero = nsq == 0.0
+        if zero.any():
+            q[zero] = 1.0
+            nsq[zero] = float(p)
+        scale = np.where(rows[:, 2 * m] < 0.5, 1.0, -1.0) / nsq
+        u_f, u_g = scale[:, None, None] * (q[:, :, None] * q[:, None, :])
         f_hat = self.base.value(x) + self.rho_f * u_f
-        u_g = _unit_spectral_sym(stream, self.p)
-        signs = np.where(stream.uniforms(self.n) < 0.5, 1.0, -1.0)
+        signs = np.where(u[2 * (2 * m + 1):] < 0.5, 1.0, -1.0)
         base_adj = self.base.grad_adjoint
 
         def g_adjoint(u, _signs=signs, _ug=u_g):
@@ -306,24 +304,50 @@ def _psi(cp: CompositeProblem, y, idx: int):
     return v if off is None else v + off
 
 
-def composite_operator(cp: CompositeProblem, z: Pair) -> Pair:
-    """Exact monotone operator of the saddle reformulation."""
+def _saddle_operator(cp: CompositeProblem, z: Pair, draw) -> Pair:
+    """F(z) assembled from per-component data.
+
+    ``draw(comp, x)`` returns the component's value (or its estimate) and a
+    callable applying the matching adjoint gradient.  Components are drawn
+    in index order, and errors are annotated with the component index.
+    """
     x, y = z.x, z.y
+    stacks = None
+    if all(isinstance(amap, BlockSelector) for amap in cp.maps):
+        structure = cp.maps[0].structure
+        stacks = [np.zeros((len(idx), p, p)) for p, idx in structure.groups]
     fx = None
     acc_y = None
     for idx, (comp, amap) in enumerate(zip(cp.components, cp.maps)):
         try:
-            psi = _psi(cp, y, idx)
-            gx = comp.grad_adjoint(x, psi)
-            term = amap.adjoint(comp.value(x))
+            f_hat, g_adj = draw(comp, x)
+            gx = g_adj(_psi(cp, y, idx))
+            if stacks is None:
+                term = amap.adjoint(f_hat)
+                acc_y = term if acc_y is None else acc_y + term
+            else:
+                # every adjoint lands in one y-stack; 0.0 + f_hat is what
+                # the running sum of zero-padded block matrices gave
+                g, r = structure.slots[amap.index]
+                stacks[g][r] += f_hat
         except Exception as exc:  # noqa: BLE001 - annotate with the component index
             raise InputError(f"component {idx} failed: {exc}") from exc
         fx = gx if fx is None else fx + gx
-        acc_y = term if acc_y is None else acc_y + term
+    if stacks is not None:
+        acc_y = BlockSymMatrix.from_stacks(structure, stacks)
     fy = -acc_y
     if cp.phi_star is not None:
         fy = fy + cp.phi_star.grad(y)
     return Pair(fx, fy)
+
+
+def _exact_data(comp: Component, x):
+    return comp.value(x), lambda u: comp.grad_adjoint(x, u)
+
+
+def composite_operator(cp: CompositeProblem, z: Pair) -> Pair:
+    """Exact monotone operator of the saddle reformulation."""
+    return _saddle_operator(cp, z, _exact_data)
 
 
 def composite_oracle(cp: CompositeProblem, z: Pair, stream: RandomStream) -> Pair:
@@ -332,23 +356,7 @@ def composite_oracle(cp: CompositeProblem, z: Pair, stream: RandomStream) -> Pai
     Linearity of F in the component data makes the estimate unbiased.
     Components are sampled in index order off the single run stream.
     """
-    x, y = z.x, z.y
-    fx = None
-    acc_y = None
-    for idx, (comp, amap) in enumerate(zip(cp.components, cp.maps)):
-        try:
-            f_hat, g_adj = comp.sample(x, stream)
-            psi = _psi(cp, y, idx)
-            gx = g_adj(psi)
-            term = amap.adjoint(f_hat)
-        except Exception as exc:  # noqa: BLE001
-            raise InputError(f"component {idx} failed: {exc}") from exc
-        fx = gx if fx is None else fx + gx
-        acc_y = term if acc_y is None else acc_y + term
-    fy = -acc_y
-    if cp.phi_star is not None:
-        fy = fy + cp.phi_star.grad(y)
-    return Pair(fx, fy)
+    return _saddle_operator(cp, z, lambda comp, x: comp.sample(x, stream))
 
 
 class AffineConstants(NamedTuple):

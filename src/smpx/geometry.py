@@ -180,7 +180,7 @@ class EuclideanBallSetup(ProxSetup):
 
     def prox_map(self, z, xi):
         xi = np.asarray(xi, dtype=float)
-        if not np.all(np.isfinite(xi)):
+        if not np.isfinite(xi).all():
             raise InputError("non-finite dual vector")
         v = np.asarray(z, dtype=float) - xi
         n = float(np.linalg.norm(v))
@@ -251,8 +251,8 @@ class SimplexSetup(ProxSetup):
         z = np.asarray(z, dtype=float)
         if z.shape != (self.dim,):
             raise InputError(f"expected point of dimension {self.dim}")
-        if np.any(z <= 0.0):
-            raise DomainError("simplex point has a nonpositive coordinate")
+        if not (z > 0.0).all():  # also rejects NaN coordinates
+            raise DomainError("simplex point has a coordinate that is not positive")
         return z
 
     def omega_grad(self, z):
@@ -267,7 +267,7 @@ class SimplexSetup(ProxSetup):
 
     def prox_map(self, z, xi):
         xi = np.asarray(xi, dtype=float)
-        if not np.all(np.isfinite(xi)):
+        if not np.isfinite(xi).all():
             raise InputError("non-finite dual vector")
         z = self._require_interior(z)
         s = np.log(np.maximum(z, _LOG_FLOOR)) - xi
@@ -329,24 +329,30 @@ class SpectahedronSetup(ProxSetup):
         pos = lam[lam > 0]
         return float(np.sum(pos * np.log(pos)))
 
-    def _require_interior(self, z):
+    def _interior_log(self, z):
+        """log z of an interior point.
+
+        The log and the interior check that guards it are memoized on the
+        immutable point, so the two prox steps that SMP takes from one
+        iterate compute them once.
+        """
         if not isinstance(z, BlockSymMatrix) or z.structure != self.structure:
             raise InputError("point does not match the block structure")
-        if min(vals.min() for vals in symmat.cached_eigh(z).vals) <= 0.0:
-            raise DomainError("matrix has a nonpositive eigenvalue")
-        return z
+        if z._log is None:
+            if min(vals.min() for vals in symmat.cached_eigh(z).vals) <= 0.0:
+                raise DomainError("matrix has a nonpositive eigenvalue")
+            z._log = symmat.matrix_log(z)
+        return z._log
 
     def omega_grad(self, z):
-        self._require_interior(z)
-        return symmat.matrix_log(z)
+        return self._interior_log(z)
 
     def prox_map(self, z, xi):
         if not isinstance(xi, BlockSymMatrix) or xi.structure != self.structure:
             raise InputError("dual vector does not match the block structure")
         if not xi.is_finite():
             raise InputError("non-finite dual vector")
-        self._require_interior(z)
-        return symmat.entropy_map(symmat.matrix_log(z) - xi)
+        return symmat.entropy_map(self._interior_log(z) - xi)
 
     def contains(self, z, tol=1e-9):
         if not isinstance(z, BlockSymMatrix) or z.structure != self.structure:
@@ -383,18 +389,14 @@ class SpectahedronSetup(ProxSetup):
     def extreme_points(self):
         # entropy-map images of +-tau along each diagonal unit direction
         tau = 6.0
+        structure = self.structure
         out = []
-        for i, _ in enumerate(self.structure.block_sizes):
-            for d in range(self.structure.block_sizes[i]):
+        for (g, r), p in zip(structure.slots, structure.block_sizes):
+            for d in range(p):
                 for sign in (tau, -tau):
-                    b = BlockSymMatrix.zeros(self.structure)
-                    blocks = [blk.copy() for blk in b.blocks]
-                    blocks[i][d, d] = sign
-                    out.append(
-                        symmat.entropy_map(
-                            BlockSymMatrix(self.structure, blocks, _validate=False)
-                        )
-                    )
+                    stacks = [np.zeros((len(idx), q, q)) for q, idx in structure.groups]
+                    stacks[g][r, d, d] = sign
+                    out.append(symmat.entropy_map(BlockSymMatrix.from_stacks(structure, stacks)))
         return out
 
 

@@ -49,20 +49,29 @@ class RandomStream:
 
     def normals(self, shape) -> np.ndarray:
         """Standard normals via Box-Muller on uniform pairs."""
-        n = int(np.prod(shape)) if not np.isscalar(shape) else int(shape)
+        n = int(shape) if np.isscalar(shape) else int(math.prod(shape))
         m = (n + 1) // 2
         u1 = self._gen.random(m)
         u2 = self._gen.random(m)
-        # 1 - u1 lies in (0, 1], so the log is finite.
-        r = np.sqrt(-2.0 * np.log1p(-u1))
-        ang = (2.0 * math.pi) * u2
-        z = np.concatenate([r * np.cos(ang), r * np.sin(ang)])[:n]
-        return z.reshape(shape)
+        return box_muller(u1, u2, n).reshape(shape)
 
     def symmetric(self, p: int, scale: float = 1.0) -> np.ndarray:
         """Random symmetric p x p matrix with N(0, scale^2) entries, symmetrized."""
         g = self.normals((p, p))
         return scale * 0.5 * (g + g.T)
+
+
+def box_muller(u1: np.ndarray, u2: np.ndarray, n: int) -> np.ndarray:
+    """Standard normals from uniform pairs, along the last axis.
+
+    Returns the first n of [r cos(2 pi u2), r sin(2 pi u2)] with
+    r = sqrt(-2 log(1 - u1)); every operation is elementwise, so a row of a
+    stacked call equals the call on that row alone.
+    """
+    # 1 - u1 lies in (0, 1], so the log is finite.
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    ang = (2.0 * math.pi) * u2
+    return np.concatenate([r * np.cos(ang), r * np.sin(ang)], axis=-1)[..., :n]
 
 
 def inverse_cdf_index(cumulative: np.ndarray, u: float) -> int:

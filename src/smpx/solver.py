@@ -131,6 +131,58 @@ def _check_checkpoints(checkpoints, t: int):
     return cps
 
 
+def _smp_step(setup, oracle, gamma, r, stream):
+    """Two prox steps from r; returns (next iterate, the point averaged)."""
+    w = setup.prox_map(r, gamma * oracle.sample(r, stream))
+    return setup.prox_map(r, gamma * oracle.sample(w, stream)), w
+
+
+def _rmsa_step(setup, oracle, gamma, r, stream):
+    """One prox step from r; the new iterate is also the point averaged."""
+    r = setup.prox_map(r, gamma * oracle.sample(r, stream))
+    return r, r
+
+
+def _run(algorithm, step, calls_per_step, problem, oracle, policy, seed, checkpoints,
+         error_fn, start) -> RunRecord:
+    """The solver loop shared by both methods; ``step`` is the step rule."""
+    cps = _check_checkpoints(checkpoints, policy.t)
+    cp_set = set(cps)
+    setup = problem.setup
+    gamma = policy.gamma
+    stream = RandomStream(seed)
+    r = setup.center if start is None else copy_point(start)
+
+    record = RunRecord(
+        algorithm=algorithm,
+        seed=int(seed),
+        t=policy.t,
+        gamma=gamma,
+        oracle_calls=0,
+        checkpoints=cps,
+        averages=[],
+    )
+    errors: dict[str, list] = {}
+    acc = None
+    began = time.perf_counter()
+    for tau in range(1, policy.t + 1):
+        try:
+            r, point = step(setup, oracle, gamma, r, stream)
+        except (InputError, DomainError) as exc:
+            raise NumericalError(f"solver failed at step {tau}: {exc}") from exc
+        record.oracle_calls += calls_per_step
+        acc = point if acc is None else acc + point
+        if tau in cp_set:
+            avg = (1.0 / tau) * acc
+            record.averages.append(avg)
+            if error_fn is not None:
+                for name, value in error_fn(avg).items():
+                    errors.setdefault(name, []).append(float(value))
+    record.errors = errors
+    record.wall_ms = 1000.0 * (time.perf_counter() - began)
+    return record
+
+
 def smp_run(
     problem: VIProblem,
     oracle: StochasticOracle,
@@ -149,42 +201,8 @@ def smp_run(
     seed.
     """
     _check_policy(problem, policy)
-    cps = _check_checkpoints(checkpoints, policy.t)
-    cp_set = set(cps)
-    setup = problem.setup
-    gamma = policy.gamma
-    stream = RandomStream(seed)
-    r = setup.center if _start is None else copy_point(_start)
-
-    record = RunRecord(
-        algorithm="smp",
-        seed=int(seed),
-        t=policy.t,
-        gamma=gamma,
-        oracle_calls=0,
-        checkpoints=cps,
-        averages=[],
-    )
-    errors: dict[str, list] = {}
-    acc = None
-    began = time.perf_counter()
-    for tau in range(1, policy.t + 1):
-        try:
-            w = setup.prox_map(r, gamma * oracle.sample(r, stream))
-            r = setup.prox_map(r, gamma * oracle.sample(w, stream))
-        except (InputError, DomainError) as exc:
-            raise NumericalError(f"solver failed at step {tau}: {exc}") from exc
-        record.oracle_calls += 2
-        acc = w if acc is None else acc + w
-        if tau in cp_set:
-            avg = (1.0 / tau) * acc
-            record.averages.append(avg)
-            if error_fn is not None:
-                for name, value in error_fn(avg).items():
-                    errors.setdefault(name, []).append(float(value))
-    record.errors = errors
-    record.wall_ms = 1000.0 * (time.perf_counter() - began)
-    return record
+    return _run("smp", _smp_step, 2, problem, oracle, policy, seed, checkpoints,
+                error_fn, _start)
 
 
 def rmsa_run(
@@ -200,41 +218,8 @@ def rmsa_run(
 
     Averages the iterates themselves and makes one oracle call per step.
     """
-    cps = _check_checkpoints(checkpoints, policy.t)
-    cp_set = set(cps)
-    setup = problem.setup
-    gamma = policy.gamma
-    stream = RandomStream(seed)
-    r = setup.center if _start is None else copy_point(_start)
-
-    record = RunRecord(
-        algorithm="rmsa",
-        seed=int(seed),
-        t=policy.t,
-        gamma=gamma,
-        oracle_calls=0,
-        checkpoints=cps,
-        averages=[],
-    )
-    errors: dict[str, list] = {}
-    acc = None
-    began = time.perf_counter()
-    for tau in range(1, policy.t + 1):
-        try:
-            r = setup.prox_map(r, gamma * oracle.sample(r, stream))
-        except (InputError, DomainError) as exc:
-            raise NumericalError(f"solver failed at step {tau}: {exc}") from exc
-        record.oracle_calls += 1
-        acc = r if acc is None else acc + r
-        if tau in cp_set:
-            avg = (1.0 / tau) * acc
-            record.averages.append(avg)
-            if error_fn is not None:
-                for name, value in error_fn(avg).items():
-                    errors.setdefault(name, []).append(float(value))
-    record.errors = errors
-    record.wall_ms = 1000.0 * (time.perf_counter() - began)
-    return record
+    return _run("rmsa", _rmsa_step, 1, problem, oracle, policy, seed, checkpoints,
+                error_fn, _start)
 
 
 def geometric_checkpoints(t: int) -> list:

@@ -113,10 +113,12 @@ class BlockSymMatrix:
     Each block must be symmetric to within 1e-12 relative tolerance; blocks
     are exactly symmetrized on construction so downstream identities hold to
     round-off.  ``stacks`` holds one read-only (k, p, p) array per size
-    group of the structure.
+    group of the structure.  ``_eig`` and ``_log`` memoize the
+    eigendecomposition and, for interior spectahedron points, the matrix
+    logarithm.
     """
 
-    __slots__ = ("structure", "stacks", "_eig", "_blocks")
+    __slots__ = ("structure", "stacks", "_eig", "_blocks", "_log")
 
     def __init__(self, structure: BlockStructure, blocks, _validate: bool = True):
         blocks = [np.asarray(b, dtype=float) for b in blocks]
@@ -151,6 +153,7 @@ class BlockSymMatrix:
         self.stacks = tuple(stacks)
         self._eig = eig
         self._blocks = None
+        self._log = None
 
     @classmethod
     def from_stacks(cls, structure: BlockStructure, stacks, eig=None) -> "BlockSymMatrix":

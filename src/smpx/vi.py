@@ -13,11 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import InputError
-from .geometry import ProxSetup, inner
+from .geometry import Pair, ProxSetup, inner
 from .rng import RandomStream
+from .symmat import BlockStructure, BlockSymMatrix
+
+_CHUNK = 32  # probes per numpy call in ProbeSet.lower_bound
 
 
 @dataclass(frozen=True)
@@ -79,35 +84,139 @@ def err_vi_lower(problem: VIProblem, z, probes: Sequence) -> float:
     Any weak solution scores <= 0 against every probe set; the bound is
     reported alongside the probe count by the harness.
     """
-    probes = list(probes)
-    if not probes:
-        raise InputError("probe set is empty")
-    best = -float("inf")
-    op = problem.operator
-    for u in probes:
-        best = max(best, inner(op(u), z - u))
-    return best
+    return ProbeSet(problem, probes).lower_bound(z)
+
+
+class _Blocks(NamedTuple):
+    """Block matrices stacked over probes: one (P, k, p, p) array per group."""
+
+    structure: BlockStructure
+    stacks: tuple
+
+
+def _alloc(first, n: int):
+    """Empty stack for n items shaped like ``first``: an (n, ...) array for
+    arrays, ``_Blocks`` for block matrices, a Pair for pairs."""
+    if isinstance(first, Pair):
+        return Pair(_alloc(first.x, n), _alloc(first.y, n))
+    if isinstance(first, BlockSymMatrix):
+        return _Blocks(first.structure, tuple(np.empty((n,) + s.shape) for s in first.stacks))
+    return np.empty((n,) + np.shape(first))
+
+
+def _put(stack, i: int, item) -> None:
+    """Write item i into the stack; it must have the type and shape of the others."""
+    if isinstance(stack, Pair):
+        if not isinstance(item, Pair):
+            raise InputError("probe items differ in type")
+        _put(stack.x, i, item.x)
+        _put(stack.y, i, item.y)
+    elif isinstance(stack, _Blocks):
+        if not isinstance(item, BlockSymMatrix) or item.structure != stack.structure:
+            raise InputError("probe items differ in block structure")
+        for s, blk in zip(stack.stacks, item.stacks):
+            s[i] = blk
+    else:
+        if isinstance(item, (Pair, BlockSymMatrix)) or np.shape(item) != stack.shape[1:]:
+            raise InputError("probe items differ in type or shape")
+        stack[i] = item
+
+
+def _freeze(stack) -> None:
+    """Make every array of the stack read-only."""
+    if isinstance(stack, Pair):
+        _freeze(stack.x)
+        _freeze(stack.y)
+    else:
+        for a in stack.stacks if isinstance(stack, _Blocks) else (stack,):
+            a.setflags(write=False)
+
+
+def _item(stack, i: int):
+    """Item i of a stack, made of views into it."""
+    if isinstance(stack, Pair):
+        return Pair(_item(stack.x, i), _item(stack.y, i))
+    if isinstance(stack, _Blocks):
+        return BlockSymMatrix.from_stacks(stack.structure, [s[i] for s in stack.stacks])
+    return stack[i]
+
+
+def _inner_rows(f, z, u, rows: slice) -> np.ndarray:
+    """<F_i, z - U_i> for the probes i in ``rows``.
+
+    f and u are the value and point stacks.  The sums run in the order of
+    ``geometry.inner``: one dot per row for arrays, per-block sums added in
+    block order for block matrices, the two parts of a pair added last.
+    """
+    if isinstance(f, Pair):
+        if not isinstance(z, Pair):
+            raise InputError("point is not a pair")
+        return _inner_rows(f.x, z.x, u.x, rows) + _inner_rows(f.y, z.y, u.y, rows)
+    if isinstance(f, _Blocks):
+        if not isinstance(z, BlockSymMatrix) or not z.structure == f.structure == u.structure:
+            raise InputError("block structure mismatch")
+        per_group = []
+        for fs, zs, us in zip(f.stacks, z.stacks, u.stacks):
+            d = zs - us[rows]
+            d *= fs[rows]
+            per_group.append(d.reshape(len(d), len(zs), -1).sum(axis=2))
+        out = np.zeros(len(per_group[0]))
+        for g, r in f.structure.slots:
+            out += per_group[g][:, r]
+        return out
+    fr = f[rows]
+    d = np.asarray(z, dtype=float) - u[rows]
+    return np.vecdot(fr.reshape(len(fr), -1), d.reshape(len(d), -1))
 
 
 class ProbeSet:
     """Fixed probe family with pre-evaluated operator values.
 
     Evaluating F at the probes once makes repeated residual lower bounds
-    cheap along a trajectory.
+    cheap along a trajectory.  The points and the values are each stored
+    once, as read-only stacks with a leading probe axis (``point_stack``,
+    ``value_stack``); ``probes`` and ``values`` are per-probe views of
+    them.  ``lower_bound`` handles a chunk of probes per numpy call and
+    adds in the order of the per-probe ``inner(F(u), z - u)``, so it
+    returns the same float.
     """
 
     def __init__(self, problem: VIProblem, probes: Sequence):
         probes = list(probes)
         if not probes:
             raise InputError("probe set is empty")
-        self.probes = probes
-        self._values = [problem.operator(u) for u in probes]
+        n = len(probes)
+        self.point_stack = _alloc(probes[0], n)
+        for i, u in enumerate(probes):
+            _put(self.point_stack, i, u)
+            fu = problem.operator(u)
+            if i == 0:
+                self.value_stack = _alloc(fu, n)
+            _put(self.value_stack, i, fu)
+        _freeze(self.point_stack)
+        _freeze(self.value_stack)
+        self._n = n
 
     def __len__(self):
-        return len(self.probes)
+        return self._n
+
+    @property
+    def probes(self) -> list:
+        """The probe points, as views of ``point_stack``."""
+        return [_item(self.point_stack, i) for i in range(self._n)]
+
+    @property
+    def values(self) -> list:
+        """F at the probe points, as views of ``value_stack``."""
+        return [_item(self.value_stack, i) for i in range(self._n)]
 
     def lower_bound(self, z) -> float:
-        return max(inner(f, z - u) for f, u in zip(self._values, self.probes))
+        n = self._n
+        chunks = [
+            _inner_rows(self.value_stack, z, self.point_stack, slice(lo, lo + _CHUNK))
+            for lo in range(0, n, _CHUNK)
+        ]
+        return max(np.concatenate(chunks).tolist())
 
 
 def default_probes(problem: VIProblem, seed: int = 0, n_random: int = 100) -> ProbeSet:

@@ -107,3 +107,52 @@ def ref_sample_xi(a0, mats, x, y_blocks, stream):
     ybar = y_blocks[i] / max(float(np.trace(y_blocks[i])), 1e-300)
     xi_x = _ref_flat(mats, i) @ ybar.ravel()
     return xi_x, [-(a + m) for a, m in zip(a0, mats[j])], j, i
+
+
+# ---------------------------------------------------------------------------
+# reference paths for the stacked probe bound and the composite oracle
+
+
+def ref_lower_bound(problem, z, probes):
+    """max over probes u of <F(u), z - u>, one probe at a time."""
+    from smpx.geometry import inner
+
+    return max(inner(problem.operator(u), z - u) for u in probes)
+
+
+def _ref_unit_spectral_sym(stream, p):
+    q = stream.normals(p)
+    nsq = float(np.dot(q, q))
+    if nsq == 0.0:
+        q = np.ones(p)
+        nsq = float(p)
+    sign = 1.0 if stream.uniform() < 0.5 else -1.0
+    return (sign / nsq) * np.outer(q, q)
+
+
+def ref_noisy_sample(comp, x, stream):
+    """NoisyAffineComponent.sample with one stream call per variate."""
+    u_f = _ref_unit_spectral_sym(stream, comp.p)
+    f_hat = comp.base.value(x) + comp.rho_f * u_f
+    u_g = _ref_unit_spectral_sym(stream, comp.p)
+    signs = np.where(stream.uniforms(comp.n) < 0.5, 1.0, -1.0)
+
+    def g_adjoint(u):
+        bump = comp.rho_g * float(np.sum(u_g * np.asarray(u, dtype=float)))
+        return comp.base.grad_adjoint(x, u) + bump * signs
+
+    return f_hat, g_adjoint
+
+
+def ref_composite_oracle(cp, z, stream):
+    """Oracle draw that adds one zero-padded block matrix per component."""
+    from smpx.geometry import Pair
+
+    fx = acc_y = None
+    for comp, amap in zip(cp.components, cp.maps):
+        f_hat, g_adj = comp.sample(z.x, stream)
+        gx = g_adj(amap.apply(z.y))
+        term = amap.adjoint(f_hat)
+        fx = gx if fx is None else fx + gx
+        acc_y = term if acc_y is None else acc_y + term
+    return Pair(fx, -acc_y)

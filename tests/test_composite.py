@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import ref_composite_oracle, ref_noisy_sample
 
 from smpx import bench, composite, symmat, vi
 from smpx.composite import (
@@ -231,6 +232,57 @@ class TestComponents:
             # so its entries never exceed rho_g |u|_1
             tn = np.abs(np.linalg.eigvalsh(u)).sum()
             assert np.abs(gap).max() <= 0.5 * tn + 1e-12
+
+
+class TestOneDrawNoise:
+    """The one-draw noisy sample equals one stream call per variate."""
+
+    @pytest.mark.parametrize("p,n", [(1, 3), (2, 4), (3, 6), (4, 5), (5, 2)])
+    def test_sample_equals_split_draws(self, p, n):
+        data = RandomStream(20 + p)
+        base = AffineMatrixComponent(
+            data.symmetric(p), np.stack([data.symmetric(p) for _ in range(n)])
+        )
+        noisy = NoisyAffineComponent(base, rho_f=0.8, rho_g=0.5)
+        x = SimplexSetup(n).random_point(data)
+        ours, ref = RandomStream(21), RandomStream(21)
+        for _ in range(10):
+            f_hat, g_adj = noisy.sample(x, ours)
+            f_ref, g_ref = ref_noisy_sample(noisy, x, ref)
+            assert np.array_equal(f_hat, f_ref)
+            u = data.symmetric(p)
+            assert np.array_equal(g_adj(u), g_ref(u))
+            assert ours.uniform() == ref.uniform()  # the streams stand at one position
+
+    def test_zero_normals_take_the_guard(self):
+        class ZeroGen:  # every uniform is 0, so every normal is 0
+            def random(self, n=None):
+                return 0.0 if n is None else np.zeros(n)
+
+        def zero_stream():
+            stream = RandomStream(0)
+            stream._gen = ZeroGen()
+            return stream
+
+        base = AffineMatrixComponent(np.eye(3), np.stack([np.eye(3)] * 4))
+        noisy = NoisyAffineComponent(base, rho_f=0.8, rho_g=0.5)
+        x = np.full(4, 0.25)
+        f_hat, g_adj = noisy.sample(x, zero_stream())
+        f_ref, g_ref = ref_noisy_sample(noisy, x, zero_stream())
+        assert np.array_equal(f_hat, f_ref)
+        assert np.array_equal(g_adj(np.eye(3)), g_ref(np.eye(3)))
+
+    def test_oracle_equals_sum_of_padded_terms(self):
+        scaled = sdf_scale(sdf_system(sizes=(3, 2, 3), delta=0.1), 50)
+        cp = scaled.problem
+        z = composite.build_vi(cp).setup.random_point(RandomStream(22))
+        ours, ref = RandomStream(23), RandomStream(23)
+        for _ in range(5):
+            a = composite_oracle(cp, z, ours)
+            b = ref_composite_oracle(cp, z, ref)
+            assert np.array_equal(a.x, b.x)
+            for s, t in zip(a.y.stacks, b.y.stacks):
+                assert np.array_equal(s, t)
 
 
 class TestPhiRepresentation:

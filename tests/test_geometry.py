@@ -139,6 +139,13 @@ class TestProx:
         with pytest.raises(DomainError):
             prox(spect, boundary, spect.random_dual(RandomStream(4)))
 
+    def test_nan_coordinate_rejected(self):
+        setup = SimplexSetup(3)
+        z = np.array([float("nan"), 0.5, 0.5])
+        assert not setup.in_interior(z)
+        with pytest.raises(DomainError):
+            setup.prox_map(z, np.zeros(3))
+
     def test_result_stays_interior(self):
         stream = RandomStream(5)
         for setup in all_setups():
@@ -236,3 +243,38 @@ class TestProduct:
             u = ps.random_point(stream)
             xi = ps.random_dual(stream, 2.0)
             assert inner(xi, z - u) <= ps.dual_norm(xi) * ps.norm(z - u) + 1e-10
+
+
+class TestSpectahedronLogMemo:
+    """The prox takes log z once per point and equals the unmemoized path."""
+
+    def test_prox_equals_reference_and_logs_once(self, monkeypatch):
+        setup = SpectahedronSetup(BlockStructure((3, 1, 3, 2)))
+        stream = RandomStream(8)
+        real_log = symmat.matrix_log
+        calls = []
+        monkeypatch.setattr(symmat, "matrix_log", lambda a: calls.append(a) or real_log(a))
+        with_decomposition = setup.random_point(stream)  # an entropy-map output
+        plain = symmat.BlockSymMatrix(
+            setup.structure, setup.random_point(stream, interior=False).blocks
+        )
+        for z in (with_decomposition, plain):
+            calls.clear()
+            for _ in range(3):
+                xi = setup.random_dual(stream, 2.0)
+                got = setup.prox_map(z, xi)
+                ref = symmat.entropy_map(real_log(z) - xi)
+                for a, b in zip(got.stacks, ref.stacks):
+                    assert np.array_equal(a, b)
+            assert calls == [z]
+            assert setup.omega_grad(z) is setup.omega_grad(z)
+
+    def test_boundary_point_rejected_on_every_call(self):
+        setup = SpectahedronSetup(BlockStructure((2, 1)))
+        z = symmat.BlockSymMatrix(setup.structure, [np.diag([1.0, 0.0]), np.zeros((1, 1))])
+        xi = setup.random_dual(RandomStream(9))
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                setup.prox_map(z, xi)
+        with pytest.raises(InputError):
+            setup.prox_map(SpectahedronSetup(BlockStructure((3,))).center, xi)
