@@ -312,29 +312,17 @@ def _saddle_operator(cp: CompositeProblem, z: Pair, draw) -> Pair:
     in index order, and errors are annotated with the component index.
     """
     x, y = z.x, z.y
-    stacks = None
-    if all(isinstance(amap, BlockSelector) for amap in cp.maps):
-        structure = cp.maps[0].structure
-        stacks = [np.zeros((len(idx), p, p)) for p, idx in structure.groups]
     fx = None
     acc_y = None
     for idx, (comp, amap) in enumerate(zip(cp.components, cp.maps)):
         try:
             f_hat, g_adj = draw(comp, x)
             gx = g_adj(_psi(cp, y, idx))
-            if stacks is None:
-                term = amap.adjoint(f_hat)
-                acc_y = term if acc_y is None else acc_y + term
-            else:
-                # every adjoint lands in one y-stack; 0.0 + f_hat is what
-                # the running sum of zero-padded block matrices gave
-                g, r = structure.slots[amap.index]
-                stacks[g][r] += f_hat
+            term = amap.adjoint(f_hat)
         except Exception as exc:  # noqa: BLE001 - annotate with the component index
             raise InputError(f"component {idx} failed: {exc}") from exc
         fx = gx if fx is None else fx + gx
-    if stacks is not None:
-        acc_y = BlockSymMatrix.from_stacks(structure, stacks)
+        acc_y = term if acc_y is None else acc_y + term
     fy = -acc_y
     if cp.phi_star is not None:
         fy = fy + cp.phi_star.grad(y)

@@ -17,12 +17,16 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .geometry import Pair, ProxSetup, inner
 from .rng import RandomStream
 from .symmat import BlockStructure, BlockSymMatrix
 
-_CHUNK = 32  # probes per numpy call in ProbeSet.lower_bound
+# Probes per numpy call in ProbeSet.lower_bound.  The chunk bounds the
+# temporaries: about 1 MB for 4 blocks of 32 x 32, against 12 MB for 357
+# such probes in one call.  One call for all of a game's 125 probes would
+# save about 50 us per bound, under 0.5% of a run.
+_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -211,12 +215,18 @@ class ProbeSet:
         return [_item(self.value_stack, i) for i in range(self._n)]
 
     def lower_bound(self, z) -> float:
-        n = self._n
-        chunks = [
+        """max over the probes u of <F(u), z - u>.
+
+        Raises NumericalError when a term is not finite, so that a NaN is
+        neither skipped nor returned depending on where it falls.
+        """
+        terms = np.concatenate([
             _inner_rows(self.value_stack, z, self.point_stack, slice(lo, lo + _CHUNK))
-            for lo in range(0, n, _CHUNK)
-        ]
-        return max(np.concatenate(chunks).tolist())
+            for lo in range(0, self._n, _CHUNK)
+        ])
+        if not np.isfinite(terms).all():
+            raise NumericalError("non-finite probe term in the residual bound")
+        return max(terms.tolist())
 
 
 def default_probes(problem: VIProblem, seed: int = 0, n_random: int = 100) -> ProbeSet:

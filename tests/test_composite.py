@@ -285,6 +285,33 @@ class TestOneDrawNoise:
                 assert np.array_equal(s, t)
 
 
+    def test_one_component_keeps_the_sign_of_zero(self):
+        class Fixed(composite.Component):  # a -0.0 entry in the value
+            out = np.array([[-0.0, 1.0], [1.0, 2.0]])
+
+            def value(self, x):
+                return self.out
+
+            def grad_adjoint(self, x, u):
+                return np.zeros(2)
+
+            def sample(self, x, stream):
+                return self.out, lambda u: self.grad_adjoint(x, u)
+
+        structure = BlockStructure((2,))
+        y_setup = composite.SpectahedronSetup(structure)
+        cp = composite.CompositeProblem(
+            SimplexSetup(2), y_setup, (Fixed(),), (composite.BlockSelector(structure, 0),), (None,)
+        )
+        z = Pair(np.full(2, 0.5), y_setup.center)
+        a = composite_oracle(cp, z, RandomStream(0))
+        b = ref_composite_oracle(cp, z, RandomStream(0))
+        exact = composite_operator(cp, z)
+        for fy in (a.y, exact.y):
+            assert fy.stacks[0].tobytes() == b.y.stacks[0].tobytes()
+        assert not np.signbit(exact.y.stacks[0][0, 0, 0])  # F_y = -(-0.0)
+
+
 class TestPhiRepresentation:
     def test_max_lambda_equals_support_maximum(self):
         # the outer function agrees with its conjugate representation

@@ -5,7 +5,7 @@ import pytest
 from helpers import ref_lower_bound
 
 from smpx import bench, composite, eigopt, vi
-from smpx.errors import InputError
+from smpx.errors import InputError, NumericalError
 from smpx.geometry import EuclideanBallSetup, SimplexSetup
 from smpx.rng import RandomStream
 
@@ -51,6 +51,22 @@ def test_lower_bound_equals_per_probe_loop(name):
         ref = ref_lower_bound(problem, z, points)
         assert probes.lower_bound(z) == ref
         assert vi.err_vi_lower(problem, z, points) == ref
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_non_finite_term_rejected_wherever_it_falls(where):
+    problem = vi.VIProblem(SimplexSetup(3), lambda z: z)
+    points = [np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.2, 0.2]), np.full(3, 1 / 3)]
+    z = np.full(3, 1 / 3)
+    points[where] = np.array([float("nan"), 0.5, 0.5])
+    with pytest.raises(NumericalError):
+        vi.err_vi_lower(problem, z, points)
+    with pytest.raises(NumericalError):
+        vi.ProbeSet(problem, points).lower_bound(z)
+    with pytest.raises(NumericalError):
+        vi.ProbeSet(problem, points[:where] + points[where + 1:]).lower_bound(
+            np.array([0.5, float("inf"), 0.5])
+        )
 
 
 def test_points_and_values_are_views_of_the_stacks():
