@@ -1,11 +1,19 @@
 """Experiment harness: instance generation, seeded runs, statistics, files.
 
-Instances are stored as JSON (floats survive the round trip bit-exactly
-through shortest round-trip decimals).  Experiment outputs are a CSV of
-per-seed, per-checkpoint rows plus a JSON sidecar echoing the configuration
-and the theoretical constants; both are byte-reproducible for a fixed
-configuration, which is why the wall_ms column is written as zero (real
-timings live on the in-memory run records and go to stderr in the CLI).
+Instances are stored as canonical JSON ("format": "smpx-instance",
+"version": 2).  Every float array of the instance data (the eig `a0` and
+`a`, the sdf components' `b0`, `bs`, `c0` and `cs`) is one base64 string of
+its little-endian float64 bytes in C order, the blocks of a matrix and the
+matrices of a list concatenated in order.  Values round-trip bit-exactly,
+-0.0 and subnormals included, and loading decodes bytes instead of parsing
+decimal text.  Version-1 files, which hold the same arrays as nested lists
+of shortest round-trip decimals, are still read.
+
+Experiment outputs are a CSV of per-seed, per-checkpoint rows plus a JSON
+sidecar echoing the configuration and the theoretical constants; both are
+byte-reproducible for a fixed configuration, which is why the wall_ms
+column is written as zero (real timings live on the in-memory run records
+and go to stderr in the CLI).
 
 The environment variable SMPX_THREADS caps replication parallelism; the
 default is sequential.  Results are collected in seed order either way.
@@ -13,6 +21,8 @@ default is sequential.  Results are collected in seed order either way.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import math
 import os
@@ -37,6 +47,7 @@ from .rng import RandomStream
 from .symmat import BlockStructure, BlockSymMatrix
 
 _KINDS = ("bilinear_simplex_spectahedron", "eig_min", "scalar_minimax", "sdf_system")
+_VERSION = 2  # the format version written; version 1 is still read
 
 
 # ---------------------------------------------------------------------------
@@ -61,17 +72,48 @@ def load_payload(path: str) -> dict:
         payload = json.load(fh)
     if payload.get("format") != "smpx-instance":
         raise InputError(f"{path} is not an instance file")
+    version = payload.get("version")
+    if version not in (1, _VERSION):
+        raise InputError(f"{path}: unknown instance format version {version!r}")
     return payload
 
 
-def _encode_blocks(blocks) -> list:
-    return [np.asarray(b, dtype=float).ravel().tolist() for b in blocks]
+def _encode_array(*parts) -> str:
+    """Base64 of the little-endian float64 bytes of the parts, raveled in order."""
+    flat = np.concatenate([np.asarray(a, dtype="<f8").ravel() for a in parts])
+    return base64.b64encode(flat.tobytes()).decode("ascii")
 
 
-def _decode_blocks(flat, sizes) -> list:
-    return [
-        np.asarray(v, dtype=float).reshape(p, p) for v, p in zip(flat, sizes)
-    ]
+def _decode_array(value, shape) -> np.ndarray:
+    """The float64 array of `shape` that `_encode_array` stored as `value`.
+
+    A version-1 value, a (nested) list of decimals, is read too.  A value
+    that does not hold exactly prod(shape) floats raises InputError.
+    """
+    count = math.prod(shape)
+    if isinstance(value, str):
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except binascii.Error as exc:
+            raise InputError(f"array is not valid base64: {exc}") from None
+        if len(raw) != 8 * count:
+            raise InputError(f"array holds {len(raw)} bytes, expected {8 * count}")
+        return np.frombuffer(raw, "<f8").reshape(shape)
+    while isinstance(value, list) and value and isinstance(value[0], list):
+        value = [x for row in value for x in row]
+    flat = np.asarray(value, dtype=float)
+    if flat.size != count:
+        raise InputError(f"array holds {flat.size} floats, expected {count}")
+    return flat.reshape(shape)
+
+
+def _blocks(row: np.ndarray, sizes) -> list:
+    """p x p views of the consecutive blocks in a flat row."""
+    out, k = [], 0
+    for p in sizes:
+        out.append(row[k:k + p * p].reshape(p, p))
+        k += p * p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +142,12 @@ def _gen_eig(params: dict, seed: int, kind: str) -> dict:
     )
     return {
         "format": "smpx-instance",
-        "version": 1,
+        "version": _VERSION,
         "kind": kind,
         "n": n,
         "block_sizes": list(sizes),
-        "a0": _encode_blocks(a0),
-        "a": [_encode_blocks(m) for m in mats],
+        "a0": _encode_array(*a0),
+        "a": _encode_array(*(b for m in mats for b in m)),
         "meta": {"seed": int(seed), "scale": scale, "a_inf": float(a_inf)},
     }
 
@@ -124,12 +166,12 @@ def _gen_scalar_minimax(params: dict, seed: int) -> dict:
     x_star[best] = 1.0
     return {
         "format": "smpx-instance",
-        "version": 1,
+        "version": _VERSION,
         "kind": "scalar_minimax",
         "n": len(scalars),
         "block_sizes": [1],
-        "a0": [[0.0]],
-        "a": [[[v]] for v in scalars],
+        "a0": _encode_array([0.0]),
+        "a": _encode_array(scalars),
         "meta": {
             "seed": int(seed),
             "a_inf": float(np.abs(scalars).max()),
@@ -166,10 +208,10 @@ def _gen_sdf(params: dict, seed: int) -> dict:
                 {
                     "type": "quadratic",
                     "p": p,
-                    "b0": np.zeros((p, p)).ravel().tolist(),
-                    "bs": [b.ravel().tolist() for b in bs],
+                    "b0": _encode_array(np.zeros((p, p))),
+                    "bs": _encode_array(bs),
                     "rows": p,
-                    "c0": (-delta * np.eye(p)).ravel().tolist(),
+                    "c0": _encode_array(-delta * np.eye(p)),
                 }
             )
         else:
@@ -184,14 +226,14 @@ def _gen_sdf(params: dict, seed: int) -> dict:
                 {
                     "type": "affine_noisy",
                     "p": p,
-                    "c0": (-delta * np.eye(p)).ravel().tolist(),
-                    "cs": [c.ravel().tolist() for c in cs],
+                    "c0": _encode_array(-delta * np.eye(p)),
+                    "cs": _encode_array(cs),
                     "noise_m": noise_m,
                 }
             )
     return {
         "format": "smpx-instance",
-        "version": 1,
+        "version": _VERSION,
         "kind": "sdf_system",
         "n": n,
         "block_sizes": list(sizes),
@@ -231,10 +273,11 @@ def payload_to_instance(payload: dict):
     sizes = tuple(int(p) for p in payload["block_sizes"])
     structure = BlockStructure(sizes)
     if kind in ("eig_min", "bilinear_simplex_spectahedron", "scalar_minimax"):
-        a0 = BlockSymMatrix(structure, _decode_blocks(payload["a0"], sizes))
+        sq = structure.sum_sq
+        a0 = BlockSymMatrix(structure, _blocks(_decode_array(payload["a0"], (sq,)), sizes))
         mats = tuple(
-            BlockSymMatrix(structure, _decode_blocks(m, sizes))
-            for m in payload["a"]
+            BlockSymMatrix(structure, _blocks(row, sizes))
+            for row in _decode_array(payload["a"], (int(payload["n"]), sq))
         )
         return "eig", eigopt.EigInstance(structure, a0, mats)
     if kind == "sdf_system":
@@ -245,17 +288,17 @@ def payload_to_instance(payload: dict):
             p = int(comp["p"])
             if comp["type"] == "quadratic":
                 rows = int(comp["rows"])
-                b0 = np.asarray(comp["b0"], dtype=float).reshape(rows, p)
-                bs = np.asarray(comp["bs"], dtype=float).reshape(n, rows, p)
-                c0 = np.asarray(comp["c0"], dtype=float).reshape(p, p)
+                b0 = _decode_array(comp["b0"], (rows, p))
+                bs = _decode_array(comp["bs"], (n, rows, p))
+                c0 = _decode_array(comp["c0"], (p, p))
                 q = QuadraticMatrixComponent(b0, bs, c0)
                 parts.append(
                     SdfComponent(q, lip_l=q.lipschitz_bounds(x_setup.omega_radius),
                                  noise_m=0.0)
                 )
             elif comp["type"] == "affine_noisy":
-                c0 = np.asarray(comp["c0"], dtype=float).reshape(p, p)
-                cs = np.asarray(comp["cs"], dtype=float).reshape(n, p, p)
+                c0 = _decode_array(comp["c0"], (p, p))
+                cs = _decode_array(comp["cs"], (n, p, p))
                 base = AffineMatrixComponent(c0, cs)
                 m_l = float(comp["noise_m"])
                 if base.grad_sup_norm() > m_l + 1e-9:
@@ -367,6 +410,7 @@ class ExperimentConfig:
 
 
 def _resolve_instance(cfg: ExperimentConfig):
+    """(meta, family, instance) of the configured source; the payload is dropped."""
     source = cfg.instance
     if "path" in source:
         payload = load_payload(source["path"])
@@ -375,7 +419,7 @@ def _resolve_instance(cfg: ExperimentConfig):
             source.get("kind", "eig_min"), source.get("params", {}), source.get("seed", 0)
         )
     family, obj = payload_to_instance(payload)
-    return payload, family, obj
+    return dict(payload.get("meta", {})), family, obj
 
 
 class _EigRunner:
@@ -420,7 +464,7 @@ class _EigRunner:
             setup.alpha, setup.omega_radius, self.lip_eff, self.noise_for_stepsize(), t
         )
 
-    def oracle(self):
+    def oracle_for(self, t: int):
         if self.cfg.oracle == "exact":
             return vi.exact_oracle(self.problem)
         return eigopt.averaged_oracle(self.inst, self.cfg.k)
@@ -583,8 +627,7 @@ def run_experiment(config: Union[ExperimentConfig, dict]):
         else ExperimentConfig.from_dict(dict(config))
     )
     cfg.validate()
-    payload, family, obj = _resolve_instance(cfg)
-    meta = dict(payload.get("meta", {}))
+    meta, family, obj = _resolve_instance(cfg)
     runner = (
         _EigRunner(cfg, obj, meta) if family == "eig" else _SdfRunner(cfg, obj, meta)
     )
@@ -596,7 +639,7 @@ def run_experiment(config: Union[ExperimentConfig, dict]):
     for t in horizons:
         gamma = runner.gamma(t)
         problem = runner.problem_for(t)
-        oracle = runner.oracle() if family == "eig" else runner.oracle_for(t)
+        oracle = runner.oracle_for(t)
         plans.append(
             {
                 "t": t,

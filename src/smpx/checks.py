@@ -10,7 +10,7 @@ import math
 import os
 import tempfile
 
-from . import bench, eigopt
+from . import bench, composite, eigopt
 from .geometry import (
     EuclideanBallSetup,
     ProductSetup,
@@ -156,6 +156,41 @@ def reproducibility_ok(tmpdir: str | None = None, config: dict | None = None) ->
             ctx.cleanup()
 
 
+def instance_arrays(obj) -> list:
+    """The data arrays of a decoded EigInstance or SDFSystem, in a fixed order."""
+    if isinstance(obj, eigopt.EigInstance):
+        return [*obj.a0.stacks, *(s for m in obj.mats for s in m.stacks)]
+    out = []
+    for part in obj.parts:
+        comp = part.component
+        if isinstance(comp, composite.NoisyAffineComponent):
+            out += [comp.base.c0, comp.base.cs]
+        else:
+            out += [comp.b0, comp.bs, comp.c0]
+    return out
+
+
+def instance_round_trip_ok() -> bool:
+    """Write eig_min and sdf_system instance files, load them back, and
+    compare the decoded data with the in-memory payload's, byte for byte."""
+    cases = (
+        ("eig_min", {"n": 5, "blocks": [3, 2, 3]}, 4),
+        ("sdf_system", {"n": 4, "blocks": [2, 3], "delta": 0.1}, 6),
+    )
+    with tempfile.TemporaryDirectory() as base:
+        for kind, params, seed in cases:
+            payload = bench.build_instance_payload(kind, params, seed)
+            path = bench.save_payload(os.path.join(base, kind + ".json"), payload)
+            loaded = instance_arrays(bench.payload_to_instance(bench.load_payload(path))[1])
+            direct = instance_arrays(bench.payload_to_instance(payload)[1])
+            if len(loaded) != len(direct) or any(
+                a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes()
+                for a, b in zip(loaded, direct)
+            ):
+                return False
+    return True
+
+
 def run_all(full: bool = False):
     """Bundle of fast self-checks; returns a list of (name, ok, detail)."""
     n_triples = 1000 if full else 200
@@ -172,4 +207,5 @@ def run_all(full: bool = False):
     enum_gap = enumeration_margin()
     results.append(("oracle/enumeration", enum_gap <= 1e-12, f"gap={enum_gap:.3e}"))
     results.append(("outputs/reproducible", reproducibility_ok(), "byte comparison"))
+    results.append(("instance/round_trip", instance_round_trip_ok(), "byte comparison"))
     return results

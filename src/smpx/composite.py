@@ -8,9 +8,10 @@ turns into a convex-concave saddle problem with the monotone operator
                -sum_l A_l^* phi_l(x) + Phi_*'(y) ].
 
 F is linear in the component values and gradients, so unbiased component
-oracles induce an unbiased oracle for F.  The matrix-minimax family used
-throughout has A_l selecting the l-th diagonal block of a spectahedron
-variable, b_l = 0 and Phi_* = 0.
+oracles induce an unbiased oracle for F.  Only outer functions with
+Phi_* = 0 are represented, so the Phi_*'(y) term is never formed.  The
+matrix-minimax family used throughout has A_l selecting the l-th diagonal
+block of a spectahedron variable and b_l = 0.
 
 The semidefinite-feasibility pipeline rebalances a system psi_l <= 0 so
 every component contributes the same regularity scale, builds the induced
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -275,10 +276,11 @@ class ScaledComponent(Component):
 
 @dataclass(frozen=True)
 class CompositeProblem:
-    """Saddle data: geometries, components, affine maps, outer conjugate.
+    """Saddle data: geometries, components, affine maps and their offsets.
 
-    l_x, m_x bound the component derivatives per the composite contract;
-    l_y, m_y bound the outer conjugate's subgradient variation.
+    The outer conjugate Phi_* is zero.  l_x, m_x bound the component
+    derivatives per the composite contract; l_y, m_y bound the outer
+    conjugate's subgradient variation in the constant formulas.
     """
 
     x_setup: ProxSetup
@@ -286,7 +288,6 @@ class CompositeProblem:
     components: tuple
     maps: tuple
     offsets: tuple
-    phi_star: Optional[object] = None
     l_x: float = 0.0
     m_x: float = 0.0
     l_y: float = 0.0
@@ -323,10 +324,7 @@ def _saddle_operator(cp: CompositeProblem, z: Pair, draw) -> Pair:
             raise InputError(f"component {idx} failed: {exc}") from exc
         fx = gx if fx is None else fx + gx
         acc_y = term if acc_y is None else acc_y + term
-    fy = -acc_y
-    if cp.phi_star is not None:
-        fy = fy + cp.phi_star.grad(y)
-    return Pair(fx, fy)
+    return Pair(fx, -acc_y)
 
 
 def _exact_data(comp: Component, x):
@@ -428,7 +426,6 @@ def build_vi(cp: CompositeProblem, lip_l=None, var_m=None) -> VIProblem:
         operator=lambda z: composite_operator(cp, z),
         lip_l=float(lip_l),
         var_m=float(var_m),
-        kind="saddle",
     )
 
 
@@ -457,7 +454,6 @@ def matrix_minimax_problem(
         components=comps,
         maps=maps,
         offsets=(None,) * len(comps),
-        phi_star=None,
         meta=meta or {},
         **constants,
     )

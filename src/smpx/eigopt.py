@@ -275,7 +275,6 @@ def build_saddle(inst: EigInstance) -> SaddleInstance:
         operator=lambda z: exact_operator(inst, z),
         lip_l=effective_lipschitz(inst),
         var_m=0.0,
-        kind="saddle",
     )
     return SaddleInstance(
         problem=problem,

@@ -37,7 +37,6 @@ class VIProblem:
     operator: Callable
     lip_l: float = 0.0
     var_m: float = 0.0
-    kind: str = "generic"  # generic | saddle | nash
 
 
 @dataclass(frozen=True)

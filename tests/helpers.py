@@ -43,6 +43,17 @@ def mild_simplex_point(setup, stream) -> np.ndarray:
     return g / g.sum()
 
 
+def assert_same_bytes(a, b) -> None:
+    """a and b have one dtype, one shape and the same bytes.
+
+    Unlike == and np.array_equal this tells -0.0 from +0.0 (and one NaN
+    payload from another), so it is the check for bit-identical paths.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
 def rel_err(a, b) -> float:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return float(np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(b))))

@@ -1,12 +1,16 @@
 import json
+import os
 
 import numpy as np
 import pytest
+from helpers import assert_same_bytes
 
 from smpx import checks, composite
 from smpx.bench import (
     ExperimentConfig,
     SummaryTable,
+    _decode_array,
+    _encode_array,
     build_instance_payload,
     canonical_json,
     fit_slope,
@@ -14,9 +18,12 @@ from smpx.bench import (
     load_payload,
     payload_to_instance,
     run_experiment,
+    save_payload,
     summary_from_csv,
 )
 from smpx.errors import ConfigError, InputError, NumericalError
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 class TestGenerate:
@@ -64,6 +71,97 @@ class TestGenerate:
         with open(again, "w") as fh:
             fh.write(canonical_json(payload))
         assert open(path, "rb").read() == open(again, "rb").read()
+
+
+SPECIAL = np.array([-0.0, 5e-324])  # a signed zero and the smallest subnormal
+
+# kind -> (params, seed) of the version-1 files in tests/data, which the
+# decimal-list encoder that version 2 replaced wrote
+V1_FILES = {
+    "eig_min": ({"n": 3, "blocks": [2, 1]}, 7),
+    "scalar_minimax": ({"n": 3}, 2),
+    "sdf_system": ({"n": 3, "blocks": [2, 2]}, 5),
+}
+
+
+def special_payload(kind):
+    """A payload whose data holds SPECIAL, and the decoded array holding it."""
+    if kind == "scalar_minimax":
+        payload = build_instance_payload(kind, {"scalars": [*SPECIAL, 0.5]}, 0)
+        return payload, lambda obj: np.array([m.stacks[0][0, 0, 0] for m in obj.mats[:2]])
+    if kind == "eig_min":
+        payload = build_instance_payload(kind, {"n": 3, "blocks": [2, 3]}, 4)
+        a0 = _decode_array(payload["a0"], (13,)).copy()
+        a0[[0, 3]] = SPECIAL  # the diagonal of the first block
+        payload["a0"] = _encode_array(a0)
+        return payload, lambda obj: np.diagonal(obj.a0.stacks[0][0])
+    payload = build_instance_payload(kind, {"n": 3, "blocks": [2, 3]}, 4)
+    comp = payload["components"][0]  # the quadratic one; b0 is not validated
+    comp["b0"] = _encode_array(SPECIAL, np.zeros(2))
+    return payload, lambda obj: obj.parts[0].component.b0[0]
+
+
+class TestInstanceFormat:
+    def test_array_encoding_keeps_every_bit(self):
+        x = np.array([[-0.0, 5e-324, -5e-324], [0.1, 1e308, -2.5]])
+        assert_same_bytes(_decode_array(_encode_array(x), x.shape), x)
+        assert_same_bytes(_decode_array(x.tolist(), x.shape), x)  # version-1 lists
+        with pytest.raises(AssertionError):
+            assert_same_bytes(np.array([-0.0]), np.array([0.0]))
+
+    @pytest.mark.parametrize("kind", ["eig_min", "scalar_minimax", "sdf_system"])
+    def test_file_round_trip_is_bit_exact(self, kind, tmp_path):
+        payload, special = special_payload(kind)
+        path = save_payload(str(tmp_path / "inst.json"), payload)
+        loaded = load_payload(path)
+        assert loaded["version"] == 2
+        _, direct = payload_to_instance(payload)
+        _, again = payload_to_instance(loaded)
+        assert_same_bytes(special(again), SPECIAL)
+        arrays = checks.instance_arrays(again)
+        assert arrays
+        for a, b in zip(arrays, checks.instance_arrays(direct), strict=True):
+            assert_same_bytes(a, b)
+
+    @pytest.mark.parametrize("kind", sorted(V1_FILES))
+    def test_version_1_file_decodes_like_version_2(self, kind, tmp_path):
+        params, seed = V1_FILES[kind]
+        old = load_payload(os.path.join(DATA, f"v1_{kind}.json"))
+        assert old["version"] == 1
+        path = generate_instance(kind, params, seed, str(tmp_path / "v2.json"))
+        new = load_payload(path)
+        assert new["meta"] == old["meta"]
+        family_old, inst_old = payload_to_instance(old)
+        family_new, inst_new = payload_to_instance(new)
+        assert family_old == family_new
+        pairs = zip(checks.instance_arrays(inst_old), checks.instance_arrays(inst_new),
+                    strict=True)
+        for a, b in pairs:
+            assert_same_bytes(a, b)
+
+    @pytest.mark.parametrize("cut", [1, 4, 12])
+    def test_truncated_array_rejected(self, cut, tmp_path):
+        payload = build_instance_payload("eig_min", {"n": 3, "blocks": [2, 2]}, 1)
+        payload["a"] = payload["a"][:-cut]
+        path = save_payload(str(tmp_path / "cut.json"), payload)
+        with pytest.raises(InputError):
+            payload_to_instance(load_payload(path))
+
+    def test_array_of_the_wrong_shape_rejected(self):
+        payload = build_instance_payload("eig_min", {"n": 3, "blocks": [2, 2]}, 1)
+        payload["n"] = 4
+        with pytest.raises(InputError):
+            payload_to_instance(payload)
+        with pytest.raises(InputError):
+            _decode_array("not base64!", (1,))
+
+    @pytest.mark.parametrize("version", [0, 3, "2", None])
+    def test_unknown_version_rejected(self, version, tmp_path):
+        payload = build_instance_payload("eig_min", {"n": 3, "blocks": [2, 2]}, 1)
+        payload["version"] = version
+        path = save_payload(str(tmp_path / "v.json"), payload)
+        with pytest.raises(InputError):
+            load_payload(path)
 
 
 class TestConfig:

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from helpers import ref_eigh, ref_entropy_map, ref_frob_inner, ref_matrix_log
+from helpers import (
+    assert_same_bytes,
+    ref_eigh,
+    ref_entropy_map,
+    ref_frob_inner,
+    ref_matrix_log,
+)
 
 from smpx import symmat
 from smpx.errors import ConfigError, InputError
@@ -204,20 +210,20 @@ class TestStackedMatchesReference:
         got = symmat.eigh(a)
         assert len(got) == len(sizes)
         for (vals, q), (rv, rq) in zip(got, ref_eigh(a.blocks)):
-            assert np.array_equal(vals, rv)
-            assert np.array_equal(q, rq)
+            assert_same_bytes(vals, rv)
+            assert_same_bytes(q, rq)
 
     def test_entropy_map_and_matrix_log(self, sizes):
         b = self.draw(sizes, 2)
         z = symmat.entropy_map(b)
         for x, y in zip(z.blocks, ref_entropy_map(b.blocks)):
-            assert np.array_equal(x, y)
+            assert_same_bytes(x, y)
         fresh = BlockSymMatrix(z.structure, z.blocks)  # no cached decomposition
         for x, y in zip(symmat.matrix_log(fresh).blocks, ref_matrix_log(fresh.blocks)):
-            assert np.array_equal(x, y)
+            assert_same_bytes(x, y)
 
     def test_frob_inner_and_traces(self, sizes):
         a, b = self.draw(sizes, 3), self.draw(sizes, 4)
-        assert symmat.frob_inner(a, b) == ref_frob_inner(a.blocks, b.blocks)
-        assert np.array_equal(a.block_traces(), [np.trace(x) for x in a.blocks])
-        assert a.trace() == float(sum(np.trace(x) for x in a.blocks))
+        assert_same_bytes(symmat.frob_inner(a, b), ref_frob_inner(a.blocks, b.blocks))
+        assert_same_bytes(a.block_traces(), [np.trace(x) for x in a.blocks])
+        assert_same_bytes(a.trace(), float(sum(np.trace(x) for x in a.blocks)))

@@ -117,7 +117,7 @@ class TestErrNash:
     def test_minimization_reduces_to_objective_residual(self):
         # constant dual value: the gap is phi(x) - min phi
         setup = EuclideanBallSetup(1, 1.0)
-        prob = VIProblem(setup, lambda z: np.asarray(z), lip_l=1.0, kind="saddle")
+        prob = VIProblem(setup, lambda z: np.asarray(z), lip_l=1.0)
         inst = SaddleInstance(
             problem=prob,
             primal_value=lambda x: 0.5 * float(x[0]) ** 2,
