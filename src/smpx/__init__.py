@@ -23,11 +23,7 @@ from .geometry import (  # noqa: E402
     ProductSetup,
     SimplexSetup,
     SpectahedronSetup,
-    bregman,
-    capacity,
     inner,
-    product_setup,
-    prox,
 )
 from .rng import RandomStream  # noqa: E402
 from .solver import (  # noqa: E402
@@ -69,8 +65,6 @@ __all__ = [
     "StochasticOracle",
     "VIProblem",
     "bench",
-    "bregman",
-    "capacity",
     "composite",
     "constant_stepsize",
     "eigopt",
@@ -79,8 +73,6 @@ __all__ = [
     "geometry",
     "inner",
     "oracle_stats",
-    "product_setup",
-    "prox",
     "rmsa_run",
     "rng",
     "smp_run",

@@ -14,9 +14,6 @@ sidecar echoing the configuration and the theoretical constants; both are
 byte-reproducible for a fixed configuration, which is why the wall_ms
 column is written as zero (real timings live on the in-memory run records
 and go to stderr in the CLI).
-
-The environment variable SMPX_THREADS caps replication parallelism; the
-default is sequential.  Results are collected in seed order either way.
 """
 
 from __future__ import annotations
@@ -25,8 +22,6 @@ import base64
 import binascii
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -429,10 +424,7 @@ class _EigRunner:
         self.meta = meta
         self.saddle = eigopt.build_saddle(inst)
         self.problem = self.saddle.problem
-        stream = RandomStream(cfg.probe_seed)
-        self.probes = vi.ProbeSet(
-            self.problem, self.problem.setup.probe_points(stream, cfg.n_probes)
-        )
+        self.probes = vi.default_probes(self.problem, cfg.probe_seed, cfg.n_probes)
         self.lip_eff = eigopt.effective_lipschitz(inst)
         try:
             self.worst_case = eigopt.regularity_constants(inst, cfg.k)
@@ -542,9 +534,8 @@ class _SdfRunner:
         sc = self.scaled(t)
         problem = self.problem_for(t)
         if t not in self._probes:
-            stream = RandomStream(self.cfg.probe_seed)
-            self._probes[t] = vi.ProbeSet(
-                problem, problem.setup.probe_points(stream, self.cfg.n_probes)
+            self._probes[t] = vi.default_probes(
+                problem, self.cfg.probe_seed, self.cfg.n_probes
             )
         probes = self._probes[t]
         comp_opt = self.meta.get("component_opt")
@@ -651,28 +642,20 @@ def run_experiment(config: Union[ExperimentConfig, dict]):
             }
         )
 
-    def one_seed(seed: int):
-        out = []
-        for plan in plans:
-            out.append(
-                run_fn(
-                    plan["problem"],
-                    plan["oracle"],
-                    plan["policy"],
-                    seed,
-                    plan["checkpoints"],
-                    error_fn=plan["error_fn"],
-                )
+    records = {
+        s: [
+            run_fn(
+                plan["problem"],
+                plan["oracle"],
+                plan["policy"],
+                s,
+                plan["checkpoints"],
+                error_fn=plan["error_fn"],
             )
-        return out
-
-    threads = int(os.environ.get("SMPX_THREADS", "1") or "1")
-    if threads > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(seeds))) as pool:
-            results = list(pool.map(one_seed, seeds))
-        records = dict(zip(seeds, results))
-    else:
-        records = {s: one_seed(s) for s in seeds}
+            for plan in plans
+        ]
+        for s in seeds
+    }
 
     # flatten rows in deterministic order: horizon-major, checkpoint-minor
     rows = {s: [] for s in seeds}

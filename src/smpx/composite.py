@@ -8,10 +8,10 @@ turns into a convex-concave saddle problem with the monotone operator
                -sum_l A_l^* phi_l(x) + Phi_*'(y) ].
 
 F is linear in the component values and gradients, so unbiased component
-oracles induce an unbiased oracle for F.  Only outer functions with
-Phi_* = 0 are represented, so the Phi_*'(y) term is never formed.  The
-matrix-minimax family used throughout has A_l selecting the l-th diagonal
-block of a spectahedron variable and b_l = 0.
+oracles induce an unbiased oracle for F.  One family is represented: the
+matrix-minimax one, Phi(u) = max_l lambda_max(u_l), where A_l selects the
+l-th diagonal block of a spectahedron variable y, b_l = 0 and Phi_* = 0.
+So F(x, y) = [ sum_l [phi_l'(x)]^* y_l ; -sum_l A_l^* phi_l(x) ].
 
 The semidefinite-feasibility pipeline rebalances a system psi_l <= 0 so
 every component contributes the same regularity scale, builds the induced
@@ -40,29 +40,15 @@ from .vi import StochasticOracle, VIProblem
 
 
 # ---------------------------------------------------------------------------
-# linear maps from the y-space into the component spaces
+# the block selectors A_l
 
 
-class LinearMap:
-    def apply(self, y):
-        raise NotImplementedError
-
-    def adjoint(self, u):
-        raise NotImplementedError
-
-    def norm_bound(self) -> float:
-        """Upper bound on max over ||y||_y <= 1 of the output dual norm."""
-        raise NotImplementedError
-
-    def output_dual_norm(self, u) -> float:
-        raise NotImplementedError
-
-
-class BlockSelector(LinearMap):
+class BlockSelector:
     """A_l y = y_l on a block-diagonal y-space; the adjoint embeds the block.
 
     Output lives in the symmetric matrices with the spectral norm, whose
-    dual is the trace norm; the map has operator norm exactly one.
+    dual is the trace norm; the selectors split the trace norm of y across
+    the blocks, so A = max_{||y||_y <= 1} sum_l ||A_l y||_* is exactly one.
     """
 
     def __init__(self, structure: BlockStructure, index: int):
@@ -77,32 +63,6 @@ class BlockSelector(LinearMap):
         g, r = self.structure.slots[self.index]
         stacks[g][r] = u
         return BlockSymMatrix.from_stacks(self.structure, stacks)
-
-    def norm_bound(self):
-        return 1.0
-
-    def output_dual_norm(self, u):
-        vals = np.linalg.eigvalsh(np.asarray(u, dtype=float))
-        return float(np.abs(vals).sum())
-
-
-class DenseLinearMap(LinearMap):
-    """Matrix map between Euclidean spaces; both norms are l2."""
-
-    def __init__(self, matrix):
-        self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-
-    def apply(self, y):
-        return self.matrix @ np.atleast_1d(y)
-
-    def adjoint(self, u):
-        return self.matrix.T @ np.atleast_1d(u)
-
-    def norm_bound(self):
-        return float(np.linalg.norm(self.matrix, 2))
-
-    def output_dual_norm(self, u):
-        return float(np.linalg.norm(np.atleast_1d(u)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,33 +236,24 @@ class ScaledComponent(Component):
 
 @dataclass(frozen=True)
 class CompositeProblem:
-    """Saddle data: geometries, components, affine maps and their offsets.
+    """Saddle data of a matrix-minimax problem: geometries, components, maps.
 
-    The outer conjugate Phi_* is zero.  l_x, m_x bound the component
-    derivatives per the composite contract; l_y, m_y bound the outer
-    conjugate's subgradient variation in the constant formulas.
+    ``maps`` are the block selectors A_l; the offsets b_l and the outer
+    conjugate Phi_* are zero.  l_x, m_x bound the component derivatives
+    per the composite contract.
     """
 
     x_setup: ProxSetup
     y_setup: ProxSetup
     components: tuple
     maps: tuple
-    offsets: tuple
     l_x: float = 0.0
     m_x: float = 0.0
-    l_y: float = 0.0
-    m_y: float = 0.0
     meta: dict = field(default_factory=dict)
 
     @property
     def m(self) -> int:
         return len(self.components)
-
-
-def _psi(cp: CompositeProblem, y, idx: int):
-    v = cp.maps[idx].apply(y)
-    off = cp.offsets[idx]
-    return v if off is None else v + off
 
 
 def _saddle_operator(cp: CompositeProblem, z: Pair, draw) -> Pair:
@@ -318,7 +269,7 @@ def _saddle_operator(cp: CompositeProblem, z: Pair, draw) -> Pair:
     for idx, (comp, amap) in enumerate(zip(cp.components, cp.maps)):
         try:
             f_hat, g_adj = draw(comp, x)
-            gx = g_adj(_psi(cp, y, idx))
+            gx = g_adj(amap.apply(y))
             term = amap.adjoint(f_hat)
         except Exception as exc:  # noqa: BLE001 - annotate with the component index
             raise InputError(f"component {idx} failed: {exc}") from exc
@@ -345,68 +296,17 @@ def composite_oracle(cp: CompositeProblem, z: Pair, stream: RandomStream) -> Pai
     return _saddle_operator(cp, z, lambda comp, x: comp.sample(x, stream))
 
 
-class AffineConstants(NamedTuple):
-    """Bracketed size of the affine maps and offsets.
-
-    a_lower comes from certificate maximization over sampled unit-norm
-    directions, a_upper from summing per-map operator norm bounds; they
-    coincide for the matrix-minimax family.  b sums the offset dual norms.
-    """
-
-    a_lower: float
-    a_upper: float
-    b: float
-
-    @property
-    def exact(self) -> bool:
-        return self.a_lower == self.a_upper
-
-
-def constants_ab(
-    cp: CompositeProblem, n_certificates: int = 64, seed: int = 0
-) -> AffineConstants:
-    """A = max_{||y||_y <= 1} sum_l ||A_l y||_(l,*) and B = sum_l ||b_l||_(l,*)."""
-    b_total = 0.0
-    for amap, off in zip(cp.maps, cp.offsets):
-        if off is not None:
-            b_total += amap.output_dual_norm(off)
-
-    if all(isinstance(amap, BlockSelector) for amap in cp.maps):
-        # selectors split the trace norm across blocks, so the max is one
-        return AffineConstants(1.0, 1.0, b_total)
-
-    upper = sum(amap.norm_bound() for amap in cp.maps)
-    stream = RandomStream(seed)
-    lower = 0.0
-    for _ in range(n_certificates):
-        y = cp.y_setup.random_dual(stream)
-        ny = cp.y_setup.norm(y)
-        if ny == 0.0:
-            continue
-        y = (1.0 / ny) * y
-        lower = max(
-            lower,
-            sum(amap.output_dual_norm(amap.apply(y)) for amap in cp.maps),
-        )
-    return AffineConstants(min(lower, upper), upper, b_total)
-
-
 def lipschitz_constants(cp: CompositeProblem) -> tuple:
     """(L, M) of the saddle operator from the composite constants.
 
-    Conservative closed forms: the bracketed upper bound stands in for A,
-    and B aggregates the offset dual norms.
+    The paper's closed forms with A = 1 (the block selectors) and B = 0
+    (no offsets): L = 5 A ox oy (ox l_x + m_x) + B ox^2 l_x and
+    M = (2 A oy + B) ox m_x.
     """
-    consts = constants_ab(cp)
-    a, b = consts.a_upper, consts.b
     ox = cp.x_setup.omega_radius
     oy = cp.y_setup.omega_radius
-    lip = (
-        5.0 * a * ox * oy * (ox * cp.l_x + cp.m_x)
-        + b * ox * ox * cp.l_x
-        + oy * oy * cp.l_y
-    )
-    noise = (2.0 * a * oy + b) * ox * cp.m_x + oy * cp.m_y
+    lip = 5.0 * ox * oy * (ox * cp.l_x + cp.m_x)
+    noise = 2.0 * oy * ox * cp.m_x
     return lip, noise
 
 
@@ -453,7 +353,6 @@ def matrix_minimax_problem(
         y_setup=y_setup,
         components=comps,
         maps=maps,
-        offsets=(None,) * len(comps),
         meta=meta or {},
         **constants,
     )
@@ -548,8 +447,6 @@ def sdf_scale(sys: SDFSystem, t: int) -> ScaledSdf:
         meta=dict(sys.meta),
         l_x=mu * rt / ox,
         m_x=mu,
-        l_y=0.0,
-        m_y=0.0,
     )
     logp = math.log(sum(sys.block_sizes))
     lip = 10.0 * math.sqrt(logp) * ox * mu * (rt + 1.0)

@@ -123,8 +123,14 @@ def regularity_constants(inst: EigInstance, k: int) -> RegularityConstants:
     if n < 3 or p1 < 3:
         raise ConfigError("constants need n >= 3 and total block dimension >= 3")
     lip = 2.0 * math.log(n) + 4.0 * math.log(p1)
-    noise = 27.0 * (math.log(n) + math.log(p1)) * inst.a_inf / math.sqrt(k)
+    noise = _noise_level(inst, k)
     return RegularityConstants(lip, noise, (2.0 * math.log(n), 4.0 * math.log(p1)))
+
+
+def _noise_level(inst: EigInstance, k: int) -> float:
+    """27 (ln n + ln p) a_inf / sqrt(k): the k-averaged oracle's noise level."""
+    n, p1 = inst.n, inst.p_total
+    return 27.0 * (math.log(n) + math.log(p1)) * inst.a_inf / math.sqrt(k)
 
 
 def effective_lipschitz(inst: EigInstance) -> float:
@@ -221,8 +227,7 @@ def averaged_oracle(inst: EigInstance, k: int) -> StochasticOracle:
                 acc = acc + sample_xi(inst, z, stream)
             return (1.0 / k) * acc
 
-    n, p1 = inst.n, inst.p_total
-    noise = 27.0 * (math.log(n) + math.log(p1)) * inst.a_inf / math.sqrt(k)
+    noise = _noise_level(inst, k)
     return StochasticOracle(sampler=sampler, bias_mu=0.0, noise_m=noise, subgaussian=True)
 
 
@@ -249,10 +254,8 @@ def objective_and_gap(inst: EigInstance, z: Pair):
     f(x) = lambda_max(A_0 + sum x_j A_j); the dual value at y is
     <A_0, y> + min_j <A_j, y>, and the gap is their difference.
     """
-    x, y = z.x, z.y
-    f_value = symmat.lambda_max(inst.combination(x))
-    lower = symmat.frob_inner(inst.a0, y) + float(inst.trace_vector(y).min())
-    return f_value, f_value - lower
+    f_value = primal_value(inst, z.x)
+    return f_value, f_value - dual_value(inst, z.y)
 
 
 def primal_value(inst: EigInstance, x: np.ndarray) -> float:

@@ -476,26 +476,3 @@ class ProductSetup(ProxSetup):
         k = max(len(ex), len(ey))
         return [Pair(ex[i % len(ex)], ey[i % len(ey)]) for i in range(k)]
 
-
-# ---------------------------------------------------------------------------
-# operation-style wrappers
-
-
-def bregman(setup: ProxSetup, z, u) -> float:
-    """Prox-function V(z, u) of the setup; nonnegative, zero at u = z."""
-    return setup.bregman(z, u)
-
-
-def prox(setup: ProxSetup, z, xi):
-    """Prox-mapping of the setup; z must be interior, the result is interior."""
-    return setup.prox_map(z, xi)
-
-
-def capacity(setup: ProxSetup):
-    """(alpha, theta, omega_radius) of the setup."""
-    return (setup.alpha, setup.theta, setup.omega_radius)
-
-
-def product_setup(sx: ProxSetup, sy: ProxSetup) -> ProductSetup:
-    """Combine two setups; the result has capacity (1, 1, sqrt(2))."""
-    return ProductSetup(sx, sy)

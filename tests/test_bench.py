@@ -256,17 +256,6 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(cfg)
 
-    def test_threaded_matches_serial(self, tmp_path, monkeypatch):
-        cfg = tiny_config(seeds=[0, 1, 2, 3], out=str(tmp_path / "serial"))
-        run_experiment(cfg)
-        monkeypatch.setenv("SMPX_THREADS", "4")
-        cfg["out"] = str(tmp_path / "threaded")
-        run_experiment(cfg)
-        assert (
-            open(str(tmp_path / "serial.csv")).read()
-            == open(str(tmp_path / "threaded.csv")).read()
-        )
-
     def test_rmsa_oracle_call_accounting(self):
         cfg = tiny_config(solver="rmsa")
         records, summary, _ = run_experiment(cfg)

@@ -7,14 +7,12 @@ from helpers import assert_same_bytes, ref_composite_oracle, ref_noisy_sample
 from smpx import bench, composite, symmat, vi
 from smpx.composite import (
     AffineMatrixComponent,
-    DenseLinearMap,
     NoisyAffineComponent,
     QuadraticMatrixComponent,
     SdfComponent,
     SDFSystem,
     composite_operator,
     composite_oracle,
-    constants_ab,
     lipschitz_constants,
     matrix_minimax_problem,
     sdf_scale,
@@ -119,39 +117,6 @@ class TestOracle:
 
 
 class TestConstants:
-    def test_selector_family_is_exact(self):
-        cp = affine_minimax()
-        consts = constants_ab(cp)
-        assert consts == (1.0, 1.0, 0.0)
-        assert consts.exact
-
-    def test_offsets_add_to_b(self):
-        cp = affine_minimax(sizes=(2, 2))
-        off = np.diag([1.0, -2.0])
-        cp2 = composite.CompositeProblem(
-            x_setup=cp.x_setup,
-            y_setup=cp.y_setup,
-            components=cp.components,
-            maps=cp.maps,
-            offsets=(off, None),
-        )
-        consts = constants_ab(cp2)
-        # trace norm of the offset
-        assert consts.b == pytest.approx(3.0)
-
-    def test_dense_one_dim_map(self):
-        cp = composite.CompositeProblem(
-            x_setup=EuclideanBallSetup(1, 1.0),
-            y_setup=EuclideanBallSetup(1, 1.0),
-            components=(AffineMatrixComponent(np.zeros((1, 1)), np.zeros((1, 1, 1))),),
-            maps=(DenseLinearMap([[2.0]]),),
-            offsets=(None,),
-        )
-        consts = constants_ab(cp)
-        assert consts.a_lower == pytest.approx(2.0)
-        assert consts.a_upper == pytest.approx(2.0)
-        assert consts.b == 0.0
-
     def test_zero_constants_give_zero_l_m(self):
         cp = affine_minimax(m_x=0.0)
         assert lipschitz_constants(cp) == (0.0, 0.0)
@@ -301,7 +266,7 @@ class TestOneDrawNoise:
         structure = BlockStructure((2,))
         y_setup = composite.SpectahedronSetup(structure)
         cp = composite.CompositeProblem(
-            SimplexSetup(2), y_setup, (Fixed(),), (composite.BlockSelector(structure, 0),), (None,)
+            SimplexSetup(2), y_setup, (Fixed(),), (composite.BlockSelector(structure, 0),)
         )
         z = Pair(np.full(2, 0.5), y_setup.center)
         a = composite_oracle(cp, z, RandomStream(0))

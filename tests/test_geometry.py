@@ -12,11 +12,7 @@ from smpx.geometry import (
     ProductSetup,
     SimplexSetup,
     SpectahedronSetup,
-    bregman,
-    capacity,
     inner,
-    product_setup,
-    prox,
 )
 from smpx.rng import RandomStream
 from smpx.symmat import BlockStructure
@@ -33,12 +29,16 @@ def all_setups():
 
 class TestCapacity:
     def test_simplex(self):
-        assert capacity(SimplexSetup(8)) == pytest.approx(
+        setup = SimplexSetup(8)
+        assert (setup.alpha, setup.theta, setup.omega_radius) == pytest.approx(
             (1.0, math.log(8), math.sqrt(2 * math.log(8)))
         )
 
     def test_euclidean_unit_ball(self):
-        assert capacity(EuclideanBallSetup(3, 1.0)) == pytest.approx((1.0, 0.5, 1.0))
+        setup = EuclideanBallSetup(3, 1.0)
+        assert (setup.alpha, setup.theta, setup.omega_radius) == pytest.approx(
+            (1.0, 0.5, 1.0)
+        )
 
     def test_spectahedron_blocks(self):
         setup = SpectahedronSetup(BlockStructure((2, 3)))
@@ -60,15 +60,15 @@ class TestCapacity:
 class TestBregman:
     def test_zero_at_same_point(self):
         z = np.array([0.3, 0.4])
-        assert bregman(EuclideanBallSetup(2, 1.0), z, z) == 0.0
+        assert EuclideanBallSetup(2, 1.0).bregman(z, z) == 0.0
 
     def test_euclidean_half_squared_distance(self):
         setup = EuclideanBallSetup(2, 1.0)
-        v = bregman(setup, np.zeros(2), np.array([0.6, 0.8]))
+        v = setup.bregman(np.zeros(2), np.array([0.6, 0.8]))
         assert v == pytest.approx(0.5)
 
     def test_simplex_kl_value(self):
-        v = bregman(SimplexSetup(2), np.array([0.5, 0.5]), np.array([0.25, 0.75]))
+        v = SimplexSetup(2).bregman(np.array([0.5, 0.5]), np.array([0.25, 0.75]))
         assert v == pytest.approx(0.25 * math.log(0.5) + 0.75 * math.log(1.5))
 
     def test_lower_bounded_by_squared_norm(self):
@@ -90,17 +90,17 @@ class TestProx:
     def test_simplex_identity(self):
         setup = SimplexSetup(3)
         z = np.full(3, 1.0 / 3.0)
-        assert np.allclose(prox(setup, z, np.zeros(3)), z)
+        assert np.allclose(setup.prox_map(z, np.zeros(3)), z)
 
     def test_euclidean_projection(self):
-        out = prox(EuclideanBallSetup(2, 1.0), np.zeros(2), np.array([2.0, 0.0]))
+        out = EuclideanBallSetup(2, 1.0).prox_map(np.zeros(2), np.array([2.0, 0.0]))
         assert np.allclose(out, [-1.0, 0.0])
 
     def test_simplex_closed_form_example(self):
         setup = SimplexSetup(3)
         z = np.full(3, 1.0 / 3.0)
         xi = np.array([math.log(2.0), 0.0, 0.0])
-        out = prox(setup, z, xi)
+        out = setup.prox_map(z, xi)
         assert np.allclose(out, [0.2, 0.4, 0.4])
         assert np.max(np.abs(out - simplex_prox_argmin(z, xi))) <= 1e-6
 
@@ -111,12 +111,12 @@ class TestProx:
             for _ in range(3):
                 z = mild_simplex_point(setup, stream)
                 xi = np.clip(setup.random_dual(stream), -1.5, 1.5)
-                closed = prox(setup, z, xi)
+                closed = setup.prox_map(z, xi)
                 assert np.max(np.abs(closed - simplex_prox_argmin(z, xi))) <= 1e-6
 
     def test_simplex_large_dual_is_stable(self):
         setup = SimplexSetup(4)
-        out = prox(setup, setup.center, np.array([700.0, -700.0, 0.0, 1.0]))
+        out = setup.prox_map(setup.center, np.array([700.0, -700.0, 0.0, 1.0]))
         assert np.all(np.isfinite(out))
         assert out.sum() == pytest.approx(1.0)
         assert out[1] == pytest.approx(1.0, abs=1e-100)
@@ -126,18 +126,18 @@ class TestProx:
             xi = setup.random_dual(RandomStream(3))
             bad = float("nan") * xi
             with pytest.raises(InputError):
-                prox(setup, setup.center, bad)
+                setup.prox_map(setup.center, bad)
 
     def test_boundary_point_rejected(self):
         setup = SimplexSetup(3)
         with pytest.raises(DomainError):
-            prox(setup, np.array([1.0, 0.0, 0.0]), np.zeros(3))
+            setup.prox_map(np.array([1.0, 0.0, 0.0]), np.zeros(3))
         spect = SpectahedronSetup(BlockStructure((2,)))
         boundary = symmat.BlockSymMatrix(
             BlockStructure((2,)), [np.diag([1.0, 0.0])]
         )
         with pytest.raises(DomainError):
-            prox(spect, boundary, spect.random_dual(RandomStream(4)))
+            spect.prox_map(boundary, spect.random_dual(RandomStream(4)))
 
     def test_nan_coordinate_rejected(self):
         setup = SimplexSetup(3)
@@ -151,7 +151,7 @@ class TestProx:
         for setup in all_setups():
             z = setup.center
             for _ in range(20):
-                z = prox(setup, z, setup.random_dual(stream, 2.0))
+                z = setup.prox_map(z, setup.random_dual(stream, 2.0))
                 assert setup.in_interior(z)
                 assert setup.contains(z, tol=1e-10)
 
@@ -160,7 +160,7 @@ class TestProx:
         stream = RandomStream(6)
         a = setup.random_dual(stream, 2.0)
         xi = setup.random_dual(stream, 2.0)
-        lhs = prox(setup, symmat.entropy_map(a), xi)
+        lhs = setup.prox_map(symmat.entropy_map(a), xi)
         rhs = symmat.entropy_map(a - xi)
         assert setup.norm(lhs - rhs) <= 1e-8
 
@@ -190,19 +190,20 @@ class TestProduct:
     def test_capacity_always_normalized(self):
         for sx in (SimplexSetup(3), EuclideanBallSetup(2, 2.0)):
             for sy in (SpectahedronSetup(BlockStructure((2, 2))), SimplexSetup(5)):
-                assert capacity(product_setup(sx, sy)) == pytest.approx(
+                ps = ProductSetup(sx, sy)
+                assert (ps.alpha, ps.theta, ps.omega_radius) == pytest.approx(
                     (1.0, 1.0, math.sqrt(2.0))
                 )
 
     def test_center_is_pair_of_centers(self):
         sx, sy = SimplexSetup(3), SpectahedronSetup(BlockStructure((2,)))
-        c = product_setup(sx, sy).center
+        c = ProductSetup(sx, sy).center
         assert np.allclose(c.x, sx.center)
         assert np.allclose(c.y.blocks[0], sy.center.blocks[0])
 
     def test_bregman_additivity(self):
         sx, sy = SimplexSetup(3), SpectahedronSetup(BlockStructure((2, 2)))
-        ps = product_setup(sx, sy)
+        ps = ProductSetup(sx, sy)
         stream = RandomStream(9)
         z, u = ps.random_point(stream), ps.random_point(stream)
         expected = (
@@ -213,7 +214,7 @@ class TestProduct:
 
     def test_prox_splits_with_rescaled_duals(self):
         sx, sy = SimplexSetup(4), SimplexSetup(3)
-        ps = product_setup(sx, sy)
+        ps = ProductSetup(sx, sy)
         stream = RandomStream(10)
         z = ps.random_point(stream)
         xi = ps.random_dual(stream)
@@ -227,7 +228,7 @@ class TestProduct:
 
     def test_dual_norm_formula(self):
         sx, sy = SimplexSetup(3), EuclideanBallSetup(2, 1.5)
-        ps = product_setup(sx, sy)
+        ps = ProductSetup(sx, sy)
         xi = Pair(np.array([1.0, -2.0, 0.5]), np.array([0.3, -0.4]))
         expected = math.sqrt(
             sx.omega_radius**2 * sx.dual_norm(xi.x) ** 2
@@ -236,7 +237,7 @@ class TestProduct:
         assert ps.dual_norm(xi) == pytest.approx(expected)
 
     def test_pairing_inequality(self):
-        ps = product_setup(SimplexSetup(4), SpectahedronSetup(BlockStructure((3,))))
+        ps = ProductSetup(SimplexSetup(4), SpectahedronSetup(BlockStructure((3,))))
         stream = RandomStream(11)
         for _ in range(100):
             z = ps.random_point(stream)
