@@ -7,7 +7,14 @@ its little-endian float64 bytes in C order, the blocks of a matrix and the
 matrices of a list concatenated in order.  Values round-trip bit-exactly,
 -0.0 and subnormals included, and loading decodes bytes instead of parsing
 decimal text.  Version-1 files, which hold the same arrays as nested lists
-of shortest round-trip decimals, are still read.
+of shortest round-trip decimals, are still read.  An eig file whose
+``meta["a_inf"]`` disagrees with its data is rejected.
+
+An experiment runs horizon by horizon.  Each family builds a plan per
+horizon (problem, sampled oracle, auto-stepsize rule, error map, and the L
+and M of the K0*/K1* rows); eig instances share one plan across horizons,
+sdf systems are rescaled for each.  The configured stepsize, oracle mode
+and bound rows are then decided once for both families.
 
 Experiment outputs are a CSV of per-seed, per-checkpoint rows plus a JSON
 sidecar echoing the configuration and the theoretical constants; both are
@@ -20,10 +27,11 @@ from __future__ import annotations
 
 import base64
 import binascii
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -274,7 +282,14 @@ def payload_to_instance(payload: dict):
             BlockSymMatrix(structure, _blocks(row, sizes))
             for row in _decode_array(payload["a"], (int(payload["n"]), sq))
         )
-        return "eig", eigopt.EigInstance(structure, a0, mats)
+        inst = eigopt.EigInstance(structure, a0, mats)
+        # the file is outside input: a_inf is recomputed, and a declared value
+        # that disagrees with the data is an error
+        declared = payload.get("meta", {}).get("a_inf")
+        tol = 1e-9 * max(1.0, inst.a_inf)
+        if declared is not None and abs(float(declared) - inst.a_inf) > tol:
+            raise InputError(f"meta a_inf {declared!r} disagrees with the data's {inst.a_inf!r}")
+        return "eig", inst
     if kind == "sdf_system":
         n = int(payload["n"])
         x_setup = SimplexSetup(n)
@@ -373,21 +388,7 @@ class ExperimentConfig:
         self.seed_list()
 
     def to_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "solver": self.solver,
-            "t": self.t,
-            "k": self.k,
-            "oracle": self.oracle,
-            "stepsize": self.stepsize,
-            "seeds": self.seeds,
-            "seed_count": self.seed_count,
-            "seed_base": self.seed_base,
-            "checkpoints": self.checkpoints,
-            "n_probes": self.n_probes,
-            "probe_seed": self.probe_seed,
-            "out": self.out,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -417,159 +418,101 @@ def _resolve_instance(cfg: ExperimentConfig):
     return dict(payload.get("meta", {})), family, obj
 
 
-class _EigRunner:
-    def __init__(self, cfg: ExperimentConfig, inst: eigopt.EigInstance, meta: dict):
-        self.cfg = cfg
-        self.inst = inst
-        self.meta = meta
-        self.saddle = eigopt.build_saddle(inst)
-        self.problem = self.saddle.problem
-        self.probes = vi.default_probes(self.problem, cfg.probe_seed, cfg.n_probes)
-        self.lip_eff = eigopt.effective_lipschitz(inst)
-        try:
-            self.worst_case = eigopt.regularity_constants(inst, cfg.k)
-        except ConfigError:
-            self.worst_case = None
-        self.pointwise = eigopt.sample_deviation_bound(inst)
+@dataclass(frozen=True)
+class _Plan:
+    """What the runs of one horizon share.
 
-    def noise_for_bounds(self) -> float:
-        if self.cfg.oracle == "exact":
-            return 0.0
-        if self.worst_case is not None:
-            return self.worst_case.noise
-        return self.pointwise
+    ``stepsize`` is the family's auto rule, t -> gamma; an explicit
+    configured stepsize replaces it.  ``lip`` and ``noise`` are the L and M
+    of the K0*/K1* bound rows, for the sampled oracle.
+    """
 
-    def noise_for_stepsize(self) -> float:
-        if self.cfg.oracle == "exact":
-            return 0.0
-        ceiling = self.worst_case.noise if self.worst_case is not None else float("inf")
-        return min(self.pointwise, ceiling)
+    problem: vi.VIProblem
+    oracle: vi.StochasticOracle
+    stepsize: Callable
+    error_fn: Callable
+    lip: float
+    noise: float
 
-    def gamma(self, t: int) -> float:
-        if self.cfg.stepsize != "auto":
-            return float(self.cfg.stepsize)
-        setup = self.problem.setup
-        if self.cfg.solver == "rmsa":
-            mbar = max(eigopt.operator_sup_bound(self.inst), self.noise_for_stepsize())
+
+def _eig_plans(cfg: ExperimentConfig, inst: eigopt.EigInstance):
+    """(plan_for, constants): one plan, built once, serves every horizon."""
+    problem = eigopt.build_saddle(inst).problem
+    setup = problem.setup
+    probes = vi.default_probes(problem, cfg.probe_seed, cfg.n_probes)
+    lip_eff = eigopt.effective_lipschitz(inst)
+    pointwise = eigopt.sample_deviation_bound(inst)
+    try:
+        worst_case = eigopt.regularity_constants(inst, cfg.k)
+    except ConfigError:
+        worst_case = None
+    ceiling = worst_case.noise if worst_case is not None else float("inf")
+    step_noise = 0.0 if cfg.oracle == "exact" else min(pointwise, ceiling)
+
+    def stepsize(t):
+        if cfg.solver == "rmsa":
+            mbar = max(eigopt.operator_sup_bound(inst), step_noise)
             return solver.rmsa_stepsize(setup.alpha, setup.omega_radius, mbar, t)
-        return solver.constant_stepsize(
-            setup.alpha, setup.omega_radius, self.lip_eff, self.noise_for_stepsize(), t
-        )
+        return solver.constant_stepsize(setup.alpha, setup.omega_radius, lip_eff, step_noise, t)
 
-    def oracle_for(self, t: int):
-        if self.cfg.oracle == "exact":
-            return vi.exact_oracle(self.problem)
-        return eigopt.averaged_oracle(self.inst, self.cfg.k)
+    def error_fn(z):
+        _, gap = eigopt.objective_and_gap(inst, z)
+        return {"err_nash": gap, "err_vi_probe": probes.lower_bound(z)}
 
-    def error_fn(self, t: int):
-        def fn(z):
-            _, gap = eigopt.objective_and_gap(self.inst, z)
-            return {"err_nash": gap, "err_vi_probe": self.probes.lower_bound(z)}
-
-        return fn
-
-    def problem_for(self, t: int):
-        return self.problem
-
-    def bounds(self, t: int):
-        setup = self.problem.setup
-        return solver.theoretical_bounds(
-            setup.alpha, setup.omega_radius, self.lip_eff, self.noise_for_bounds(), 0.0, t
-        )
-
-    def constants(self) -> dict:
-        out = {
-            "a_inf": self.inst.a_inf,
-            "lip_effective": self.lip_eff,
-            "noise_pointwise": self.pointwise,
-            "mu": 0.0,
-            "A": 1.0,
-            "B": 0.0,
-            "alpha": 1.0,
-            "omega_radius": self.problem.setup.omega_radius,
-        }
-        if self.worst_case is not None:
-            out["lip_literal"] = self.worst_case.lip
-            out["noise_worst_case"] = self.worst_case.noise
-        return out
+    plan = _Plan(
+        problem, eigopt.averaged_oracle(inst, cfg.k), stepsize, error_fn, lip_eff,
+        worst_case.noise if worst_case is not None else pointwise,
+    )
+    constants = {
+        "a_inf": inst.a_inf,
+        "lip_effective": lip_eff,
+        "noise_pointwise": pointwise,
+        "mu": 0.0,
+        "A": 1.0,
+        "B": 0.0,
+        "alpha": 1.0,
+        "omega_radius": setup.omega_radius,
+    }
+    if worst_case is not None:
+        constants["lip_literal"] = worst_case.lip
+        constants["noise_worst_case"] = worst_case.noise
+    return lambda t: plan, constants
 
 
-class _SdfRunner:
-    def __init__(self, cfg: ExperimentConfig, system: SDFSystem, meta: dict):
-        self.cfg = cfg
-        self.system = system
-        self.meta = meta
-        self._scaled = {}
-        self._probes = {}
+def _sdf_plans(cfg: ExperimentConfig, system: SDFSystem, meta: dict):
+    """(plan_for, constants): plan_for(t) rescales the system for a t-step run."""
+    comp_opt = meta.get("component_opt")
 
-    def scaled(self, t: int) -> composite.ScaledSdf:
-        if t not in self._scaled:
-            self._scaled[t] = composite.sdf_scale(self.system, t)
-        return self._scaled[t]
+    def plan_for(t):
+        sc = composite.sdf_scale(system, t)
+        problem = composite.build_vi(sc.problem, lip_l=sc.lip_l, var_m=sc.noise_m)
+        setup = problem.setup
+        probes = vi.default_probes(problem, cfg.probe_seed, cfg.n_probes)
+        certified = None if comp_opt is None else float(comp_opt) * float(sc.betas.min())
 
-    def problem_for(self, t: int):
-        sc = self.scaled(t)
-        return composite.build_vi(sc.problem, lip_l=sc.lip_l, var_m=sc.noise_m)
+        def stepsize(t):
+            if cfg.solver == "rmsa":
+                mbar = max(sc.noise_m, sc.mu)
+                return solver.rmsa_stepsize(setup.alpha, setup.omega_radius, mbar, t)
+            return sc.gamma
 
-    def gamma(self, t: int) -> float:
-        if self.cfg.stepsize != "auto":
-            return float(self.cfg.stepsize)
-        if self.cfg.solver == "rmsa":
-            sc = self.scaled(t)
-            problem = self.problem_for(t)
-            setup = problem.setup
-            return solver.rmsa_stepsize(
-                setup.alpha, setup.omega_radius, max(sc.noise_m, sc.mu), t
-            )
-        return self.scaled(t).gamma
-
-    def oracle_for(self, t: int):
-        sc = self.scaled(t)
-        problem = self.problem_for(t)
-        if self.cfg.oracle == "exact":
-            return vi.exact_oracle(problem)
-        return composite.build_oracle(sc.problem, sc.noise_m)
-
-    def error_fn(self, t: int):
-        sc = self.scaled(t)
-        problem = self.problem_for(t)
-        if t not in self._probes:
-            self._probes[t] = vi.default_probes(
-                problem, self.cfg.probe_seed, self.cfg.n_probes
-            )
-        probes = self._probes[t]
-        comp_opt = self.meta.get("component_opt")
-        certified = None
-        if comp_opt is not None:
-            certified = float(comp_opt) * float(sc.betas.min())
-
-        def fn(z):
+        def error_fn(z):
             out = {}
-            viol = composite.component_violations(self.system, z.x)
-            for i, v in enumerate(viol):
+            for i, v in enumerate(composite.component_violations(system, z.x)):
                 out[f"viol_{i}"] = float(v)
                 if comp_opt is not None:
                     out[f"excess_{i}"] = float(v) - float(comp_opt)
             primal = composite.minimax_primal_value(sc.problem, z.x)
-            out["err_nash"] = (
-                primal - certified if certified is not None else float("nan")
-            )
+            out["err_nash"] = primal - certified if certified is not None else float("nan")
             out["err_vi_probe"] = probes.lower_bound(z)
             return out
 
-        return fn
-
-    def bounds(self, t: int):
-        sc = self.scaled(t)
-        problem = self.problem_for(t)
-        setup = problem.setup
-        return solver.theoretical_bounds(
-            setup.alpha, setup.omega_radius, sc.lip_l,
-            sc.noise_m if self.cfg.oracle == "sampled" else 0.0, 0.0, t
+        return _Plan(
+            problem, composite.build_oracle(sc.problem, sc.noise_m), stepsize, error_fn,
+            sc.lip_l, sc.noise_m,
         )
 
-    def constants(self) -> dict:
-        return {"A": 1.0, "B": 0.0, "alpha": 1.0, "mu": 0.0}
+    return plan_for, {"A": 1.0, "B": 0.0, "alpha": 1.0, "mu": 0.0}
 
 
 @dataclass
@@ -586,18 +529,23 @@ class SummaryTable:
         return np.asarray(self.stats[column]["mean"])
 
 
+def _column_stats(mat: np.ndarray) -> dict:
+    """NaN-ignoring mean, median, q10 and q90 over seeds, per row."""
+    return {
+        "mean": np.nanmean(mat, axis=0).tolist(),
+        "median": np.nanmedian(mat, axis=0).tolist(),
+        "q10": np.nanquantile(mat, 0.1, axis=0).tolist(),
+        "q90": np.nanquantile(mat, 0.9, axis=0).tolist(),
+    }
+
+
 def _summarize(seeds, rows, columns, bounds) -> SummaryTable:
     per_seed = {}
     stats = {}
     for col in columns:
         mat = np.array([[r[col] for r in rows[s]] for s in seeds])
         per_seed[col] = mat
-        stats[col] = {
-            "mean": np.nanmean(mat, axis=0).tolist(),
-            "median": np.nanmedian(mat, axis=0).tolist(),
-            "q10": np.nanquantile(mat, 0.1, axis=0).tolist(),
-            "q90": np.nanquantile(mat, 0.9, axis=0).tolist(),
-        }
+        stats[col] = _column_stats(mat)
     t_values = [b["t"] for b in bounds]
     return SummaryTable(
         seeds=list(seeds), t_values=t_values, per_seed=per_seed, stats=stats,
@@ -619,79 +567,52 @@ def run_experiment(config: Union[ExperimentConfig, dict]):
     )
     cfg.validate()
     meta, family, obj = _resolve_instance(cfg)
-    runner = (
-        _EigRunner(cfg, obj, meta) if family == "eig" else _SdfRunner(cfg, obj, meta)
+    plan_for, constants = (
+        _eig_plans(cfg, obj) if family == "eig" else _sdf_plans(cfg, obj, meta)
     )
     seeds = cfg.seed_list()
-    horizons = cfg.horizons()
     run_fn = solver.smp_run if cfg.solver == "smp" else solver.rmsa_run
+    calls_per_step = 2 if cfg.solver == "smp" else 1
+    exact = cfg.oracle == "exact"
 
-    plans = []
-    for t in horizons:
-        gamma = runner.gamma(t)
-        problem = runner.problem_for(t)
-        oracle = runner.oracle_for(t)
-        plans.append(
-            {
-                "t": t,
-                "policy": solver.StepsizePolicy(gamma=gamma, t=t),
-                "problem": problem,
-                "oracle": oracle,
-                "error_fn": runner.error_fn(t),
-                "checkpoints": cfg.checkpoint_list(t),
-            }
-        )
-
-    records = {
-        s: [
-            run_fn(
-                plan["problem"],
-                plan["oracle"],
-                plan["policy"],
-                s,
-                plan["checkpoints"],
-                error_fn=plan["error_fn"],
-            )
-            for plan in plans
-        ]
-        for s in seeds
-    }
-
-    # flatten rows in deterministic order: horizon-major, checkpoint-minor
+    # horizon by horizon, so that only one horizon's plan is alive; rows are
+    # horizon-major, checkpoint-minor
+    records = {s: [] for s in seeds}
     rows = {s: [] for s in seeds}
     bounds = []
-    columns = None
-    for h_idx, plan in enumerate(plans):
-        for cp_idx, cp in enumerate(plan["checkpoints"]):
-            ck0, ck1 = runner.bounds(cp)
-            bounds.append(
-                {
-                    "t": cp,
-                    "horizon": plan["t"],
-                    "gamma": plan["policy"].gamma,
-                    "k0_star": ck0,
-                    "k1_star": ck1,
-                }
+    for t in cfg.horizons():
+        plan = plan_for(t)
+        gamma = plan.stepsize(t) if cfg.stepsize == "auto" else float(cfg.stepsize)
+        oracle = vi.exact_oracle(plan.problem) if exact else plan.oracle
+        noise = 0.0 if exact else plan.noise
+        policy = solver.StepsizePolicy(gamma=gamma, t=t)
+        checkpoints = cfg.checkpoint_list(t)
+        for s in seeds:
+            records[s].append(
+                run_fn(plan.problem, oracle, policy, s, checkpoints, error_fn=plan.error_fn)
             )
+        setup = plan.problem.setup
+        for i, cp in enumerate(checkpoints):
+            k0, k1 = solver.theoretical_bounds(
+                setup.alpha, setup.omega_radius, plan.lip, noise, 0.0, cp
+            )
+            bounds.append({"t": cp, "horizon": t, "gamma": gamma, "k0_star": k0, "k1_star": k1})
             for s in seeds:
-                rec = records[s][h_idx]
-                row = {
-                    name: vals[cp_idx] for name, vals in rec.errors.items()
-                }
-                row["gamma"] = plan["policy"].gamma
-                row["oracle_calls"] = cp * (2 if cfg.solver == "smp" else 1)
+                row = {name: vals[i] for name, vals in records[s][-1].errors.items()}
+                row["gamma"] = gamma
+                row["oracle_calls"] = cp * calls_per_step
                 rows[s].append(row)
-                if columns is None:
-                    columns = [c for c in rec.errors.keys()]
-    summary = _summarize(seeds, rows, columns or [], bounds)
+        del plan, oracle
+    columns = list(records[seeds[0]][0].errors)
+    summary = _summarize(seeds, rows, columns, bounds)
 
     files = {}
     if cfg.out:
-        files = _write_outputs(cfg, runner, seeds, rows, bounds, summary)
+        files = _write_outputs(cfg, constants, seeds, rows, bounds, summary)
     return records, summary, files
 
 
-def _write_outputs(cfg, runner, seeds, rows, bounds, summary) -> dict:
+def _write_outputs(cfg, constants, seeds, rows, bounds, summary) -> dict:
     prefix = cfg.out
     csv_path = prefix + ".csv"
     json_path = prefix + ".json"
@@ -718,7 +639,7 @@ def _write_outputs(cfg, runner, seeds, rows, bounds, summary) -> dict:
 
     sidecar = {
         "config": cfg.to_dict(),
-        "constants": runner.constants(),
+        "constants": constants,
         "bounds": bounds,
         "stats": summary.stats,
         "library_version": _version,
@@ -797,14 +718,7 @@ def summary_from_csv(path: str, column: str = "err_nash") -> SummaryTable:
         i = seeds.index(int(r["seed"]))
         j = ts.index(int(r["t_checkpoint"]))
         mat[i, j] = float(r[column])
-    stats = {
-        column: {
-            "mean": np.nanmean(mat, axis=0).tolist(),
-            "median": np.nanmedian(mat, axis=0).tolist(),
-            "q10": np.nanquantile(mat, 0.1, axis=0).tolist(),
-            "q90": np.nanquantile(mat, 0.9, axis=0).tolist(),
-        }
-    }
+    stats = {column: _column_stats(mat)}
     bounds = [{"t": t, "gamma": float("nan"), "k0_star": float("nan"),
                "k1_star": float("nan")} for t in ts]
     return SummaryTable(

@@ -365,23 +365,6 @@ def minimax_primal_value(cp: CompositeProblem, x) -> float:
     )
 
 
-def minimax_dual_value(cp: CompositeProblem, y: BlockSymMatrix) -> float:
-    """min_x sum_l <phi_l(x), y_l> for all-affine components over the simplex."""
-    for c in cp.components:
-        base = c.base if isinstance(c, NoisyAffineComponent) else c
-        if not isinstance(base, AffineMatrixComponent):
-            raise InputError("closed-form dual value needs affine components")
-    const = 0.0
-    coeff = None
-    for c, amap in zip(cp.components, cp.maps):
-        base = c.base if isinstance(c, NoisyAffineComponent) else c
-        yb = np.asarray(amap.apply(y), dtype=float)
-        const += float(np.sum(base.c0 * yb))
-        g = np.einsum("jab,ab->j", base.cs, yb)
-        coeff = g if coeff is None else coeff + g
-    return const + float(coeff.min())
-
-
 # ---------------------------------------------------------------------------
 # semidefinite feasibility pipeline
 
@@ -414,7 +397,6 @@ class ScaledSdf(NamedTuple):
     predicted_bound: float
     betas: np.ndarray
     mu: float
-    mus: np.ndarray
     lip_l: float
     noise_m: float
 
@@ -453,7 +435,7 @@ def sdf_scale(sys: SDFSystem, t: int) -> ScaledSdf:
     noise = 4.0 * math.sqrt(logp) * ox * mu
     gamma = 1.0 / (10.0 * math.sqrt(3.0 * logp) * ox * mu * (rt + 1.0))
     bound = 80.0 * ox * math.sqrt(logp) * mu / rt
-    return ScaledSdf(cp, gamma, bound, betas, mu, mus, lip, noise)
+    return ScaledSdf(cp, gamma, bound, betas, mu, lip, noise)
 
 
 def component_violations(sys: SDFSystem, x) -> np.ndarray:

@@ -139,11 +139,11 @@ class ProxSetup:
         return []
 
     def probe_points(self, stream, n_random: int = 100):
-        """Default probe set: center, extreme points, seeded random points."""
-        pts = [self.center]
-        pts.extend(self.extreme_points())
-        pts.extend(self.random_point(stream, interior=False) for _ in range(n_random))
-        return pts
+        """Default probe set, yielded: center, extreme points, seeded random points."""
+        yield self.center
+        yield from self.extreme_points()
+        for _ in range(n_random):
+            yield self.random_point(stream, interior=False)
 
 
 class EuclideanBallSetup(ProxSetup):

@@ -20,11 +20,8 @@ _MASK64 = (1 << 64) - 1
 
 
 class RandomStream:
-    """Seeded, splittable stream of uniforms and derived variates.
-
-    A stream is owned by exactly one run; concurrent runs must use
-    ``for_run`` to obtain streams with distinct keys.
-    """
+    """Seeded stream of uniforms and derived variates, keyed by
+    ``(base_seed, run_index)``."""
 
     __slots__ = ("base_seed", "run_index", "_gen")
 
@@ -35,10 +32,6 @@ class RandomStream:
             [self.base_seed & _MASK64, self.run_index & _MASK64], dtype=np.uint64
         )
         self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    def for_run(self, run_index: int) -> "RandomStream":
-        """Fresh stream keyed by the same base seed and a new run index."""
-        return RandomStream(self.base_seed, run_index)
 
     def uniform(self) -> float:
         """One double in [0, 1)."""

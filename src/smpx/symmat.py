@@ -188,15 +188,6 @@ class BlockSymMatrix:
         )
         return cls.from_stacks(structure, [scale * e for e in eyes], eig)
 
-    @classmethod
-    def from_diag(cls, structure: BlockStructure, entries) -> "BlockSymMatrix":
-        entries = np.asarray(entries, dtype=float)
-        out, k = [], 0
-        for p in structure.block_sizes:
-            out.append(np.diag(entries[k:k + p]))
-            k += p
-        return cls(structure, out, _validate=False)
-
     # -- arithmetic (all return new objects) ---------------------------
 
     def _like(self, stacks) -> "BlockSymMatrix":

@@ -11,9 +11,10 @@ forms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,9 +23,9 @@ from .geometry import Pair, ProxSetup, inner
 from .rng import RandomStream
 from .symmat import BlockStructure, BlockSymMatrix
 
-# Probes per numpy call in ProbeSet.lower_bound.  The chunk bounds the
-# temporaries: about 1 MB for 4 blocks of 32 x 32, against 12 MB for 357
-# such probes in one call.  One call for all of a game's 125 probes would
+# Probes per stored chunk of a ProbeSet, so per numpy call in lower_bound.
+# The chunk bounds the temporaries of the build and of the bound: about 1 MB
+# for 4 blocks of 32 x 32, against 12 MB for 357 such probes in one call.  One call for all of a game's 125 probes would
 # save about 50 us per bound, under 0.5% of a run.
 _CHUNK = 32
 
@@ -97,121 +98,91 @@ class _Blocks(NamedTuple):
     stacks: tuple
 
 
-def _alloc(first, n: int):
-    """Empty stack for n items shaped like ``first``: an (n, ...) array for
-    arrays, ``_Blocks`` for block matrices, a Pair for pairs."""
+def _stack(items, first):
+    """The items stacked along a new leading axis: an (n, ...) read-only
+    array for arrays, ``_Blocks`` for block matrices, a Pair for pairs.
+
+    Every item must have the type, shape and block structure of ``first``,
+    the first probe's item, or InputError is raised.
+    """
     if isinstance(first, Pair):
-        return Pair(_alloc(first.x, n), _alloc(first.y, n))
-    if isinstance(first, BlockSymMatrix):
-        return _Blocks(first.structure, tuple(np.empty((n,) + s.shape) for s in first.stacks))
-    return np.empty((n,) + np.shape(first))
-
-
-def _put(stack, i: int, item) -> None:
-    """Write item i into the stack; it must have the type and shape of the others."""
-    if isinstance(stack, Pair):
-        if not isinstance(item, Pair):
+        if not all(isinstance(u, Pair) for u in items):
             raise InputError("probe items differ in type")
-        _put(stack.x, i, item.x)
-        _put(stack.y, i, item.y)
-    elif isinstance(stack, _Blocks):
-        if not isinstance(item, BlockSymMatrix) or item.structure != stack.structure:
+        return Pair(_stack([u.x for u in items], first.x), _stack([u.y for u in items], first.y))
+    if isinstance(first, BlockSymMatrix):
+        if not all(isinstance(u, BlockSymMatrix) and u.structure == first.structure
+                   for u in items):
             raise InputError("probe items differ in block structure")
-        for s, blk in zip(stack.stacks, item.stacks):
-            s[i] = blk
-    else:
-        if isinstance(item, (Pair, BlockSymMatrix)) or np.shape(item) != stack.shape[1:]:
-            raise InputError("probe items differ in type or shape")
-        stack[i] = item
+        stacks = tuple(np.stack(group) for group in zip(*(u.stacks for u in items)))
+        for s in stacks:
+            s.setflags(write=False)
+        return _Blocks(first.structure, stacks)
+    if any(isinstance(u, (Pair, BlockSymMatrix)) or np.shape(u) != np.shape(first)
+           for u in items):
+        raise InputError("probe items differ in type or shape")
+    out = np.array(items, dtype=float)
+    out.setflags(write=False)
+    return out
 
 
-def _freeze(stack) -> None:
-    """Make every array of the stack read-only."""
-    if isinstance(stack, Pair):
-        _freeze(stack.x)
-        _freeze(stack.y)
-    else:
-        for a in stack.stacks if isinstance(stack, _Blocks) else (stack,):
-            a.setflags(write=False)
+def _inner_rows(f, z, u) -> np.ndarray:
+    """<F_i, z - U_i> for every probe i of a chunk.
 
-
-def _item(stack, i: int):
-    """Item i of a stack, made of views into it."""
-    if isinstance(stack, Pair):
-        return Pair(_item(stack.x, i), _item(stack.y, i))
-    if isinstance(stack, _Blocks):
-        return BlockSymMatrix.from_stacks(stack.structure, [s[i] for s in stack.stacks])
-    return stack[i]
-
-
-def _inner_rows(f, z, u, rows: slice) -> np.ndarray:
-    """<F_i, z - U_i> for the probes i in ``rows``.
-
-    f and u are the value and point stacks.  The sums run in the order of
-    ``geometry.inner``: one dot per row for arrays, per-block sums added in
-    block order for block matrices, the two parts of a pair added last.
+    f and u are the chunk's value and point stacks.  The sums run in the
+    order of ``geometry.inner``: one dot per row for arrays, per-block sums
+    added in block order for block matrices, the two parts of a pair added
+    last.
     """
     if isinstance(f, Pair):
         if not isinstance(z, Pair):
             raise InputError("point is not a pair")
-        return _inner_rows(f.x, z.x, u.x, rows) + _inner_rows(f.y, z.y, u.y, rows)
+        return _inner_rows(f.x, z.x, u.x) + _inner_rows(f.y, z.y, u.y)
     if isinstance(f, _Blocks):
         if not isinstance(z, BlockSymMatrix) or not z.structure == f.structure == u.structure:
             raise InputError("block structure mismatch")
         per_group = []
         for fs, zs, us in zip(f.stacks, z.stacks, u.stacks):
-            d = zs - us[rows]
-            d *= fs[rows]
+            d = zs - us
+            d *= fs
             per_group.append(d.reshape(len(d), len(zs), -1).sum(axis=2))
         out = np.zeros(len(per_group[0]))
         for g, r in f.structure.slots:
             out += per_group[g][:, r]
         return out
-    fr = f[rows]
-    d = np.asarray(z, dtype=float) - u[rows]
-    return np.vecdot(fr.reshape(len(fr), -1), d.reshape(len(d), -1))
+    d = np.asarray(z, dtype=float) - u
+    return np.vecdot(f.reshape(len(f), -1), d.reshape(len(d), -1))
 
 
 class ProbeSet:
     """Fixed probe family with pre-evaluated operator values.
 
     Evaluating F at the probes once makes repeated residual lower bounds
-    cheap along a trajectory.  The points and the values are each stored
-    once, as read-only stacks with a leading probe axis (``point_stack``,
-    ``value_stack``); ``probes`` and ``values`` are per-probe views of
-    them.  ``lower_bound`` handles a chunk of probes per numpy call and
-    adds in the order of the per-probe ``inner(F(u), z - u)``, so it
-    returns the same float.
+    cheap along a trajectory.  The probes are taken ``_CHUNK`` at a time,
+    so a generator of points is never held whole; each chunk's points and
+    values are stored as read-only stacks with a leading probe axis
+    (``chunks``, a list of (points, values) pairs).  ``lower_bound``
+    handles one chunk per numpy call and adds in the order of the
+    per-probe ``inner(F(u), z - u)``, so it returns the same float.
     """
 
-    def __init__(self, problem: VIProblem, probes: Sequence):
-        probes = list(probes)
-        if not probes:
+    def __init__(self, problem: VIProblem, probes: Iterable):
+        self.chunks = []
+        self._n = 0
+        first = None
+        probes = iter(probes)
+        while chunk := list(itertools.islice(probes, _CHUNK)):
+            # the points are checked before F sees them
+            points = _stack(chunk, chunk[0] if first is None else first[0])
+            values = [problem.operator(u) for u in chunk]
+            if first is None:
+                first = (chunk[0], values[0])
+            self.chunks.append((points, _stack(values, first[1])))
+            self._n += len(chunk)
+        if not self.chunks:
             raise InputError("probe set is empty")
-        n = len(probes)
-        self.point_stack = _alloc(probes[0], n)
-        for i, u in enumerate(probes):
-            _put(self.point_stack, i, u)
-            fu = problem.operator(u)
-            if i == 0:
-                self.value_stack = _alloc(fu, n)
-            _put(self.value_stack, i, fu)
-        _freeze(self.point_stack)
-        _freeze(self.value_stack)
-        self._n = n
 
     def __len__(self):
         return self._n
-
-    @property
-    def probes(self) -> list:
-        """The probe points, as views of ``point_stack``."""
-        return [_item(self.point_stack, i) for i in range(self._n)]
-
-    @property
-    def values(self) -> list:
-        """F at the probe points, as views of ``value_stack``."""
-        return [_item(self.value_stack, i) for i in range(self._n)]
 
     def lower_bound(self, z) -> float:
         """max over the probes u of <F(u), z - u>.
@@ -219,10 +190,7 @@ class ProbeSet:
         Raises NumericalError when a term is not finite, so that a NaN is
         neither skipped nor returned depending on where it falls.
         """
-        terms = np.concatenate([
-            _inner_rows(self.value_stack, z, self.point_stack, slice(lo, lo + _CHUNK))
-            for lo in range(0, self._n, _CHUNK)
-        ])
+        terms = np.concatenate([_inner_rows(f, z, u) for u, f in self.chunks])
         if not np.isfinite(terms).all():
             raise NumericalError("non-finite probe term in the residual bound")
         return max(terms.tolist())

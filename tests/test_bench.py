@@ -1,11 +1,12 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 from helpers import assert_same_bytes
 
-from smpx import checks, composite
+from smpx import checks, composite, solver
 from smpx.bench import (
     ExperimentConfig,
     SummaryTable,
@@ -155,6 +156,15 @@ class TestInstanceFormat:
         with pytest.raises(InputError):
             _decode_array("not base64!", (1,))
 
+    def test_wrong_a_inf_rejected(self, tmp_path):
+        payload = build_instance_payload("eig_min", {"n": 3, "blocks": [2, 2]}, 1)
+        payload["meta"]["a_inf"] *= 1.01
+        path = save_payload(str(tmp_path / "wrong.json"), payload)
+        with pytest.raises(InputError):
+            payload_to_instance(load_payload(path))
+        del payload["meta"]["a_inf"]  # nothing declared, nothing to compare
+        payload_to_instance(payload)
+
     @pytest.mark.parametrize("version", [0, 3, "2", None])
     def test_unknown_version_rejected(self, version, tmp_path):
         payload = build_instance_payload("eig_min", {"n": 3, "blocks": [2, 2]}, 1)
@@ -255,6 +265,43 @@ class TestRunExperiment:
         cfg = tiny_config(stepsize=10.0)
         with pytest.raises(ConfigError):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("method", ["smp", "rmsa"])
+    def test_explicit_stepsize_skips_the_auto_rule(self, method):
+        # all data zero: L = M = 0, so the auto rule has no stepsize to give
+        zero = {"kind": "eig_min", "params": {"n": 4, "blocks": [2, 2], "scale": 0.0}, "seed": 2}
+        with pytest.raises(ConfigError):
+            run_experiment(tiny_config(instance=zero, solver=method))
+        records, summary, _ = run_experiment(
+            tiny_config(instance=zero, solver=method, stepsize=0.1)
+        )
+        assert [b["gamma"] for b in summary.bounds] == [0.1] * 6
+        assert records[1][0].t == 32
+
+    def test_sdf_bound_rows_use_the_run_horizon(self):
+        cfg = {
+            "instance": {
+                "kind": "sdf_system",
+                "params": {"n": 4, "blocks": [2, 2], "delta": 0.1},
+                "seed": 3,
+            },
+            "t": 64,
+            "seeds": [0],
+            "checkpoints": "geometric",
+            "n_probes": 5,
+        }
+        _, summary, _ = run_experiment(cfg)
+        _, system = payload_to_instance(
+            build_instance_payload("sdf_system", cfg["instance"]["params"], 3)
+        )
+        scaled = composite.sdf_scale(system, 64)
+        r = math.sqrt(2.0)  # the product setup's radius
+        assert [b["t"] for b in summary.bounds] == [1, 2, 4, 8, 16, 32, 64]
+        for row in summary.bounds:
+            expected = solver.theoretical_bounds(
+                1.0, r, scaled.lip_l, scaled.noise_m, 0.0, row["t"]
+            )
+            assert_same_bytes(np.array([row["k0_star"], row["k1_star"]]), np.array(expected))
 
     def test_rmsa_oracle_call_accounting(self):
         cfg = tiny_config(solver="rmsa")

@@ -72,6 +72,17 @@ class TestRunCommand:
         rows = open(out + ".csv").read().splitlines()[1:]
         assert all(r.split(",")[1] == "8" for r in rows)
 
+    def test_instance_with_wrong_a_inf_exits_2(self, tmp_path):
+        inst = str(tmp_path / "inst.json")
+        main(["generate", "--kind", "eig_min", "--n", "4", "--blocks", "2,2",
+              "--seed", "3", "--out", inst])
+        payload = json.load(open(inst))
+        payload["meta"]["a_inf"] *= 1.01
+        json.dump(payload, open(inst, "w"))
+        code = main(["run", "--instance", inst, "--t", "8", "--seeds", "0",
+                     "--out", str(tmp_path / "e")])
+        assert code == 2
+
     def test_missing_instance_exits_2(self):
         assert main(["run", "--t", "8"]) == 2
 

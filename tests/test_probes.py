@@ -6,8 +6,9 @@ from helpers import assert_same_bytes, ref_lower_bound
 
 from smpx import bench, composite, eigopt, vi
 from smpx.errors import InputError, NumericalError
-from smpx.geometry import EuclideanBallSetup, SimplexSetup
+from smpx.geometry import EuclideanBallSetup, Pair, SimplexSetup, SpectahedronSetup
 from smpx.rng import RandomStream
+from smpx.symmat import BlockStructure
 
 
 def game_problem():
@@ -43,7 +44,7 @@ PROBLEMS = {"game": game_problem, "ball": ball_problem, "sdf": sdf_problem}
 def test_lower_bound_equals_per_probe_loop(name):
     problem = PROBLEMS[name]()
     stream = RandomStream(5)
-    points = problem.setup.probe_points(stream, 60)
+    points = list(problem.setup.probe_points(stream, 60))
     assert len(points) > 2 * vi._CHUNK and len(points) % vi._CHUNK  # last chunk partial
     probes = vi.ProbeSet(problem, points)
     for _ in range(6):
@@ -71,21 +72,25 @@ def test_non_finite_term_rejected_wherever_it_falls(where):
 
 def test_points_and_values_are_views_of_the_stacks():
     problem = game_problem()
-    points = problem.setup.probe_points(RandomStream(1), 10)
-    probes = vi.ProbeSet(problem, points)
-    expected = ((probes.point_stack, probes.probes, points),
-                (probes.value_stack, probes.values, [problem.operator(u) for u in points]))
-    for stack, items, inputs in expected:
-        for item, given in zip(items, inputs):
-            assert np.shares_memory(item.x, stack.x)
-            assert_same_bytes(item.x, given.x)
-            for s, whole, g in zip(item.y.stacks, stack.y.stacks, given.y.stacks):
-                assert np.shares_memory(s, whole)
-                assert_same_bytes(s, g)
+    probes = vi.ProbeSet(problem, problem.setup.probe_points(RandomStream(1), 10))
+    for stack in probes.chunks[0]:
         with pytest.raises(ValueError):
             stack.x[0, 0] = 1.0
         with pytest.raises(ValueError):
             stack.y.stacks[0][0, 0, 0, 0] = 1.0
+
+
+def test_generator_and_list_give_the_same_bound():
+    problem = game_problem()
+    points = list(problem.setup.probe_points(RandomStream(2), 50))
+    assert len(points) > vi._CHUNK and len(points) % vi._CHUNK  # last chunk partial
+    from_list = vi.ProbeSet(problem, points)
+    from_gen = vi.ProbeSet(problem, problem.setup.probe_points(RandomStream(2), 50))
+    assert len(from_gen) == len(from_list) == len(points)
+    stream = RandomStream(3)
+    for _ in range(4):
+        z = problem.setup.random_point(stream)
+        assert_same_bytes(from_gen.lower_bound(z), from_list.lower_bound(z))
 
 
 def test_mismatched_probes_rejected():
@@ -94,3 +99,24 @@ def test_mismatched_probes_rejected():
         vi.ProbeSet(problem, [np.full(3, 1 / 3), np.full(4, 0.25)])
     with pytest.raises(InputError):
         vi.ProbeSet(problem, [])
+
+
+@pytest.mark.parametrize("odd", [np.full(4, 0.25), np.array([[0.5, 0.5, 0.0]]), "pair"])
+def test_mismatched_probe_in_a_later_chunk_rejected(odd):
+    # every probe of the second chunk matches the others there, not the first
+    problem = vi.VIProblem(SimplexSetup(3), lambda z: z)
+    if isinstance(odd, str):
+        odd = Pair(np.full(3, 1 / 3), np.full(3, 1 / 3))
+    points = [np.full(3, 1 / 3)] * vi._CHUNK + [odd] * 3
+    with pytest.raises(InputError):
+        vi.ProbeSet(problem, points)
+    with pytest.raises(InputError):
+        vi.ProbeSet(problem, iter(points))
+
+
+def test_mismatched_block_structure_in_a_later_chunk_rejected():
+    setups = [SpectahedronSetup(BlockStructure((2, 2))), SpectahedronSetup(BlockStructure((4,)))]
+    problem = vi.VIProblem(setups[0], lambda z: z)
+    points = [setups[0].center] * vi._CHUNK + [setups[1].center]
+    with pytest.raises(InputError):
+        vi.ProbeSet(problem, points)

@@ -14,11 +14,6 @@ class TestStream:
         b = RandomStream(42, 1).uniforms(10)
         assert not np.array_equal(a, b)
 
-    def test_for_run_matches_direct_key(self):
-        a = RandomStream(7).for_run(3).uniforms(10)
-        b = RandomStream(7, 3).uniforms(10)
-        assert np.array_equal(a, b)
-
     def test_uniform_range(self):
         u = RandomStream(1).uniforms(10000)
         assert u.min() >= 0.0 and u.max() < 1.0
