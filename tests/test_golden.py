@@ -1,0 +1,106 @@
+"""Golden outputs: the CSV and JSON bytes of a few fixed configurations.
+
+Each configuration runs in a temporary working directory with its name as
+the relative output prefix (the JSON sidecar echoes the prefix, so it must
+not vary), and both files must equal the ones in tests/golden byte for
+byte.  tests/golden/env.json names the numpy and BLAS that wrote them; a
+mismatch reports that environment next to the running one.
+
+Regenerate the files, after a change that alters outputs on purpose, with
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import json
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from test_bench import tiny_config
+
+from smpx.bench import run_experiment
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+# two smooth components and one noisy one, so both component oracles run
+_SDF = {
+    "kind": "sdf_system",
+    "params": {"n": 4, "blocks": [2, 2, 2], "delta": 0.1, "n_smooth": 2},
+    "seed": 3,
+}
+
+CONFIGS = {
+    "eig_smp": tiny_config(),
+    "eig_rmsa_exact": tiny_config(solver="rmsa", oracle="exact"),
+    "eig_k3": tiny_config(k=3),
+    # the configuration of acceptance criterion 9
+    "criterion_9": {
+        "instance": {
+            "kind": "bilinear_simplex_spectahedron",
+            "params": {"n": 8, "blocks": [3, 3]},
+            "seed": 5,
+        },
+        "solver": "smp",
+        "t": 200,
+        "oracle": "sampled",
+        "seeds": [0, 1, 2],
+        "checkpoints": "geometric",
+        "n_probes": 25,
+    },
+    "sdf_sweep": {
+        "instance": _SDF, "t": [16, 64], "seeds": [0, 1], "checkpoints": "final",
+        "n_probes": 5,
+    },
+    "sdf_rmsa_exact": {
+        "instance": _SDF, "solver": "rmsa", "oracle": "exact", "t": 64, "seeds": [0],
+        "checkpoints": "geometric", "n_probes": 5,
+    },
+}
+
+
+def environment() -> dict:
+    """The numpy version and the BLAS it was built against."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
+        blas = "unknown"
+    return {"numpy": np.__version__, "blas": blas}
+
+
+def outputs(name: str) -> dict:
+    """{"csv": bytes, "json": bytes} of one configuration, run in the working directory."""
+    _, _, files = run_experiment(dict(CONFIGS[name], out=name))
+    out = {}
+    for ext, path in files.items():
+        with open(path, "rb") as fh:
+            out[ext] = fh.read()
+    return out
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_outputs_equal_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with open(os.path.join(GOLDEN, "env.json"), encoding="utf-8") as fh:
+        written_with = json.load(fh)
+    for ext, got in outputs(name).items():
+        with open(os.path.join(GOLDEN, f"{name}.{ext}"), "rb") as fh:
+            want = fh.read()
+        assert got == want, (
+            f"{name}.{ext} differs from tests/golden; the golden files were written "
+            f"with {written_with}, this run uses {environment()}"
+        )
+
+
+if __name__ == "__main__":
+    os.makedirs(GOLDEN, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for name in CONFIGS:
+            for ext, data in outputs(name).items():
+                with open(os.path.join(GOLDEN, f"{name}.{ext}"), "wb") as fh:
+                    fh.write(data)
+    with open(os.path.join(GOLDEN, "env.json"), "w", encoding="utf-8") as fh:
+        json.dump(environment(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
