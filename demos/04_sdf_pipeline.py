@@ -28,7 +28,7 @@ for t in (100, 1000, 10000):
     scaled = composite.sdf_scale(system, t)
     problem = composite.build_vi(scaled.problem, lip_l=scaled.lip_l,
                                  var_m=scaled.noise_m)
-    oracle = composite.build_oracle(scaled.problem, scaled.noise_m)
+    oracle = composite.build_oracle(scaled.problem)
     viol = np.zeros(3)
     n_seeds = 5
     for seed in range(n_seeds):

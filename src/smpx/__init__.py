@@ -37,7 +37,6 @@ from .solver import (  # noqa: E402
 from .symmat import BlockStructure, BlockSymMatrix  # noqa: E402
 from .vi import (  # noqa: E402
     SaddleInstance,
-    StochasticOracle,
     VIProblem,
     err_nash_saddle,
     err_vi_lower,
@@ -62,7 +61,6 @@ __all__ = [
     "SmpxError",
     "SpectahedronSetup",
     "StepsizePolicy",
-    "StochasticOracle",
     "VIProblem",
     "bench",
     "composite",

@@ -406,7 +406,7 @@ class ExperimentConfig:
 
 
 def _resolve_instance(cfg: ExperimentConfig):
-    """(meta, family, instance) of the configured source; the payload is dropped."""
+    """(family, instance) of the configured source; the payload is dropped."""
     source = cfg.instance
     if "path" in source:
         payload = load_payload(source["path"])
@@ -414,24 +414,23 @@ def _resolve_instance(cfg: ExperimentConfig):
         payload = build_instance_payload(
             source.get("kind", "eig_min"), source.get("params", {}), source.get("seed", 0)
         )
-    family, obj = payload_to_instance(payload)
-    return dict(payload.get("meta", {})), family, obj
+    return payload_to_instance(payload)
 
 
 @dataclass(frozen=True)
 class _Plan:
     """What the runs of one horizon share.
 
+    ``oracle`` is the sampled oracle, (z, stream) -> estimate of F(z).
     ``stepsize`` is the family's auto rule, t -> gamma; an explicit
-    configured stepsize replaces it.  ``lip`` and ``noise`` are the L and M
-    of the K0*/K1* bound rows, for the sampled oracle.
+    configured stepsize replaces it.  The K0*/K1* bound rows take L from
+    ``problem.lip_l`` and M from ``noise``, for the sampled oracle.
     """
 
     problem: vi.VIProblem
-    oracle: vi.StochasticOracle
+    oracle: Callable
     stepsize: Callable
     error_fn: Callable
-    lip: float
     noise: float
 
 
@@ -460,7 +459,7 @@ def _eig_plans(cfg: ExperimentConfig, inst: eigopt.EigInstance):
         return {"err_nash": gap, "err_vi_probe": probes.lower_bound(z)}
 
     plan = _Plan(
-        problem, eigopt.averaged_oracle(inst, cfg.k), stepsize, error_fn, lip_eff,
+        problem, eigopt.averaged_oracle(inst, cfg.k), stepsize, error_fn,
         worst_case.noise if worst_case is not None else pointwise,
     )
     constants = {
@@ -479,9 +478,9 @@ def _eig_plans(cfg: ExperimentConfig, inst: eigopt.EigInstance):
     return lambda t: plan, constants
 
 
-def _sdf_plans(cfg: ExperimentConfig, system: SDFSystem, meta: dict):
+def _sdf_plans(cfg: ExperimentConfig, system: SDFSystem):
     """(plan_for, constants): plan_for(t) rescales the system for a t-step run."""
-    comp_opt = meta.get("component_opt")
+    comp_opt = system.meta.get("component_opt")
 
     def plan_for(t):
         sc = composite.sdf_scale(system, t)
@@ -508,8 +507,7 @@ def _sdf_plans(cfg: ExperimentConfig, system: SDFSystem, meta: dict):
             return out
 
         return _Plan(
-            problem, composite.build_oracle(sc.problem, sc.noise_m), stepsize, error_fn,
-            sc.lip_l, sc.noise_m,
+            problem, composite.build_oracle(sc.problem), stepsize, error_fn, sc.noise_m
         )
 
     return plan_for, {"A": 1.0, "B": 0.0, "alpha": 1.0, "mu": 0.0}
@@ -566,13 +564,13 @@ def run_experiment(config: Union[ExperimentConfig, dict]):
         else ExperimentConfig.from_dict(dict(config))
     )
     cfg.validate()
-    meta, family, obj = _resolve_instance(cfg)
+    family, obj = _resolve_instance(cfg)
     plan_for, constants = (
-        _eig_plans(cfg, obj) if family == "eig" else _sdf_plans(cfg, obj, meta)
+        _eig_plans(cfg, obj) if family == "eig" else _sdf_plans(cfg, obj)
     )
     seeds = cfg.seed_list()
     run_fn = solver.smp_run if cfg.solver == "smp" else solver.rmsa_run
-    calls_per_step = 2 if cfg.solver == "smp" else 1
+    calls_per_step = solver.ORACLE_CALLS[cfg.solver]
     exact = cfg.oracle == "exact"
 
     # horizon by horizon, so that only one horizon's plan is alive; rows are
@@ -594,7 +592,7 @@ def run_experiment(config: Union[ExperimentConfig, dict]):
         setup = plan.problem.setup
         for i, cp in enumerate(checkpoints):
             k0, k1 = solver.theoretical_bounds(
-                setup.alpha, setup.omega_radius, plan.lip, noise, 0.0, cp
+                setup.alpha, setup.omega_radius, plan.problem.lip_l, noise, 0.0, cp
             )
             bounds.append({"t": cp, "horizon": t, "gamma": gamma, "k0_star": k0, "k1_star": k1})
             for s in seeds:

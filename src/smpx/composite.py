@@ -11,7 +11,10 @@ F is linear in the component values and gradients, so unbiased component
 oracles induce an unbiased oracle for F.  One family is represented: the
 matrix-minimax one, Phi(u) = max_l lambda_max(u_l), where A_l selects the
 l-th diagonal block of a spectahedron variable y, b_l = 0 and Phi_* = 0.
-So F(x, y) = [ sum_l [phi_l'(x)]^* y_l ; -sum_l A_l^* phi_l(x) ].
+So F(x, y) = [ sum_l [phi_l'(x)]^* y_l ; -sum_l A_l^* phi_l(x) ].  A
+component's draw returns its value estimate together with its adjoint
+gradient at y_l, and A_l^* embeds a p_l x p_l matrix as block l of an
+otherwise zero y.  The oracle of F is a plain function (z, stream).
 
 The semidefinite-feasibility pipeline rebalances a system psi_l <= 0 so
 every component contributes the same regularity scale, builds the induced
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,33 +39,7 @@ from .geometry import (
 )
 from .rng import RandomStream, box_muller
 from .symmat import BlockStructure, BlockSymMatrix
-from .vi import StochasticOracle, VIProblem
-
-
-# ---------------------------------------------------------------------------
-# the block selectors A_l
-
-
-class BlockSelector:
-    """A_l y = y_l on a block-diagonal y-space; the adjoint embeds the block.
-
-    Output lives in the symmetric matrices with the spectral norm, whose
-    dual is the trace norm; the selectors split the trace norm of y across
-    the blocks, so A = max_{||y||_y <= 1} sum_l ||A_l y||_* is exactly one.
-    """
-
-    def __init__(self, structure: BlockStructure, index: int):
-        self.structure = structure
-        self.index = int(index)
-
-    def apply(self, y: BlockSymMatrix):
-        return y.blocks[self.index]
-
-    def adjoint(self, u) -> BlockSymMatrix:
-        stacks = [np.zeros((len(idx), p, p)) for p, idx in self.structure.groups]
-        g, r = self.structure.slots[self.index]
-        stacks[g][r] = u
-        return BlockSymMatrix.from_stacks(self.structure, stacks)
+from .vi import VIProblem
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +49,11 @@ class BlockSelector:
 class Component:
     """PSD-convex map into S^p with a subgradient selection and an oracle.
 
-    ``sample`` returns a value estimate together with a callable applying
-    the sampled adjoint gradient; the default oracle is exact.
+    ``sample(x, y_l, stream)`` returns a value estimate and the matching
+    estimate of the adjoint gradient at y_l; the default oracle is exact.
     """
 
     p: int = 1
-    subgaussian: bool = True
 
     def value(self, x):
         raise NotImplementedError
@@ -86,8 +62,8 @@ class Component:
         """Vector with entries <(d phi / d x_j), u>."""
         raise NotImplementedError
 
-    def sample(self, x, stream: RandomStream):
-        return self.value(x), lambda u: self.grad_adjoint(x, u)
+    def sample(self, x, y_l, stream: RandomStream):
+        return self.value(x), self.grad_adjoint(x, y_l)
 
 
 class AffineMatrixComponent(Component):
@@ -182,7 +158,7 @@ class NoisyAffineComponent(Component):
     def grad_adjoint(self, x, u):
         return self.base.grad_adjoint(x, u)
 
-    def sample(self, x, stream: RandomStream):
+    def sample(self, x, y_l, stream: RandomStream):
         # U_f and U_g are signed normalized rank-one outer products
         # +-qq^T / q^T q: spectral norm exactly one, mean zero, no eigensolve.
         # One draw of uniforms holds, per matrix, the m Box-Muller pairs
@@ -201,13 +177,8 @@ class NoisyAffineComponent(Component):
         u_f, u_g = scale[:, None, None] * (q[:, :, None] * q[:, None, :])
         f_hat = self.base.value(x) + self.rho_f * u_f
         signs = np.where(u[2 * (2 * m + 1):] < 0.5, 1.0, -1.0)
-        base_adj = self.base.grad_adjoint
-
-        def g_adjoint(u, _signs=signs, _ug=u_g):
-            bump = self.rho_g * float(np.sum(_ug * np.asarray(u, dtype=float)))
-            return base_adj(x, u) + bump * _signs
-
-        return f_hat, g_adjoint
+        bump = self.rho_g * float(np.sum(u_g * np.asarray(y_l, dtype=float)))
+        return f_hat, self.base.grad_adjoint(x, y_l) + bump * signs
 
 
 class ScaledComponent(Component):
@@ -217,7 +188,6 @@ class ScaledComponent(Component):
         self.base = base
         self.beta = float(beta)
         self.p = base.p
-        self.subgaussian = base.subgaussian
 
     def value(self, x):
         return self.beta * self.base.value(x)
@@ -225,9 +195,9 @@ class ScaledComponent(Component):
     def grad_adjoint(self, x, u):
         return self.beta * self.base.grad_adjoint(x, u)
 
-    def sample(self, x, stream):
-        f_hat, g_adj = self.base.sample(x, stream)
-        return self.beta * f_hat, lambda u: self.beta * g_adj(u)
+    def sample(self, x, y_l, stream):
+        f_hat, g = self.base.sample(x, y_l, stream)
+        return self.beta * f_hat, self.beta * g
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +206,18 @@ class ScaledComponent(Component):
 
 @dataclass(frozen=True)
 class CompositeProblem:
-    """Saddle data of a matrix-minimax problem: geometries, components, maps.
+    """Saddle data of a matrix-minimax problem: geometries and components.
 
-    ``maps`` are the block selectors A_l; the offsets b_l and the outer
-    conjugate Phi_* are zero.  l_x, m_x bound the component derivatives
-    per the composite contract.
+    Component l owns block l of the spectahedron y_setup, whose selector is
+    A_l; the offsets b_l and the outer conjugate Phi_* are zero.  l_x, m_x
+    bound the component derivatives per the composite contract.
     """
 
     x_setup: ProxSetup
-    y_setup: ProxSetup
+    y_setup: SpectahedronSetup
     components: tuple
-    maps: tuple
     l_x: float = 0.0
     m_x: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     @property
     def m(self) -> int:
@@ -259,18 +227,24 @@ class CompositeProblem:
 def _saddle_operator(cp: CompositeProblem, z: Pair, draw) -> Pair:
     """F(z) assembled from per-component data.
 
-    ``draw(comp, x)`` returns the component's value (or its estimate) and a
-    callable applying the matching adjoint gradient.  Components are drawn
-    in index order, and errors are annotated with the component index.
+    ``draw(comp, x, y_l)`` returns the component's value (or its estimate)
+    and the matching adjoint gradient at block y_l of y.  Components are
+    drawn in index order, and errors are annotated with the component index.
+    The y-part sums one zero-padded block matrix A_l^* phi_l per component
+    in index order; writing the values into one stack instead would change
+    the sign of zero entries, since -0.0 + 0.0 is +0.0.
     """
     x, y = z.x, z.y
+    structure = cp.y_setup.structure
     fx = None
     acc_y = None
-    for idx, (comp, amap) in enumerate(zip(cp.components, cp.maps)):
+    for idx, comp in enumerate(cp.components):
         try:
-            f_hat, g_adj = draw(comp, x)
-            gx = g_adj(amap.apply(y))
-            term = amap.adjoint(f_hat)
+            f_hat, gx = draw(comp, x, y.blocks[idx])
+            stacks = [np.zeros((len(ids), p, p)) for p, ids in structure.groups]
+            g, r = structure.slots[idx]
+            stacks[g][r] = f_hat
+            term = BlockSymMatrix.from_stacks(structure, stacks)
         except Exception as exc:  # noqa: BLE001 - annotate with the component index
             raise InputError(f"component {idx} failed: {exc}") from exc
         fx = gx if fx is None else fx + gx
@@ -278,8 +252,8 @@ def _saddle_operator(cp: CompositeProblem, z: Pair, draw) -> Pair:
     return Pair(fx, -acc_y)
 
 
-def _exact_data(comp: Component, x):
-    return comp.value(x), lambda u: comp.grad_adjoint(x, u)
+def _exact_data(comp: Component, x, y_l):
+    return comp.value(x), comp.grad_adjoint(x, y_l)
 
 
 def composite_operator(cp: CompositeProblem, z: Pair) -> Pair:
@@ -293,15 +267,16 @@ def composite_oracle(cp: CompositeProblem, z: Pair, stream: RandomStream) -> Pai
     Linearity of F in the component data makes the estimate unbiased.
     Components are sampled in index order off the single run stream.
     """
-    return _saddle_operator(cp, z, lambda comp, x: comp.sample(x, stream))
+    return _saddle_operator(cp, z, lambda comp, x, y_l: comp.sample(x, y_l, stream))
 
 
 def lipschitz_constants(cp: CompositeProblem) -> tuple:
     """(L, M) of the saddle operator from the composite constants.
 
-    The paper's closed forms with A = 1 (the block selectors) and B = 0
-    (no offsets): L = 5 A ox oy (ox l_x + m_x) + B ox^2 l_x and
-    M = (2 A oy + B) ox m_x.
+    The paper's closed forms with A = 1 and B = 0 (no offsets):
+    L = 5 A ox oy (ox l_x + m_x) + B ox^2 l_x and M = (2 A oy + B) ox m_x.
+    A = max_{||y||_y <= 1} sum_l ||A_l y||_* is exactly one because the
+    block selectors split the trace norm of y across the blocks.
     """
     ox = cp.x_setup.omega_radius
     oy = cp.y_setup.omega_radius
@@ -329,33 +304,18 @@ def build_vi(cp: CompositeProblem, lip_l=None, var_m=None) -> VIProblem:
     )
 
 
-def build_oracle(cp: CompositeProblem, noise_m=None) -> StochasticOracle:
-    if noise_m is None:
-        _, noise_m = lipschitz_constants(cp)
-    return StochasticOracle(
-        sampler=lambda z, stream: composite_oracle(cp, z, stream),
-        bias_mu=0.0,
-        noise_m=float(noise_m),
-        subgaussian=all(c.subgaussian for c in cp.components),
-    )
+def build_oracle(cp: CompositeProblem) -> Callable:
+    """Oracle (z, stream) -> one ``composite_oracle`` draw."""
+    return lambda z, stream: composite_oracle(cp, z, stream)
 
 
 def matrix_minimax_problem(
-    x_setup: ProxSetup, components: Sequence[Component], meta=None, **constants
+    x_setup: ProxSetup, components: Sequence[Component], **constants
 ) -> CompositeProblem:
     """min_x max_l lambda_max(phi_l(x)) over a unit-trace block y-variable."""
     comps = tuple(components)
-    structure = BlockStructure([c.p for c in comps])
-    y_setup = SpectahedronSetup(structure)
-    maps = tuple(BlockSelector(structure, i) for i in range(len(comps)))
-    return CompositeProblem(
-        x_setup=x_setup,
-        y_setup=y_setup,
-        components=comps,
-        maps=maps,
-        meta=meta or {},
-        **constants,
-    )
+    y_setup = SpectahedronSetup(BlockStructure([c.p for c in comps]))
+    return CompositeProblem(x_setup=x_setup, y_setup=y_setup, components=comps, **constants)
 
 
 def minimax_primal_value(cp: CompositeProblem, x) -> float:
@@ -423,13 +383,7 @@ def sdf_scale(sys: SDFSystem, t: int) -> ScaledSdf:
     comps = [
         ScaledComponent(p.component, b) for p, b in zip(sys.parts, betas)
     ]
-    cp = matrix_minimax_problem(
-        sys.x_setup,
-        comps,
-        meta=dict(sys.meta),
-        l_x=mu * rt / ox,
-        m_x=mu,
-    )
+    cp = matrix_minimax_problem(sys.x_setup, comps, l_x=mu * rt / ox, m_x=mu)
     logp = math.log(sum(sys.block_sizes))
     lip = 10.0 * math.sqrt(logp) * ox * mu * (rt + 1.0)
     noise = 4.0 * math.sqrt(logp) * ox * mu

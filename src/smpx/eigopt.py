@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import ConfigError, InputError, NumericalError
 from .geometry import Pair, ProductSetup, SimplexSetup, SpectahedronSetup
 from .rng import inverse_cdf_index
 from .symmat import BlockStructure, BlockSymMatrix
-from .vi import SaddleInstance, StochasticOracle, VIProblem
+from .vi import SaddleInstance, VIProblem
 
 _TRACE_SLACK = 1e-12
 
@@ -123,14 +123,9 @@ def regularity_constants(inst: EigInstance, k: int) -> RegularityConstants:
     if n < 3 or p1 < 3:
         raise ConfigError("constants need n >= 3 and total block dimension >= 3")
     lip = 2.0 * math.log(n) + 4.0 * math.log(p1)
-    noise = _noise_level(inst, k)
+    # the k-averaged oracle's noise level 27 (ln n + ln p) a_inf / sqrt(k)
+    noise = 27.0 * (math.log(n) + math.log(p1)) * inst.a_inf / math.sqrt(k)
     return RegularityConstants(lip, noise, (2.0 * math.log(n), 4.0 * math.log(p1)))
-
-
-def _noise_level(inst: EigInstance, k: int) -> float:
-    """27 (ln n + ln p) a_inf / sqrt(k): the k-averaged oracle's noise level."""
-    n, p1 = inst.n, inst.p_total
-    return 27.0 * (math.log(n) + math.log(p1)) * inst.a_inf / math.sqrt(k)
 
 
 def effective_lipschitz(inst: EigInstance) -> float:
@@ -214,21 +209,20 @@ def sample_xi(inst: EigInstance, z: Pair, stream) -> Pair:
     return _xi_from_indices(inst, y, j, i)
 
 
-def averaged_oracle(inst: EigInstance, k: int) -> StochasticOracle:
-    """Oracle averaging k independent draws; noise level shrinks by sqrt(k)."""
+def averaged_oracle(inst: EigInstance, k: int) -> Callable:
+    """Oracle (z, stream) averaging k independent draws; noise shrinks by sqrt(k)."""
     if k < 1:
         raise ConfigError("averaging width k must be >= 1")
     if k == 1:
-        sampler = lambda z, stream: sample_xi(inst, z, stream)
-    else:
-        def sampler(z, stream):
-            acc = sample_xi(inst, z, stream)
-            for _ in range(k - 1):
-                acc = acc + sample_xi(inst, z, stream)
-            return (1.0 / k) * acc
+        return lambda z, stream: sample_xi(inst, z, stream)
 
-    noise = _noise_level(inst, k)
-    return StochasticOracle(sampler=sampler, bias_mu=0.0, noise_m=noise, subgaussian=True)
+    def oracle(z, stream):
+        acc = sample_xi(inst, z, stream)
+        for _ in range(k - 1):
+            acc = acc + sample_xi(inst, z, stream)
+        return (1.0 / k) * acc
+
+    return oracle
 
 
 def enumerate_expectation(inst: EigInstance, z: Pair) -> Pair:

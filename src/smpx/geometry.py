@@ -71,14 +71,6 @@ def inner(a, b) -> float:
     return float(np.dot(np.ravel(a), np.ravel(b)))
 
 
-def is_finite(a) -> bool:
-    if isinstance(a, Pair):
-        return is_finite(a.x) and is_finite(a.y)
-    if isinstance(a, BlockSymMatrix):
-        return a.is_finite()
-    return bool(np.all(np.isfinite(a)))
-
-
 def copy_point(a):
     if isinstance(a, Pair):
         return Pair(copy_point(a.x), copy_point(a.y))

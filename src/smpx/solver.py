@@ -16,13 +16,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import ConfigError, DomainError, InputError, NumericalError
 from .geometry import copy_point
 from .rng import RandomStream
-from .vi import StochasticOracle, VIProblem
+from .vi import VIProblem
 
 _FEAS_SLACK = 1e-12
+
+# oracle calls per iteration of each method
+ORACLE_CALLS = {"smp": 2, "rmsa": 1}
 
 
 @dataclass(frozen=True)
@@ -133,18 +137,18 @@ def _check_checkpoints(checkpoints, t: int):
 
 def _smp_step(setup, oracle, gamma, r, stream):
     """Two prox steps from r; returns (next iterate, the point averaged)."""
-    w = setup.prox_map(r, gamma * oracle.sample(r, stream))
-    return setup.prox_map(r, gamma * oracle.sample(w, stream)), w
+    w = setup.prox_map(r, gamma * oracle(r, stream))
+    return setup.prox_map(r, gamma * oracle(w, stream)), w
 
 
 def _rmsa_step(setup, oracle, gamma, r, stream):
     """One prox step from r; the new iterate is also the point averaged."""
-    r = setup.prox_map(r, gamma * oracle.sample(r, stream))
+    r = setup.prox_map(r, gamma * oracle(r, stream))
     return r, r
 
 
-def _run(algorithm, step, calls_per_step, problem, oracle, policy, seed, checkpoints,
-         error_fn, start) -> RunRecord:
+def _run(algorithm, step, problem, oracle, policy, seed, checkpoints, error_fn,
+         start) -> RunRecord:
     """The solver loop shared by both methods; ``step`` is the step rule."""
     cps = _check_checkpoints(checkpoints, policy.t)
     cp_set = set(cps)
@@ -162,6 +166,7 @@ def _run(algorithm, step, calls_per_step, problem, oracle, policy, seed, checkpo
         checkpoints=cps,
         averages=[],
     )
+    calls_per_step = ORACLE_CALLS[algorithm]
     errors: dict[str, list] = {}
     acc = None
     began = time.perf_counter()
@@ -185,7 +190,7 @@ def _run(algorithm, step, calls_per_step, problem, oracle, policy, seed, checkpo
 
 def smp_run(
     problem: VIProblem,
-    oracle: StochasticOracle,
+    oracle: Callable,
     policy: StepsizePolicy,
     seed: int,
     checkpoints,
@@ -195,19 +200,19 @@ def smp_run(
     """Run the two-prox solver and snapshot the averaged solution.
 
     The start point is the geometry's center (a keyword hook overrides it
-    for tests only).  ``error_fn``, when given, maps an averaged point to a
-    dict of named error values recorded at each checkpoint.  Two oracle
-    calls are made per step; the record is bit-reproducible for a fixed
-    seed.
+    for tests only).  ``oracle(z, stream)`` returns a random estimate of
+    F(z).  ``error_fn``, when given, maps an averaged point to a dict of
+    named error values recorded at each checkpoint.  Two oracle calls are
+    made per step; the record is bit-reproducible for a fixed seed.
     """
     _check_policy(problem, policy)
-    return _run("smp", _smp_step, 2, problem, oracle, policy, seed, checkpoints,
+    return _run("smp", _smp_step, problem, oracle, policy, seed, checkpoints,
                 error_fn, _start)
 
 
 def rmsa_run(
     problem: VIProblem,
-    oracle: StochasticOracle,
+    oracle: Callable,
     policy: StepsizePolicy,
     seed: int,
     checkpoints,
@@ -218,7 +223,7 @@ def rmsa_run(
 
     Averages the iterates themselves and makes one oracle call per step.
     """
-    return _run("rmsa", _rmsa_step, 1, problem, oracle, policy, seed, checkpoints,
+    return _run("rmsa", _rmsa_step, problem, oracle, policy, seed, checkpoints,
                 error_fn, _start)
 
 

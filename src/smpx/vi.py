@@ -1,12 +1,16 @@
 """Variational-inequality problems, stochastic oracles and error measures.
 
 A problem couples a geometry with a monotone operator F and the regularity
-constants (L, M) of ||F(z) - F(z')||_* <= L ||z - z'|| + M.  The residual
-of a candidate z is max_u <F(u), z - u>; since the exact maximum is
-intractable in general, ``err_vi_lower`` reports the certified lower bound
-over a finite probe set.  For saddle-point instances the functional (Nash)
-error is the exact duality gap and is computed from the instance's closed
-forms.
+constants (L, M) of ||F(z) - F(z')||_* <= L ||z - z'|| + M.  A stochastic
+oracle is a plain function (z, stream) -> random estimate of F(z); its bias
+and noise constants enter only the stepsize and bound calculators, which
+take them as numbers.
+
+The residual of a candidate z is max_u <F(u), z - u>; since the exact
+maximum is intractable in general, ``err_vi_lower`` reports the certified
+lower bound over a finite probe set.  For saddle-point instances the
+functional (Nash) error is the exact duality gap and is computed from the
+instance's closed forms.
 """
 
 from __future__ import annotations
@@ -40,32 +44,9 @@ class VIProblem:
     var_m: float = 0.0
 
 
-@dataclass(frozen=True)
-class StochasticOracle:
-    """Seeded sampler returning a random estimate of F(z).
-
-    bias_mu bounds ||E{sample - F(z)}||_*, noise_m bounds the second moment
-    of the deviation in the conjugate norm; subgaussian marks oracles whose
-    deviation satisfies the exponential moment condition at level noise_m.
-    """
-
-    sampler: Callable  # (point, RandomStream) -> dual vector
-    bias_mu: float = 0.0
-    noise_m: float = 0.0
-    subgaussian: bool = False
-
-    def sample(self, z, stream: RandomStream):
-        return self.sampler(z, stream)
-
-
-def exact_oracle(problem: VIProblem) -> StochasticOracle:
-    """Oracle that returns F itself: zero bias, zero noise, trivially subgaussian."""
-    return StochasticOracle(
-        sampler=lambda z, stream: problem.operator(z),
-        bias_mu=0.0,
-        noise_m=0.0,
-        subgaussian=True,
-    )
+def exact_oracle(problem: VIProblem) -> Callable:
+    """Oracle (z, stream) -> F(z) that draws nothing: zero bias, zero noise."""
+    return lambda z, stream: problem.operator(z)
 
 
 @dataclass(frozen=True)
@@ -208,7 +189,7 @@ def err_nash_saddle(inst: SaddleInstance, z) -> float:
 
 
 def oracle_stats(
-    oracle: StochasticOracle,
+    oracle: Callable,
     problem: VIProblem,
     z,
     n_samples: int,
@@ -227,7 +208,7 @@ def oracle_stats(
     acc = None
     m2 = 0.0
     for _ in range(n_samples):
-        d = oracle.sample(z, stream) - fz
+        d = oracle(z, stream) - fz
         m2 += dual_norm(d) ** 2
         acc = d if acc is None else acc + d
     bias = dual_norm((1.0 / n_samples) * acc)
@@ -235,7 +216,7 @@ def oracle_stats(
 
 
 def estimate_noise_level(
-    oracle: StochasticOracle,
+    oracle: Callable,
     problem: VIProblem,
     n_points: int = 6,
     n_samples: int = 3000,

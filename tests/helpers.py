@@ -141,29 +141,31 @@ def _ref_unit_spectral_sym(stream, p):
     return (sign / nsq) * np.outer(q, q)
 
 
-def ref_noisy_sample(comp, x, stream):
+def ref_noisy_sample(comp, x, y_l, stream):
     """NoisyAffineComponent.sample with one stream call per variate."""
     u_f = _ref_unit_spectral_sym(stream, comp.p)
     f_hat = comp.base.value(x) + comp.rho_f * u_f
     u_g = _ref_unit_spectral_sym(stream, comp.p)
     signs = np.where(stream.uniforms(comp.n) < 0.5, 1.0, -1.0)
-
-    def g_adjoint(u):
-        bump = comp.rho_g * float(np.sum(u_g * np.asarray(u, dtype=float)))
-        return comp.base.grad_adjoint(x, u) + bump * signs
-
-    return f_hat, g_adjoint
+    bump = comp.rho_g * float(np.sum(u_g * np.asarray(y_l, dtype=float)))
+    return f_hat, comp.base.grad_adjoint(x, y_l) + bump * signs
 
 
 def ref_composite_oracle(cp, z, stream):
-    """Oracle draw that adds one zero-padded block matrix per component."""
-    from smpx.geometry import Pair
+    """Oracle draw that adds one zero-padded block matrix per component.
 
+    Each padded term is stacked from a list of blocks, zeros except block l.
+    """
+    from smpx.geometry import Pair
+    from smpx.symmat import BlockSymMatrix
+
+    structure = z.y.structure
+    sizes = structure.block_sizes
     fx = acc_y = None
-    for comp, amap in zip(cp.components, cp.maps):
-        f_hat, g_adj = comp.sample(z.x, stream)
-        gx = g_adj(amap.apply(z.y))
-        term = amap.adjoint(f_hat)
+    for l, comp in enumerate(cp.components):
+        f_hat, gx = comp.sample(z.x, z.y.blocks[l], stream)
+        blocks = [f_hat if i == l else np.zeros((p, p)) for i, p in enumerate(sizes)]
+        term = BlockSymMatrix(structure, blocks, _validate=False)
         fx = gx if fx is None else fx + gx
         acc_y = term if acc_y is None else acc_y + term
     return Pair(fx, -acc_y)

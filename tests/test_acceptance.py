@@ -262,7 +262,7 @@ def test_criterion_7_sdf_pipeline(sdf_system):
         problem = composite.build_vi(
             scaled.problem, lip_l=scaled.lip_l, var_m=scaled.noise_m
         )
-        oracle = composite.build_oracle(scaled.problem, scaled.noise_m)
+        oracle = composite.build_oracle(scaled.problem)
         viols = np.zeros((len(seeds), len(system.parts)))
         for row, seed in enumerate(seeds):
             rec = solver.smp_run(

@@ -140,24 +140,20 @@ class TestAveragedOracle:
         inst = load("eig_min", {"n": 4, "blocks": [2, 2]}, 11)
         setup = eigopt.build_setup(inst)
         z = setup.random_point(RandomStream(0))
-        a = eigopt.averaged_oracle(inst, 1).sample(z, RandomStream(5))
+        a = eigopt.averaged_oracle(inst, 1)(z, RandomStream(5))
         b = eigopt.sample_xi(inst, z, RandomStream(5))
         assert np.array_equal(a.x, b.x)
 
     def test_noise_level_scaling(self):
         inst = load("eig_min", {"n": 6, "blocks": [2, 2]}, 12)
-        m1 = eigopt.averaged_oracle(inst, 1).noise_m
-        m4 = eigopt.averaged_oracle(inst, 4).noise_m
+        m1 = eigopt.regularity_constants(inst, 1).noise
+        m4 = eigopt.regularity_constants(inst, 4).noise
         assert m4 == pytest.approx(m1 / 2.0)
 
     def test_invalid_k_rejected(self):
         inst = load("eig_min", {"n": 4, "blocks": [2, 2]}, 13)
         with pytest.raises(ConfigError):
             eigopt.averaged_oracle(inst, 0)
-
-    def test_subgaussian_flag_set(self):
-        inst = load("eig_min", {"n": 4, "blocks": [2, 2]}, 14)
-        assert eigopt.averaged_oracle(inst, 2).subgaussian
 
 
 class TestConstants:

@@ -15,7 +15,7 @@ from smpx.solver import (
     smp_run,
     theoretical_bounds,
 )
-from smpx.vi import StochasticOracle, VIProblem, exact_oracle
+from smpx.vi import VIProblem, exact_oracle
 
 
 def one_dim(lip=1.0):
@@ -138,9 +138,8 @@ class TestSmpRun:
             seen.append(z)
             return eigopt.exact_operator(inst, z)
 
-        oracle = StochasticOracle(sampler=spy)
         gamma = constant_stepsize(1.0, prob.setup.omega_radius, prob.lip_l, 0.0, 8)
-        rec = smp_run(prob, oracle, StepsizePolicy(gamma, 8), 0, [2, 5, 8])
+        rec = smp_run(prob, spy, StepsizePolicy(gamma, 8), 0, [2, 5, 8])
         ws = seen[1::2]
         for cp, avg in zip(rec.checkpoints, rec.averages):
             ref = ws[0]
@@ -162,7 +161,7 @@ class TestSmpRun:
             1.0, prob.setup.omega_radius, prob.lip_l,
             eigopt.sample_deviation_bound(inst), 50,
         )
-        smp_run(prob, StochasticOracle(sampler=spy), StepsizePolicy(gamma, 50), 1, [50])
+        smp_run(prob, spy, StepsizePolicy(gamma, 50), 1, [50])
         for z in queried:
             assert prob.setup.contains(z, tol=1e-10)
             assert prob.setup.in_interior(z)
@@ -172,7 +171,8 @@ class TestSmpRun:
         prob = saddle.problem
         orc = eigopt.averaged_oracle(inst, 2)
         gamma = constant_stepsize(
-            1.0, prob.setup.omega_radius, prob.lip_l, orc.noise_m, 40
+            1.0, prob.setup.omega_radius, prob.lip_l,
+            eigopt.regularity_constants(inst, 2).noise, 40
         )
         pol = StepsizePolicy(gamma, 40)
         rec1 = smp_run(prob, orc, pol, 7, [10, 40])
@@ -195,7 +195,7 @@ class TestSmpRun:
         with pytest.raises(NumericalError, match="step 3"):
             smp_run(
                 prob,
-                StochasticOracle(sampler=broken),
+                broken,
                 StepsizePolicy(0.5, 10),
                 0,
                 [10],
