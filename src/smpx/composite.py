@@ -219,10 +219,6 @@ class CompositeProblem:
     l_x: float = 0.0
     m_x: float = 0.0
 
-    @property
-    def m(self) -> int:
-        return len(self.components)
-
 
 def _saddle_operator(cp: CompositeProblem, z: Pair, draw) -> Pair:
     """F(z) assembled from per-component data.

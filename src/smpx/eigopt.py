@@ -10,6 +10,11 @@ which the single-sample oracle estimates by drawing one index from x and
 one block index from the block traces of y: the y-part uses the sampled
 matrix -(A_0 + A_j), the x-part the traces against the normalized sampled
 block.  Averaging k independent samples cuts the noise level by sqrt(k).
+
+The exact operator runs per point in the solver loop and the gap; the probe
+set evaluates it a chunk of stacked points at a time (``stacked_operator``),
+with one matrix product per block-size group and operator part, which
+rounds differently from the per-point products.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .errors import ConfigError, InputError, NumericalError
 from .geometry import Pair, ProductSetup, SimplexSetup, SpectahedronSetup
 from .rng import inverse_cdf_index
 from .symmat import BlockStructure, BlockSymMatrix
-from .vi import SaddleInstance, VIProblem
+from .vi import BlockStack, SaddleInstance, VIProblem
 
 _TRACE_SLACK = 1e-12
 
@@ -171,6 +176,41 @@ def exact_operator(inst: EigInstance, z: Pair) -> Pair:
     return Pair(inst.trace_vector(y), -inst.combination(x))
 
 
+def stacked_operator(inst: EigInstance, points: Pair) -> Pair:
+    """``exact_operator`` at a chunk of P stacked points, as read-only stacks.
+
+    points.x is (P, n) and points.y a ``BlockStack`` of (P, k, p, p) stacks;
+    the values come back in the same layout.  Per block-size group, F_x is
+    one (k, n, p^2) x (k, p^2, P) product whose per-block results add in
+    block order, as in ``trace_vector``, and F_y = -(A_0 + sum_j x_j A_j) is
+    one (P, n) x (n, k p^2) product.  The products sum in another order than
+    the per-point ones, so the values agree with ``exact_operator`` to
+    round-off, not bit for bit.
+    """
+    xs, ys = points.x, points.y
+    if xs.ndim != 2 or xs.shape[1] != inst.n:
+        raise InputError("x-dimension mismatch")
+    if not isinstance(ys, BlockStack) or ys.structure != inst.structure:
+        raise InputError("y block structure mismatch")
+    n_points = len(xs)
+    per_group = [
+        flat @ s.reshape(n_points, len(flat), -1).transpose(1, 2, 0)
+        for flat, s in zip(inst._flats, ys.stacks)
+    ]
+    fx = np.zeros((inst.n, n_points))
+    for g, r in inst.structure.slots:
+        fx += per_group[g][r]
+    fx = fx.T.copy()
+    fy = []
+    for a0, s in zip(inst.a0.stacks, inst._stacks):
+        v = (xs @ s.reshape(inst.n, -1)).reshape(n_points, *a0.shape)
+        v += a0
+        fy.append(np.negative(v, out=v))
+    for a in (fx, *fy):
+        a.setflags(write=False)
+    return Pair(fx, BlockStack(inst.structure, tuple(fy)))
+
+
 def _block_probabilities(y: BlockSymMatrix) -> np.ndarray:
     nu = y.block_traces()
     if (nu < -_TRACE_SLACK).any():
@@ -264,7 +304,8 @@ def build_saddle(inst: EigInstance) -> SaddleInstance:
     """Saddle instance with the exact operator and closed-form values.
 
     The declared Lipschitz constant is the effective one (literal constant
-    times a_inf); the exact operator has no stochastic part (M = 0).
+    times a_inf); the exact operator has no stochastic part (M = 0).  The
+    problem's ``stacked_operator`` evaluates the operator for probe sets.
     """
     setup = build_setup(inst)
     problem = VIProblem(
@@ -272,6 +313,7 @@ def build_saddle(inst: EigInstance) -> SaddleInstance:
         operator=lambda z: exact_operator(inst, z),
         lip_l=effective_lipschitz(inst),
         var_m=0.0,
+        stacked_operator=lambda points: stacked_operator(inst, points),
     )
     return SaddleInstance(
         problem=problem,

@@ -127,7 +127,8 @@ class ProxSetup:
         raise NotImplementedError
 
     def extreme_points(self):
-        """Small deterministic family of extreme-ish points, used for probes."""
+        """Small deterministic family of extreme-ish points, used for probes;
+        an iterable, which may be a generator."""
         return []
 
     def probe_points(self, stream, n_random: int = 100):
@@ -379,17 +380,30 @@ class SpectahedronSetup(ProxSetup):
         )
 
     def extreme_points(self):
-        # entropy-map images of +-tau along each diagonal unit direction
-        tau = 6.0
+        """Entropy-map images of +-6 e_d e_d^T, one per diagonal position, yielded.
+
+        The image of a diagonal matrix is the diagonal exp(diag - shift) /
+        total, so no decomposition is computed.  The total adds as
+        ``symmat.entropy_map`` adds it (each block's values in descending
+        order, the per-block sums in block order), so the points equal its
+        results bit for bit.
+        """
         structure = self.structure
-        out = []
         for (g, r), p in zip(structure.slots, structure.block_sizes):
             for d in range(p):
-                for sign in (tau, -tau):
-                    stacks = [np.zeros((len(idx), q, q)) for q, idx in structure.groups]
-                    stacks[g][r, d, d] = sign
-                    out.append(symmat.entropy_map(BlockSymMatrix.from_stacks(structure, stacks)))
-        return out
+                for sign in (6.0, -6.0):
+                    shift = max(sign, 0.0)
+                    diags = [np.zeros((len(idx), q)) for q, idx in structure.groups]
+                    diags[g][r, d] = sign
+                    total = sum(structure.in_block_order([
+                        np.exp(np.sort(v, axis=1)[:, ::-1] - shift).sum(axis=1) for v in diags
+                    ]).tolist())
+                    stacks = []
+                    for (q, idx), v in zip(structure.groups, diags):
+                        s = np.zeros((len(idx), q, q))
+                        s[:, range(q), range(q)] = np.exp(v - shift) / total
+                        stacks.append(s)
+                    yield BlockSymMatrix.from_stacks(structure, stacks)
 
 
 class ProductSetup(ProxSetup):
@@ -462,9 +476,24 @@ class ProductSetup(ProxSetup):
         return Pair(self.sx.random_dual(stream, scale), self.sy.random_dual(stream, scale))
 
     def extreme_points(self):
-        ex, ey = self.sx.extreme_points(), self.sy.extreme_points()
-        if not ex or not ey:
-            return []
-        k = max(len(ex), len(ey))
-        return [Pair(ex[i % len(ex)], ey[i % len(ey)]) for i in range(k)]
+        """Pairs (ex[i % len ex], ey[i % len ey]) for i < max(len ex, len ey), yielded.
+
+        Nothing is yielded when either side has no extreme points.  A side
+        that runs out before the other is generated again, not held.
+        """
+        sides = (self.sx, self.sy)
+        its = [iter(s.extreme_points()) for s in sides]
+        ended = [False, False]
+        while True:
+            pair = []
+            for i, side in enumerate(sides):
+                item = next(its[i], None)
+                if item is None:
+                    ended[i] = True
+                    its[i] = iter(side.extreme_points())
+                    item = next(its[i], None)
+                pair.append(item)
+            if all(ended) or any(item is None for item in pair):
+                return
+            yield Pair(*pair)
 

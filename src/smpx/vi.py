@@ -8,16 +8,18 @@ take them as numbers.
 
 The residual of a candidate z is max_u <F(u), z - u>; since the exact
 maximum is intractable in general, ``err_vi_lower`` reports the certified
-lower bound over a finite probe set.  For saddle-point instances the
-functional (Nash) error is the exact duality gap and is computed from the
-instance's closed forms.
+lower bound over a finite probe set.  The probe set stores F at its
+probes, computed once: per probe, or a chunk of probes at a time when the
+problem supplies a stacked operator (the eig saddle does).  For
+saddle-point instances the functional (Nash) error is the exact duality gap
+and is computed from the instance's closed forms.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -27,21 +29,30 @@ from .geometry import Pair, ProxSetup, inner
 from .rng import RandomStream
 from .symmat import BlockStructure, BlockSymMatrix
 
-# Probes per stored chunk of a ProbeSet, so per numpy call in lower_bound.
-# The chunk bounds the temporaries of the build and of the bound: about 1 MB
-# for 4 blocks of 32 x 32, against 12 MB for 357 such probes in one call.  One call for all of a game's 125 probes would
-# save about 50 us per bound, under 0.5% of a run.
+# Probes per stored chunk of a ProbeSet, so per numpy call in lower_bound and
+# per stacked operator call in the build.  The chunk bounds the temporaries of
+# both: about 1 MB per stack for 4 blocks of 32 x 32 (a chunk's y points, its
+# F_y values, its bound's z - u), against 11.7 MB for all 357 probes of such an
+# instance.  One call for all of a game's 125 probes would save about 50 us per
+# bound, under 0.5% of a run.
 _CHUNK = 32
 
 
 @dataclass(frozen=True)
 class VIProblem:
-    """Domain setup plus exact operator and its regularity constants."""
+    """Domain setup plus exact operator and its regularity constants.
+
+    ``stacked_operator``, when set, maps a chunk of probe points stacked as
+    ``ProbeSet`` stores them to their operator values in the same layout; it
+    agrees with ``operator`` to round-off, and ``ProbeSet`` uses it instead
+    of one ``operator`` call per probe.
+    """
 
     setup: ProxSetup
     operator: Callable
     lip_l: float = 0.0
     var_m: float = 0.0
+    stacked_operator: Callable | None = None
 
 
 def exact_oracle(problem: VIProblem) -> Callable:
@@ -60,7 +71,6 @@ class SaddleInstance:
     problem: VIProblem
     primal_value: Callable
     dual_value: Callable
-    meta: dict = field(default_factory=dict)
 
 
 def err_vi_lower(problem: VIProblem, z, probes: Sequence) -> float:
@@ -72,7 +82,7 @@ def err_vi_lower(problem: VIProblem, z, probes: Sequence) -> float:
     return ProbeSet(problem, probes).lower_bound(z)
 
 
-class _Blocks(NamedTuple):
+class BlockStack(NamedTuple):
     """Block matrices stacked over probes: one (P, k, p, p) array per group."""
 
     structure: BlockStructure
@@ -81,7 +91,7 @@ class _Blocks(NamedTuple):
 
 def _stack(items, first):
     """The items stacked along a new leading axis: an (n, ...) read-only
-    array for arrays, ``_Blocks`` for block matrices, a Pair for pairs.
+    array for arrays, ``BlockStack`` for block matrices, a Pair for pairs.
 
     Every item must have the type, shape and block structure of ``first``,
     the first probe's item, or InputError is raised.
@@ -97,7 +107,7 @@ def _stack(items, first):
         stacks = tuple(np.stack(group) for group in zip(*(u.stacks for u in items)))
         for s in stacks:
             s.setflags(write=False)
-        return _Blocks(first.structure, stacks)
+        return BlockStack(first.structure, stacks)
     if any(isinstance(u, (Pair, BlockSymMatrix)) or np.shape(u) != np.shape(first)
            for u in items):
         raise InputError("probe items differ in type or shape")
@@ -118,7 +128,7 @@ def _inner_rows(f, z, u) -> np.ndarray:
         if not isinstance(z, Pair):
             raise InputError("point is not a pair")
         return _inner_rows(f.x, z.x, u.x) + _inner_rows(f.y, z.y, u.y)
-    if isinstance(f, _Blocks):
+    if isinstance(f, BlockStack):
         if not isinstance(z, BlockSymMatrix) or not z.structure == f.structure == u.structure:
             raise InputError("block structure mismatch")
         per_group = []
@@ -141,23 +151,32 @@ class ProbeSet:
     cheap along a trajectory.  The probes are taken ``_CHUNK`` at a time,
     so a generator of points is never held whole; each chunk's points and
     values are stored as read-only stacks with a leading probe axis
-    (``chunks``, a list of (points, values) pairs).  ``lower_bound``
-    handles one chunk per numpy call and adds in the order of the
-    per-probe ``inner(F(u), z - u)``, so it returns the same float.
+    (``chunks``, a list of (points, values) pairs).  The values of a chunk
+    come from one ``problem.stacked_operator`` call when the problem has
+    one, else from one ``problem.operator`` call per probe.
+    ``lower_bound`` handles one chunk per numpy call and adds in the order
+    of the per-probe ``inner(F(u), z - u)``, so over the stored values it
+    returns the same float as the per-probe loop.
     """
 
     def __init__(self, problem: VIProblem, probes: Iterable):
         self.chunks = []
         self._n = 0
-        first = None
+        first = first_value = None
         probes = iter(probes)
         while chunk := list(itertools.islice(probes, _CHUNK)):
-            # the points are checked before F sees them
-            points = _stack(chunk, chunk[0] if first is None else first[0])
-            values = [problem.operator(u) for u in chunk]
             if first is None:
-                first = (chunk[0], values[0])
-            self.chunks.append((points, _stack(values, first[1])))
+                first = chunk[0]
+            # the points are checked before F sees them
+            points = _stack(chunk, first)
+            if problem.stacked_operator is not None:
+                values = problem.stacked_operator(points)
+            else:
+                per_probe = [problem.operator(u) for u in chunk]
+                if first_value is None:
+                    first_value = per_probe[0]
+                values = _stack(per_probe, first_value)
+            self.chunks.append((points, values))
             self._n += len(chunk)
         if not self.chunks:
             raise InputError("probe set is empty")

@@ -85,6 +85,21 @@ def ref_matrix_log(blocks):
     return [(q * np.log(np.maximum(vals, 1e-300))) @ q.T for vals, q in ref_eigh(blocks)]
 
 
+def ref_spectahedron_extreme_points(structure):
+    """Entropy-map images of +-6 e_d e_d^T, each through a decomposition."""
+    from smpx import symmat
+    from smpx.symmat import BlockSymMatrix
+
+    out = []
+    for (g, r), p in zip(structure.slots, structure.block_sizes):
+        for d in range(p):
+            for sign in (6.0, -6.0):
+                stacks = [np.zeros((len(idx), q, q)) for q, idx in structure.groups]
+                stacks[g][r, d, d] = sign
+                out.append(symmat.entropy_map(BlockSymMatrix.from_stacks(structure, stacks)))
+    return out
+
+
 def ref_frob_inner(xs, ys):
     return float(sum(np.sum(x * y) for x, y in zip(xs, ys)))
 

@@ -1,11 +1,13 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 from helpers import assert_same_bytes, ref_combination, ref_sample_xi, ref_trace_vector
 
-from smpx import bench, composite, eigopt, symmat
-from smpx.errors import ConfigError
+from smpx import bench, composite, eigopt, symmat, vi
+from smpx.errors import ConfigError, InputError
 from smpx.geometry import Pair
 from smpx.rng import RandomStream
 from smpx.symmat import BlockStructure, BlockSymMatrix
@@ -266,3 +268,61 @@ class TestStackedInstance:
             for x, y in zip(xi.y.blocks, xi_y):
                 assert_same_bytes(x, y)
         assert seen == set(range(len(sizes)))
+
+
+def probe_chunk(inst, seed, size=vi._CHUNK):
+    """The first ``size`` default probe points and their stacks."""
+    setup = eigopt.build_setup(inst)
+    chunk = list(itertools.islice(setup.probe_points(RandomStream(seed), size), size))
+    return chunk, vi._stack(chunk, chunk[0])
+
+
+class TestStackedOperator:
+    """The probe set's chunked operator against the per-point exact operator.
+
+    Its products add in another order than the per-point ones, so the check
+    is a stated tolerance: 1e-12 of the largest entry of each part.
+    """
+
+    def test_matches_exact_operator_within_tolerance(self):
+        # 32 x 32 blocks and n = 120, in two size groups with the 3 x 3 block
+        # between the 32 x 32 ones
+        inst = load("eig_min", {"n": 120, "blocks": [32, 3, 32]}, 31)
+        chunk, points = probe_chunk(inst, 32)
+        got = eigopt.stacked_operator(inst, points)
+        values = [eigopt.exact_operator(inst, u) for u in chunk]
+        ref = vi._stack(values, values[0])
+        assert not got.x.flags.writeable
+        assert got.x.shape == ref.x.shape == (len(chunk), 120)
+        assert np.abs(got.x - ref.x).max() <= 1e-12 * np.abs(ref.x).max()
+        for s, t in zip(got.y.stacks, ref.y.stacks, strict=True):
+            assert not s.flags.writeable
+            assert s.shape == t.shape
+            assert np.abs(s - t).max() <= 1e-12 * np.abs(t).max()
+
+    def test_probe_set_uses_it_and_bounds_agree(self, monkeypatch):
+        inst = load("eig_min", {"n": 30, "blocks": [8, 2, 8]}, 34)
+        problem = eigopt.build_saddle(inst).problem
+        per_probe = dataclasses.replace(problem, stacked_operator=None)
+        stream = RandomStream(35)
+        points = list(problem.setup.probe_points(stream, 50))
+        calls = []
+        real = eigopt.exact_operator
+        monkeypatch.setattr(eigopt, "exact_operator", lambda *a: calls.append(1) or real(*a))
+        stacked = vi.ProbeSet(problem, points)
+        assert calls == []
+        reference = vi.ProbeSet(per_probe, points)
+        assert len(calls) == len(points) == len(stacked)
+        for _ in range(5):
+            z = problem.setup.random_point(stream)
+            want = reference.lower_bound(z)
+            assert abs(stacked.lower_bound(z) - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_wrong_dimension_or_structure_rejected(self):
+        inst = load("eig_min", {"n": 5, "blocks": [3, 2]}, 36)
+        _, points = probe_chunk(inst, 37, 4)
+        with pytest.raises(InputError):
+            eigopt.stacked_operator(inst, Pair(points.x[:, :-1], points.y))
+        _, other = probe_chunk(load("eig_min", {"n": 5, "blocks": [2, 3]}, 36), 37, 4)
+        with pytest.raises(InputError):
+            eigopt.stacked_operator(inst, Pair(points.x, other.y))

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import assert_same_bytes, mild_simplex_point, simplex_prox_argmin
+from helpers import (
+    assert_same_bytes,
+    mild_simplex_point,
+    ref_spectahedron_extreme_points,
+    simplex_prox_argmin,
+)
 from smpx import symmat
 from smpx.errors import ConfigError, DomainError, InputError
 from smpx.geometry import (
@@ -279,3 +284,36 @@ class TestSpectahedronLogMemo:
                 setup.prox_map(z, xi)
         with pytest.raises(InputError):
             setup.prox_map(SpectahedronSetup(BlockStructure((3,))).center, xi)
+
+
+class TestExtremePoints:
+    """Closed-form spectahedron points equal the entropy-map construction, and
+    the product yields its cyclic pairs one at a time."""
+
+    @pytest.mark.parametrize(
+        "sizes", [(32, 32, 32, 32), (4, 4, 4), (3, 1, 3, 2), (9, 2, 9, 1, 2), (3, 3, 3)]
+    )
+    def test_spectahedron_points_equal_entropy_map(self, sizes):
+        structure = BlockStructure(sizes)
+        got = list(SpectahedronSetup(structure).extreme_points())
+        ref = ref_spectahedron_extreme_points(structure)
+        assert len(got) == len(ref) == 2 * sum(sizes)
+        for a, b in zip(got, ref):
+            assert a._eig is None
+            for s, t in zip(a.stacks, b.stacks, strict=True):
+                assert_same_bytes(s, t)
+
+    @pytest.mark.parametrize("n, sizes", [(9, (2, 1)), (3, (3, 2))])  # x, then y longer
+    def test_product_yields_cyclic_pairs(self, n, sizes):
+        structure = BlockStructure(sizes)
+        setup = ProductSetup(SimplexSetup(n), SpectahedronSetup(structure))
+        ex = SimplexSetup(n).extreme_points()
+        ey = ref_spectahedron_extreme_points(structure)
+        points = setup.extreme_points()
+        assert iter(points) is points
+        got = list(points)
+        assert len(got) == max(len(ex), len(ey)) > min(len(ex), len(ey))
+        for i, z in enumerate(got):
+            assert_same_bytes(z.x, ex[i % len(ex)])
+            for s, t in zip(z.y.stacks, ey[i % len(ey)].stacks, strict=True):
+                assert_same_bytes(s, t)

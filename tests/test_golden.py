@@ -9,9 +9,16 @@ mismatch reports that environment next to the running one.
 Regenerate the files, after a change that alters outputs on purpose, with
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+which first prints, per file that changed, the largest absolute and
+relative change of each CSV column (of each JSON field, list positions
+merged), as the size of the change to report.
 """
 
+import csv
+import io
 import json
+import math
 import os
 import tempfile
 
@@ -93,13 +100,79 @@ def test_outputs_equal_golden(name, tmp_path, monkeypatch):
         )
 
 
+def _columns(ext: str, data: bytes) -> dict:
+    """Column -> list of cells: CSV columns, or JSON leaves by path with the
+    list positions dropped (stats.err_nash.mean[3] joins stats.err_nash.mean)."""
+    if ext == "csv":
+        rows = list(csv.reader(io.StringIO(data.decode())))
+        return {col: [row[i] for row in rows[1:]] for i, col in enumerate(rows[0])}
+    cols = {}
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, f"{path}.{key}" if path else key)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value, path)
+        else:
+            cols.setdefault(path, []).append(node)
+
+    walk(json.loads(data), "")
+    return cols
+
+
+def _as_float(cell):
+    try:
+        return None if isinstance(cell, bool) else float(cell)
+    except (TypeError, ValueError):
+        return None
+
+
+def change_report(name: str, ext: str, old: bytes, new: bytes) -> list:
+    """Lines with the largest absolute and relative change per changed column.
+
+    A change of text, or to or from a non-finite value, counts as inf; a
+    column listed with 0 changed only in text that parses to equal numbers,
+    such as the sign of a zero.
+    """
+    if old == new:
+        return [f"{name}.{ext}: unchanged"]
+    before, after = _columns(ext, old), _columns(ext, new)
+    lines = []
+    for col in [*before, *(c for c in after if c not in before)]:
+        a, b = before.get(col, []), after.get(col, [])
+        if a == b:
+            continue
+        if len(a) != len(b):
+            lines.append(f"{name}.{ext} {col}: {len(a)} -> {len(b)} values")
+            continue
+        worst_abs = worst_rel = 0.0
+        for u, v in zip(a, b):
+            if u == v:
+                continue
+            fu, fv = _as_float(u), _as_float(v)
+            d = math.nan if fu is None or fv is None else abs(fv - fu)
+            d = d if math.isfinite(d) else math.inf  # a text or non-finite change
+            worst_abs = max(worst_abs, d)
+            worst_rel = max(worst_rel, d / abs(fu) if fu else (math.inf if d else 0.0))
+        lines.append(f"{name}.{ext} {col}: max abs {worst_abs:.2g}, max rel {worst_rel:.2g}")
+    return lines
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for name in CONFIGS:
             for ext, data in outputs(name).items():
-                with open(os.path.join(GOLDEN, f"{name}.{ext}"), "wb") as fh:
+                path = os.path.join(GOLDEN, f"{name}.{ext}")
+                if os.path.exists(path):
+                    with open(path, "rb") as fh:
+                        print("\n".join(change_report(name, ext, fh.read(), data)))
+                else:
+                    print(f"{name}.{ext}: new")
+                with open(path, "wb") as fh:
                     fh.write(data)
     with open(os.path.join(GOLDEN, "env.json"), "w", encoding="utf-8") as fh:
         json.dump(environment(), fh, indent=1, sort_keys=True)
