@@ -26,6 +26,7 @@ import numpy as np
 
 from . import symmat
 from .errors import ConfigError, DomainError, InputError
+from .rng import box_muller
 from .symmat import BlockStructure, BlockSymMatrix
 
 _LOG_FLOOR = 1e-300
@@ -365,11 +366,20 @@ class SpectahedronSetup(ProxSetup):
                 _validate=False,
             )
             return symmat.entropy_map(b)
-        blocks = []
-        for p in self.structure.block_sizes:
-            g = stream.normals((p, p))
-            blocks.append(g @ g.T)
-        w = BlockSymMatrix(self.structure, blocks, _validate=False)
+        # one draw holds, per block in block order, the Box-Muller pairs of a
+        # p x p normal matrix (the m first members, then the m second ones):
+        # the uniforms of one stream.normals((p, p)) call per block
+        structure = self.structure
+        widths = [2 * ((p * p + 1) // 2) for p in structure.block_sizes]
+        starts = np.cumsum([0, *widths])
+        u = stream.uniforms(int(starts[-1]))
+        stacks = []
+        for p, idx in structure.groups:
+            m = (p * p + 1) // 2
+            rows = np.stack([u[starts[i]:starts[i] + 2 * m] for i in idx])
+            g = box_muller(rows[:, :m], rows[:, m:], p * p).reshape(len(idx), p, p)
+            stacks.append(g @ g.transpose(0, 2, 1))
+        w = BlockSymMatrix.from_stacks(structure, stacks)
         return w * (1.0 / w.trace())
 
     def random_dual(self, stream, scale=1.0):

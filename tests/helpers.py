@@ -100,6 +100,19 @@ def ref_spectahedron_extreme_points(structure):
     return out
 
 
+def ref_spectahedron_random_point(structure, stream):
+    """random_point(interior=False): g g^T from one normals call per block,
+    scaled to unit trace."""
+    from smpx.symmat import BlockSymMatrix
+
+    blocks = []
+    for p in structure.block_sizes:
+        g = stream.normals((p, p))
+        blocks.append(g @ g.T)
+    w = BlockSymMatrix(structure, blocks, _validate=False)
+    return w * (1.0 / w.trace())
+
+
 def ref_frob_inner(xs, ys):
     return float(sum(np.sum(x * y) for x, y in zip(xs, ys)))
 

@@ -7,6 +7,7 @@ from helpers import (
     assert_same_bytes,
     mild_simplex_point,
     ref_spectahedron_extreme_points,
+    ref_spectahedron_random_point,
     simplex_prox_argmin,
 )
 from smpx import symmat
@@ -317,3 +318,20 @@ class TestExtremePoints:
             assert_same_bytes(z.x, ex[i % len(ex)])
             for s, t in zip(z.y.stacks, ey[i % len(ey)].stacks, strict=True):
                 assert_same_bytes(s, t)
+
+
+@pytest.mark.parametrize(
+    "sizes", [(4, 4, 4), (32, 32, 32, 32), (3, 1, 3, 2), (9, 2, 9, 1, 2)]
+)
+def test_spectahedron_boundary_point_equals_per_block_draws(sizes):
+    # one uniforms draw for all blocks gives the per-block normals bit for
+    # bit and leaves the stream where the per-block calls leave it
+    structure = BlockStructure(sizes)
+    setup = SpectahedronSetup(structure)
+    got_stream, ref_stream = RandomStream(9), RandomStream(9)
+    for _ in range(3):
+        got = setup.random_point(got_stream, interior=False)
+        ref = ref_spectahedron_random_point(structure, ref_stream)
+        for s, t in zip(got.stacks, ref.stacks, strict=True):
+            assert_same_bytes(s, t)
+        assert_same_bytes(got_stream.uniform(), ref_stream.uniform())
