@@ -8,11 +8,13 @@ take them as numbers.
 
 The residual of a candidate z is max_u <F(u), z - u>; since the exact
 maximum is intractable in general, ``err_vi_lower`` reports the certified
-lower bound over a finite probe set.  The probe set stores F at its
-probes, computed once: per probe, or a chunk of probes at a time when the
-problem supplies a stacked operator (the eig saddle does).  For
-saddle-point instances the functional (Nash) error is the exact duality gap
-and is computed from the instance's closed forms.
+lower bound over a finite probe set.  Written as <F(u), z> - <F(u), u>,
+the bound needs of a probe only its operator value and one number, both
+computed once, so the probe set keeps those and not the points.  The
+values come per probe, or a chunk of probes at a time when the problem
+supplies a stacked operator (the eig saddle does).  For saddle-point
+instances the functional (Nash) error is the exact duality gap and is
+computed from the instance's closed forms.
 """
 
 from __future__ import annotations
@@ -29,12 +31,10 @@ from .geometry import Pair, ProxSetup, inner
 from .rng import RandomStream
 from .symmat import BlockStructure, BlockSymMatrix
 
-# Probes per stored chunk of a ProbeSet, so per numpy call in lower_bound and
-# per stacked operator call in the build.  The chunk bounds the temporaries of
-# both: about 1 MB per stack for 4 blocks of 32 x 32 (a chunk's y points, its
-# F_y values, its bound's z - u), against 11.7 MB for all 357 probes of such an
-# instance.  One call for all of a game's 125 probes would save about 50 us per
-# bound, under 0.5% of a run.
+# Probes per stored chunk of a ProbeSet, so per stacked operator call in the
+# build and per matrix-vector product in lower_bound.  The chunk bounds the
+# build's temporaries: a chunk's stacked points, about 1 MB for 4 blocks of
+# 32 x 32, against 11.7 MB for all 357 probes of such an instance.
 _CHUNK = 32
 
 
@@ -43,7 +43,7 @@ class VIProblem:
     """Domain setup plus exact operator and its regularity constants.
 
     ``stacked_operator``, when set, maps a chunk of probe points stacked as
-    ``ProbeSet`` stores them to their operator values in the same layout; it
+    ``ProbeSet`` stacks them to their operator values in the same layout; it
     agrees with ``operator`` to round-off, and ``ProbeSet`` uses it instead
     of one ``operator`` call per probe.
     """
@@ -116,47 +116,27 @@ def _stack(items, first):
     return out
 
 
-def _inner_rows(f, z, u) -> np.ndarray:
-    """<F_i, z - U_i> for every probe i of a chunk.
-
-    f and u are the chunk's value and point stacks.  The sums run in the
-    order of ``geometry.inner``: one dot per row for arrays, per-block sums
-    added in block order for block matrices, the two parts of a pair added
-    last.
-    """
-    if isinstance(f, Pair):
-        if not isinstance(z, Pair):
-            raise InputError("point is not a pair")
-        return _inner_rows(f.x, z.x, u.x) + _inner_rows(f.y, z.y, u.y)
-    if isinstance(f, BlockStack):
-        if not isinstance(z, BlockSymMatrix) or not z.structure == f.structure == u.structure:
-            raise InputError("block structure mismatch")
-        per_group = []
-        for fs, zs, us in zip(f.stacks, z.stacks, u.stacks):
-            d = zs - us
-            d *= fs
-            per_group.append(d.reshape(len(d), len(zs), -1).sum(axis=2))
-        out = np.zeros(len(per_group[0]))
-        for g, r in f.structure.slots:
-            out += per_group[g][:, r]
-        return out
-    d = np.asarray(z, dtype=float) - u
-    return np.vecdot(f.reshape(len(f), -1), d.reshape(len(d), -1))
+def _rows(stack) -> list:
+    """The parts of a ``_stack`` result as 2-D (n, d) views, one row per
+    item: x before y for a pair, one per size group for block matrices."""
+    if isinstance(stack, Pair):
+        return _rows(stack.x) + _rows(stack.y)
+    if isinstance(stack, BlockStack):
+        return [s.reshape(len(s), -1) for s in stack.stacks]
+    return [stack.reshape(len(stack), -1)]
 
 
 class ProbeSet:
-    """Fixed probe family with pre-evaluated operator values.
+    """Fixed probe family, kept as what the residual bound needs of it.
 
-    Evaluating F at the probes once makes repeated residual lower bounds
-    cheap along a trajectory.  The probes are taken ``_CHUNK`` at a time,
-    so a generator of points is never held whole; each chunk's points and
-    values are stored as read-only stacks with a leading probe axis
-    (``chunks``, a list of (points, values) pairs).  The values of a chunk
-    come from one ``problem.stacked_operator`` call when the problem has
-    one, else from one ``problem.operator`` call per probe.
-    ``lower_bound`` handles one chunk per numpy call and adds in the order
-    of the per-probe ``inner(F(u), z - u)``, so over the stored values it
-    returns the same float as the per-probe loop.
+    A probe u enters max_u <F(u), z> - <F(u), u> through its operator value
+    and c = <F(u), u>, both computed once, so the points are held only
+    while their chunk is built.  The probes are taken ``_CHUNK`` at a time,
+    so a generator of points is never held whole.  ``chunks`` lists, per
+    chunk, the values as read-only (P, d) views of their stacks (one per
+    part, as ``_rows`` gives them) and c as a read-only (P,) array.  The
+    values of a chunk come from one ``problem.stacked_operator`` call when
+    the problem has one, else from one ``problem.operator`` call per probe.
     """
 
     def __init__(self, problem: VIProblem, probes: Iterable):
@@ -176,21 +156,30 @@ class ProbeSet:
                 if first_value is None:
                     first_value = per_probe[0]
                 values = _stack(per_probe, first_value)
-            self.chunks.append((points, values))
+            rows = _rows(values)
+            c = sum(np.vecdot(v, u) for v, u in zip(rows, _rows(points), strict=True))
+            c.setflags(write=False)
+            self.chunks.append((rows, c))
             self._n += len(chunk)
         if not self.chunks:
             raise InputError("probe set is empty")
+        self._first = first  # the template a bound's point is checked against
 
     def __len__(self):
         return self._n
 
     def lower_bound(self, z) -> float:
-        """max over the probes u of <F(u), z - u>.
+        """max over the probes u of <F(u), z> - <F(u), u>.
 
-        Raises NumericalError when a term is not finite, so that a NaN is
-        neither skipped nor returned depending on where it falls.
+        Raises InputError when z differs from the probes in type, shape or
+        block structure, and NumericalError when a term is not finite, so
+        that a NaN is neither skipped nor returned depending on where it
+        falls.
         """
-        terms = np.concatenate([_inner_rows(f, z, u) for u, f in self.chunks])
+        zs = [r[0] for r in _rows(_stack([z], self._first))]
+        terms = np.concatenate(
+            [sum(v @ x for v, x in zip(rows, zs)) - c for rows, c in self.chunks]
+        )
         if not np.isfinite(terms).all():
             raise NumericalError("non-finite probe term in the residual bound")
         return max(terms.tolist())
