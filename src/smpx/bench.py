@@ -71,9 +71,12 @@ def save_payload(path: str, payload: dict) -> str:
     return path
 
 def load_payload(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "smpx-instance":
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers malformed JSON
+        raise InputError(f"cannot read instance file {path}: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("format") != "smpx-instance":
         raise InputError(f"{path} is not an instance file")
     version = payload.get("version")
     if version not in (1, _VERSION):
@@ -702,20 +705,21 @@ def fit_slope(
 
 
 def summary_from_csv(path: str, column: str = "err_nash") -> SummaryTable:
-    """Rebuild a fit-ready summary from a results CSV."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
-    if not rows:
-        raise InputError("CSV has no data rows")
-    seeds = sorted({int(r["seed"]) for r in rows})
-    ts = sorted({int(r["t_checkpoint"]) for r in rows})
-    mat = np.full((len(seeds), len(ts)), np.nan)
-    for r in rows:
-        i = seeds.index(int(r["seed"]))
-        j = ts.index(int(r["t_checkpoint"]))
-        mat[i, j] = float(r[column])
+    """Rebuild a fit-ready summary from a results CSV (InputError if unreadable)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+        rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+        if not rows:
+            raise InputError("CSV has no data rows")
+        seeds = sorted({int(r["seed"]) for r in rows})
+        ts = sorted({int(r["t_checkpoint"]) for r in rows})
+        mat = np.full((len(seeds), len(ts)), np.nan)
+        for r in rows:
+            i, j = seeds.index(int(r["seed"])), ts.index(int(r["t_checkpoint"]))
+            mat[i, j] = float(r[column])
+    except (OSError, LookupError, ValueError) as exc:
+        raise InputError(f"cannot read {path}: {exc!r}") from None
     stats = {column: _column_stats(mat)}
     bounds = [{"t": t, "gamma": float("nan"), "k0_star": float("nan"),
                "k1_star": float("nan")} for t in ts]

@@ -10,7 +10,9 @@ import math
 import os
 import tempfile
 
-from . import bench, composite, eigopt
+import numpy as np
+
+from . import bench, composite, eigopt, symmat
 from .geometry import (
     EuclideanBallSetup,
     ProductSetup,
@@ -98,8 +100,6 @@ def spectahedron_log_linearity_margin(
     sizes=(4, 4), n_cases: int = 50, seed: int = 1, scale: float = 2.0
 ) -> float:
     """Worst deviation of prox(H(a), xi) from H(a - xi) in the trace norm."""
-    from . import symmat
-
     structure = BlockStructure(sizes)
     setup = SpectahedronSetup(structure)
     stream = RandomStream(seed)
@@ -111,6 +111,19 @@ def spectahedron_log_linearity_margin(
         rhs = symmat.entropy_map(a - xi)
         worst = max(worst, setup.norm(lhs - rhs))
     return worst
+
+
+def large_dual_step_margin(spread: float = 800.0) -> float:
+    """Distance from the center after a step from it with a dual vector of the
+    given spread, which underflows a coordinate (an eigenvalue) of the point
+    to 0, and a step back; summed over the simplex and blocks (2, 2)."""
+    spect = SpectahedronSetup(BlockStructure((2, 2)))
+    big = symmat.BlockSymMatrix(spect.structure, [np.zeros((2, 2)), np.diag([0.0, spread])])
+    total = 0.0
+    for setup, xi in ((SimplexSetup(3), np.array([0.0, spread, 0.0])), (spect, big)):
+        s = setup.step(setup.logits(setup.center), xi)[0]
+        total += setup.norm(setup.step(s, -xi)[1] - setup.center)
+    return total
 
 
 def enumeration_margin(n: int = 3, sizes=(2, 1), seed: int = 3) -> float:
@@ -204,6 +217,8 @@ def run_all(full: bool = False):
             )
     log_lin = spectahedron_log_linearity_margin()
     results.append(("spectahedron/log_linearity", log_lin <= 1e-8, f"gap={log_lin:.3e}"))
+    big = large_dual_step_margin()
+    results.append(("geometry/large_dual_step", big <= 1e-12, f"distance={big:.3e}"))
     enum_gap = enumeration_margin()
     results.append(("oracle/enumeration", enum_gap <= 1e-12, f"gap={enum_gap:.3e}"))
     results.append(("outputs/reproducible", reproducibility_ok(), "byte comparison"))

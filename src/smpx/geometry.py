@@ -14,6 +14,10 @@ Implemented domains:
 * products of any two setups, combined with capacity-normalized weights so
   the result always has alpha = 1, Theta = 1, radius sqrt(2).
 
+The solver steps in logit coordinates (``logits``, ``step``), where the
+entropy proxes are linear; steps have no limit on the spread of the dual
+vector, and ``prox_map`` from a boundary point raises DomainError.
+
 All setups are immutable and safe to share across concurrent runs; every
 operation is a pure function.
 """
@@ -28,8 +32,6 @@ from . import symmat
 from .errors import ConfigError, DomainError, InputError
 from .rng import box_muller
 from .symmat import BlockStructure, BlockSymMatrix
-
-_LOG_FLOOR = 1e-300
 
 
 class Pair:
@@ -72,14 +74,6 @@ def inner(a, b) -> float:
     return float(np.dot(np.ravel(a), np.ravel(b)))
 
 
-def copy_point(a):
-    if isinstance(a, Pair):
-        return Pair(copy_point(a.x), copy_point(a.y))
-    if isinstance(a, BlockSymMatrix):
-        return a  # read-only storage, safe to share
-    return np.array(a, dtype=float, copy=True)
-
-
 class ProxSetup:
     """Geometry bundle: norm, conjugate norm, omega, prox-mapping, capacity."""
 
@@ -104,11 +98,20 @@ class ProxSetup:
         raise NotImplementedError
 
     def omega_grad(self, z):
-        """Continuous subgradient selection of omega on the domain interior."""
+        """Continuous subgradient selection of omega on the domain interior:
+        the logits, up to a constant on the domain, unless overridden."""
+        return self.logits(z)
+
+    def logits(self, z):
+        """Coordinates of the point z in which the prox is linear."""
+        raise NotImplementedError
+
+    def step(self, s, xi):
+        """(logits, point) of prox(z, xi), given s = logits(z)."""
         raise NotImplementedError
 
     def prox_map(self, z, xi):
-        raise NotImplementedError
+        return self.step(self.logits(z), xi)[1]
 
     def bregman(self, z, u) -> float:
         """omega(u) - omega(z) - <omega'(z), u - z>."""
@@ -165,22 +168,22 @@ class EuclideanBallSetup(ProxSetup):
     def omega(self, z):
         return 0.5 * float(np.dot(z, z))
 
-    def omega_grad(self, z):
-        return np.asarray(z, dtype=float)
-
     def bregman(self, z, u):
         d = np.asarray(u) - np.asarray(z)
         return 0.5 * float(np.dot(d, d))
 
-    def prox_map(self, z, xi):
+    def logits(self, z):
+        return np.asarray(z, dtype=float)
+
+    def step(self, s, xi):
         xi = np.asarray(xi, dtype=float)
         if not np.isfinite(xi).all():
             raise InputError("non-finite dual vector")
-        v = np.asarray(z, dtype=float) - xi
+        v = s - xi
         n = float(np.linalg.norm(v))
         if n > self.radius:
             v = v * (self.radius / n)
-        return v
+        return v, v
 
     def contains(self, z, tol=1e-9):
         return float(np.linalg.norm(z)) <= self.radius + tol
@@ -215,8 +218,8 @@ class SimplexSetup(ProxSetup):
     """Full probability simplex with the entropy distance generator.
 
     Norm is l1, the conjugate is sup-norm; the prox has the exponential
-    closed form, evaluated with a max-shift so dual vectors with entries up
-    to ~700 stay finite.
+    closed form.  Steps keep the logits normalized, logsumexp(s) = 0; a
+    coordinate below exp(-745) of the largest is 0 in the point only.
     """
 
     def __init__(self, dim: int):
@@ -241,33 +244,31 @@ class SimplexSetup(ProxSetup):
         pos = z[z > 0]
         return float(np.sum(pos * np.log(pos)))
 
-    def _require_interior(self, z):
+    def omega_grad(self, z):
+        return 1.0 + self.logits(z)
+
+    def bregman(self, z, u):
+        u = np.asarray(u, dtype=float)
+        mask = u > 0
+        return float(np.sum(u[mask] * (np.log(u[mask]) - self.logits(z)[mask])))
+
+    def logits(self, z):
         z = np.asarray(z, dtype=float)
         if z.shape != (self.dim,):
             raise InputError(f"expected point of dimension {self.dim}")
         if not (z > 0.0).all():  # also rejects NaN coordinates
             raise DomainError("simplex point has a coordinate that is not positive")
-        return z
+        return np.log(z)
 
-    def omega_grad(self, z):
-        z = self._require_interior(z)
-        return 1.0 + np.log(np.maximum(z, _LOG_FLOOR))
-
-    def bregman(self, z, u):
-        z = self._require_interior(z)
-        u = np.asarray(u, dtype=float)
-        mask = u > 0
-        return float(np.sum(u[mask] * (np.log(u[mask]) - np.log(z[mask]))))
-
-    def prox_map(self, z, xi):
-        xi = np.asarray(xi, dtype=float)
-        if not np.isfinite(xi).all():
+    def step(self, s, xi):
+        s = s - xi
+        if not np.isfinite(s).all():
             raise InputError("non-finite dual vector")
-        z = self._require_interior(z)
-        s = np.log(np.maximum(z, _LOG_FLOOR)) - xi
         s -= s.max()
         w = np.exp(s)
-        return w / w.sum()
+        total = w.sum()
+        s -= math.log(total)
+        return s, w / total
 
     def contains(self, z, tol=1e-9):
         z = np.asarray(z, dtype=float)
@@ -296,7 +297,8 @@ class SpectahedronSetup(ProxSetup):
     Norm is the trace norm, the conjugate is the spectral norm.  The prox
     is linear in the matrix logarithm: prox(z, xi) = H(log z - xi) with
     H(b) = exp(b) / Tr exp(b), computed blockwise through eigendecomposition
-    with a global max-eigenvalue shift.
+    with a global max-eigenvalue shift.  Steps take the new logits from the
+    same decomposition, log H(b) = b - log Tr exp(b) I.
     """
 
     def __init__(self, structure: BlockStructure):
@@ -323,30 +325,20 @@ class SpectahedronSetup(ProxSetup):
         pos = lam[lam > 0]
         return float(np.sum(pos * np.log(pos)))
 
-    def _interior_log(self, z):
-        """log z of an interior point.
-
-        The log and the interior check that guards it are memoized on the
-        immutable point, so the two prox steps that SMP takes from one
-        iterate compute them once.
-        """
+    def logits(self, z):
         if not isinstance(z, BlockSymMatrix) or z.structure != self.structure:
             raise InputError("point does not match the block structure")
-        if z._log is None:
-            if min(vals.min() for vals in symmat.cached_eigh(z).vals) <= 0.0:
-                raise DomainError("matrix has a nonpositive eigenvalue")
-            z._log = symmat.matrix_log(z)
-        return z._log
+        if min(vals.min() for vals in symmat.cached_eigh(z).vals) <= 0.0:
+            raise DomainError("matrix has a nonpositive eigenvalue")
+        return symmat.matrix_log(z)
 
-    def omega_grad(self, z):
-        return self._interior_log(z)
-
-    def prox_map(self, z, xi):
-        if not isinstance(xi, BlockSymMatrix) or xi.structure != self.structure:
-            raise InputError("dual vector does not match the block structure")
-        if not xi.is_finite():
-            raise InputError("non-finite dual vector")
-        return symmat.entropy_map(self._interior_log(z) - xi)
+    def step(self, s, xi):
+        b = s - xi  # InputError on a mismatched xi; eigh rejects a non-finite one
+        z, log_trace = symmat._entropy_map_and_log_trace(b)
+        stacks = [a.copy() for a in b.stacks]
+        for a, (p, _) in zip(stacks, self.structure.groups):
+            a.reshape(len(a), p * p)[:, ::p + 1] -= log_trace  # the diagonals
+        return BlockSymMatrix.from_stacks(self.structure, stacks), z
 
     def contains(self, z, tol=1e-9):
         if not isinstance(z, BlockSymMatrix) or z.structure != self.structure:
@@ -464,11 +456,13 @@ class ProductSetup(ProxSetup):
             + self.sy.bregman(z.y, u.y) / self.scale_y
         )
 
-    def prox_map(self, z, xi):
-        return Pair(
-            self.sx.prox_map(z.x, self.scale_x * xi.x),
-            self.sy.prox_map(z.y, self.scale_y * xi.y),
-        )
+    def logits(self, z):
+        return Pair(self.sx.logits(z.x), self.sy.logits(z.y))
+
+    def step(self, s, xi):
+        sx, x = self.sx.step(s.x, self.scale_x * xi.x)
+        sy, y = self.sy.step(s.y, self.scale_y * xi.y)
+        return Pair(sx, sy), Pair(x, y)
 
     def contains(self, z, tol=1e-9):
         return self.sx.contains(z.x, tol) and self.sy.contains(z.y, tol)

@@ -8,7 +8,8 @@ Each iteration of the mirror-prox scheme queries the oracle twice:
 and the reported solution is the average of the w's.  The baseline
 (robust mirror stochastic approximation) takes a single prox step per
 iteration and averages the r's.  Runs start at the omega-minimizer, use a
-constant stepsize, and are deterministic given the seed.
+constant stepsize, and are deterministic given the seed.  The loop carries
+r's logits (``ProxSetup.step``), so it takes log r once, at the start.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import ConfigError, DomainError, InputError, NumericalError
-from .geometry import copy_point
+from .errors import ConfigError, InputError, NumericalError
 from .rng import RandomStream
 from .vi import VIProblem
 
@@ -135,16 +135,16 @@ def _check_checkpoints(checkpoints, t: int):
     return cps
 
 
-def _smp_step(setup, oracle, gamma, r, stream):
-    """Two prox steps from r; returns (next iterate, the point averaged)."""
-    w = setup.prox_map(r, gamma * oracle(r, stream))
-    return setup.prox_map(r, gamma * oracle(w, stream)), w
+def _smp_step(setup, oracle, gamma, s, r, stream):
+    """Two prox steps from r (logits s); returns (s', r', the point averaged)."""
+    w = setup.step(s, gamma * oracle(r, stream))[1]
+    return (*setup.step(s, gamma * oracle(w, stream)), w)
 
 
-def _rmsa_step(setup, oracle, gamma, r, stream):
+def _rmsa_step(setup, oracle, gamma, s, r, stream):
     """One prox step from r; the new iterate is also the point averaged."""
-    r = setup.prox_map(r, gamma * oracle(r, stream))
-    return r, r
+    s, r = setup.step(s, gamma * oracle(r, stream))
+    return s, r, r
 
 
 def _run(algorithm, step, problem, oracle, policy, seed, checkpoints, error_fn,
@@ -155,7 +155,8 @@ def _run(algorithm, step, problem, oracle, policy, seed, checkpoints, error_fn,
     setup = problem.setup
     gamma = policy.gamma
     stream = RandomStream(seed)
-    r = setup.center if start is None else copy_point(start)
+    r = setup.center if start is None else start
+    s = setup.logits(r)
 
     record = RunRecord(
         algorithm=algorithm,
@@ -172,8 +173,8 @@ def _run(algorithm, step, problem, oracle, policy, seed, checkpoints, error_fn,
     began = time.perf_counter()
     for tau in range(1, policy.t + 1):
         try:
-            r, point = step(setup, oracle, gamma, r, stream)
-        except (InputError, DomainError) as exc:
+            s, r, point = step(setup, oracle, gamma, s, r, stream)
+        except InputError as exc:
             raise NumericalError(f"solver failed at step {tau}: {exc}") from exc
         record.oracle_calls += calls_per_step
         acc = point if acc is None else acc + point

@@ -10,8 +10,8 @@ iterates cannot be written through.
 
 Spectral computations go through numpy's symmetric eigensolver, with
 eigenvalues reported in descending order.  Objects carry an optional cached
-eigendecomposition so that chained entropy-map / matrix-log calls (the
-spectahedron prox) pay for one decomposition, not two.
+eigendecomposition, and an entropy-map result comes with its own, so its
+norms and its logarithm cost no second decomposition.
 
 Sums that reach results (traces, Frobenius products, the entropy-map
 normalizer) add per-block sums in block order, so the values do not depend
@@ -25,7 +25,6 @@ import numpy as np
 from .errors import ConfigError, InputError
 
 _SYM_RTOL = 1e-12
-_LOG_FLOOR = 1e-300  # eigenvalue clamp before logarithms
 
 
 class BlockStructure:
@@ -113,12 +112,10 @@ class BlockSymMatrix:
     Each block must be symmetric to within 1e-12 relative tolerance; blocks
     are exactly symmetrized on construction so downstream identities hold to
     round-off.  ``stacks`` holds one read-only (k, p, p) array per size
-    group of the structure.  ``_eig`` and ``_log`` memoize the
-    eigendecomposition and, for interior spectahedron points, the matrix
-    logarithm.
+    group of the structure.  ``_eig`` memoizes the eigendecomposition.
     """
 
-    __slots__ = ("structure", "stacks", "_eig", "_blocks", "_log")
+    __slots__ = ("structure", "stacks", "_eig", "_blocks")
 
     def __init__(self, structure: BlockStructure, blocks, _validate: bool = True):
         blocks = [np.asarray(b, dtype=float) for b in blocks]
@@ -153,7 +150,6 @@ class BlockSymMatrix:
         self.stacks = tuple(stacks)
         self._eig = eig
         self._blocks = None
-        self._log = None
 
     @classmethod
     def from_stacks(cls, structure: BlockStructure, stacks, eig=None) -> "BlockSymMatrix":
@@ -274,10 +270,15 @@ def eigenvalues(a: BlockSymMatrix) -> np.ndarray:
 def entropy_map(b: BlockSymMatrix) -> BlockSymMatrix:
     """Normalized matrix exponential exp(b) / Tr(exp(b)).
 
-    The largest eigenvalue across all blocks is subtracted before
-    exponentiating, so the map stays finite for spectral ranges up to ~700.
+    Subtracting the largest eigenvalue across all blocks first keeps it
+    finite for any spectrum; eigenvalues ~745 below the largest give 0.
     The result is PSD with unit total trace and carries its decomposition.
     """
+    return _entropy_map_and_log_trace(b)[0]
+
+
+def _entropy_map_and_log_trace(b: BlockSymMatrix):
+    """(entropy_map(b), log Tr exp(b)) from one decomposition of b."""
     decomp = cached_eigh(b)
     shift = max(float(vals[:, 0].max()) for vals in decomp.vals)
     ws = [np.exp(vals - shift) for vals in decomp.vals]
@@ -285,20 +286,15 @@ def entropy_map(b: BlockSymMatrix) -> BlockSymMatrix:
     total = sum(structure.in_block_order([w.sum(axis=1) for w in ws]).tolist())
     lams = [w / total for w in ws]
     stacks = [_rebuild(q, lam) for q, lam in zip(decomp.vecs, lams)]
-    return BlockSymMatrix.from_stacks(structure, stacks, Eigh(structure, lams, decomp.vecs))
+    z = BlockSymMatrix.from_stacks(structure, stacks, Eigh(structure, lams, decomp.vecs))
+    return z, shift + np.log(total)
 
 
 def matrix_log(a: BlockSymMatrix) -> BlockSymMatrix:
-    """Principal logarithm through the eigendecomposition.
-
-    Eigenvalues are clamped below at 1e-300 before the log, the same
-    boundary guard the entropy geometry uses.
-    """
+    """Principal logarithm through the eigendecomposition, for a positive
+    definite a; a zero eigenvalue gives non-finite entries."""
     decomp = cached_eigh(a)
-    stacks = [
-        _rebuild(q, np.log(np.maximum(vals, _LOG_FLOOR)))
-        for vals, q in zip(decomp.vals, decomp.vecs)
-    ]
+    stacks = [_rebuild(q, np.log(vals)) for vals, q in zip(decomp.vals, decomp.vecs)]
     return BlockSymMatrix.from_stacks(a.structure, stacks)
 
 

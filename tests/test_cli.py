@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 from smpx.cli import main
 
@@ -86,6 +88,30 @@ class TestRunCommand:
     def test_missing_instance_exits_2(self):
         assert main(["run", "--t", "8"]) == 2
 
+    def test_instance_file_not_found_exits_2(self, tmp_path):
+        assert main(["run", "--instance", str(tmp_path / "missing.json"), "--t", "8"]) == 2
+
+    def test_truncated_instance_file_exits_2(self, tmp_path):
+        inst = tmp_path / "inst.json"
+        main(["generate", "--kind", "eig_min", "--n", "4", "--blocks", "2,2",
+              "--seed", "3", "--out", str(inst)])
+        text = inst.read_text()
+        inst.write_text(text[: len(text) // 2])
+        assert main(["run", "--instance", str(inst), "--t", "8"]) == 2
+
+    def test_large_rmsa_stepsize_runs_to_completion(self, tmp_path):
+        # one dual step here underflows an eigenvalue of the iterate to 0
+        out = str(tmp_path / "big")
+        code = main(["run", "--kind", "eig_min", "--gen-seed", "7", "--n", "20",
+                     "--blocks", "4,4,4", "--solver", "rmsa", "--gamma", "5",
+                     "--t", "2000", "--seed-count", "2", "--checkpoints", "final",
+                     "--out", out])
+        assert code == 0
+        with open(out + ".csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        assert all(math.isfinite(float(r["err_nash"])) for r in rows)
+
     def test_infeasible_gamma_exits_2(self, tmp_path):
         inst = str(tmp_path / "inst.json")
         main(["generate", "--kind", "eig_min", "--n", "4", "--blocks", "2,2",
@@ -133,3 +159,20 @@ class TestSlopeCommand:
             lines.append(f"0,{t},0.0,0.0,0.1,{2 * t},0")
         open(path, "w").write("\n".join(lines) + "\n")
         assert main(["slope", "--csv", path, "--t-min", "1", "--t-max", "16"]) == 3
+
+    def _csv(self, tmp_path, cell):
+        path = str(tmp_path / "res.csv")
+        lines = ["seed,t_checkpoint,err_nash,err_vi_probe,gamma,oracle_calls,wall_ms"]
+        for t in (1, 2, 4, 8, 16):
+            lines.append(f"0,{t},{cell if t == 4 else 1.0 / t},0.0,0.1,{2 * t},0")
+        open(path, "w").write("\n".join(lines) + "\n")
+        return path
+
+    def test_unknown_column_exits_2(self, tmp_path):
+        path = self._csv(tmp_path, 0.25)
+        assert main(["slope", "--csv", path, "--t-min", "1", "--t-max", "16",
+                     "--column", "nope"]) == 2
+
+    def test_non_numeric_cell_exits_2(self, tmp_path):
+        path = self._csv(tmp_path, "abc")
+        assert main(["slope", "--csv", path, "--t-min", "1", "--t-max", "16"]) == 2

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     assert_same_bytes,
@@ -10,7 +12,7 @@ from helpers import (
     ref_spectahedron_random_point,
     simplex_prox_argmin,
 )
-from smpx import symmat
+from smpx import bench, checks, eigopt, symmat
 from smpx.errors import ConfigError, DomainError, InputError
 from smpx.geometry import (
     EuclideanBallSetup,
@@ -21,7 +23,9 @@ from smpx.geometry import (
     inner,
 )
 from smpx.rng import RandomStream
+from smpx.solver import StepsizePolicy, smp_run
 from smpx.symmat import BlockStructure
+from smpx.vi import exact_oracle
 
 
 def all_setups():
@@ -252,29 +256,97 @@ class TestProduct:
             assert inner(xi, z - u) <= ps.dual_norm(xi) * ps.norm(z - u) + 1e-10
 
 
-class TestSpectahedronLogMemo:
-    """The prox takes log z once per point and equals the unmemoized path."""
+def _logit_mass(setup, s) -> float:
+    """sum exp(s) on the simplex, Tr exp(L) on the spectahedron."""
+    if isinstance(setup, SimplexSetup):
+        return math.fsum(np.exp(s))
+    return math.fsum(np.exp(np.concatenate([np.linalg.eigvalsh(b) for b in s.blocks])))
 
-    def test_prox_equals_reference_and_logs_once(self, monkeypatch):
+
+class TestLogitSteps:
+    """Steps in logit coordinates agree with the prox, take no matrix log
+    after the start point, and survive dual steps whose spread underflows
+    the point to the boundary."""
+
+    def test_prox_equals_entropy_map_of_log(self):
         setup = SpectahedronSetup(BlockStructure((3, 1, 3, 2)))
         stream = RandomStream(8)
-        real_log = symmat.matrix_log
-        calls = []
-        monkeypatch.setattr(symmat, "matrix_log", lambda a: calls.append(a) or real_log(a))
         with_decomposition = setup.random_point(stream)  # an entropy-map output
         plain = symmat.BlockSymMatrix(
             setup.structure, setup.random_point(stream, interior=False).blocks
         )
         for z in (with_decomposition, plain):
-            calls.clear()
             for _ in range(3):
                 xi = setup.random_dual(stream, 2.0)
                 got = setup.prox_map(z, xi)
-                ref = symmat.entropy_map(real_log(z) - xi)
+                ref = symmat.entropy_map(symmat.matrix_log(z) - xi)
                 for a, b in zip(got.stacks, ref.stacks):
                     assert_same_bytes(a, b)
-            assert calls == [z]
-            assert setup.omega_grad(z) is setup.omega_grad(z)
+
+    @given(
+        sizes=st.one_of(
+            st.integers(2, 8),  # a simplex of this dimension
+            st.lists(st.integers(1, 5), min_size=1, max_size=4).filter(lambda s: sum(s) >= 2),
+        ),
+        k=st.integers(1, 6),
+        scale=st.floats(0.1, 5.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_chained_steps_match_chained_prox(self, sizes, k, scale, seed):
+        if isinstance(sizes, int):
+            setup = SimplexSetup(sizes)
+        else:
+            setup = SpectahedronSetup(BlockStructure(sizes))
+        stream = RandomStream(seed)
+        z = setup.center
+        s, point = setup.logits(z), z
+        for _ in range(k):
+            xi = setup.random_dual(stream, scale)
+            s, point = setup.step(s, xi)
+            z = setup.prox_map(z, xi)
+            assert setup.norm(point - z) <= 1e-12
+            assert abs(_logit_mass(setup, s) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("t", [1, 7, 40])
+    def test_smp_run_logs_only_the_start_point(self, monkeypatch, t):
+        payload = bench.build_instance_payload("eig_min", {"n": 4, "blocks": [2, 1, 3]}, 3)
+        problem = eigopt.build_saddle(bench.payload_to_instance(payload)[1]).problem
+        real_log = symmat.matrix_log
+        calls = []
+        monkeypatch.setattr(symmat, "matrix_log", lambda a: calls.append(a) or real_log(a))
+        gamma = 0.5 / (math.sqrt(3.0) * problem.lip_l)
+        smp_run(problem, exact_oracle(problem), StepsizePolicy(gamma, t), 0, [t])
+        assert len(calls) == 1
+        for a, b in zip(calls[0].stacks, problem.setup.center.y.stacks):
+            assert_same_bytes(a, b)
+
+    def test_simplex_large_dual_step(self):
+        setup = SimplexSetup(3)
+        xi = np.array([0.0, 800.0, 0.0])
+        s, z = setup.step(setup.logits(setup.center), xi)
+        assert z[1] == 0.0  # the point is on the boundary, the logits are not
+        assert np.isfinite(s).all()
+        assert abs(_logit_mass(setup, s) - 1.0) <= 1e-12
+        s, z = setup.step(s, -xi)
+        assert np.isfinite(s).all()
+        assert abs(_logit_mass(setup, s) - 1.0) <= 1e-12
+        assert setup.norm(z - setup.center) <= 1e-12
+
+    def test_spectahedron_large_dual_step(self):
+        setup = SpectahedronSetup(BlockStructure((2, 2)))
+        xi = symmat.BlockSymMatrix(setup.structure, [np.zeros((2, 2)), np.diag([0.0, 800.0])])
+        s, z = setup.step(setup.logits(setup.center), xi)
+        assert symmat.lambda_min(z) == 0.0
+        assert s.is_finite()
+        assert abs(_logit_mass(setup, s) - 1.0) <= 1e-12
+        s, z = setup.step(s, -xi)
+        assert s.is_finite()
+        assert abs(_logit_mass(setup, s) - 1.0) <= 1e-12
+        assert setup.norm(z - setup.center) <= 1e-12
+
+    def test_large_dual_step_check_passes(self):
+        assert checks.large_dual_step_margin() <= 1e-12
 
     def test_boundary_point_rejected_on_every_call(self):
         setup = SpectahedronSetup(BlockStructure((2, 1)))

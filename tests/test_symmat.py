@@ -44,8 +44,8 @@ class TestConstruction:
         assert np.allclose(m.blocks[0], m.blocks[0].T)
 
     def test_blocks_and_stacks_are_read_only(self):
-        # points are shared between iterates (geometry.copy_point), so an
-        # in-place write must fail rather than corrupt another iterate
+        # points are shared between iterates and runs, so an in-place
+        # write must fail rather than corrupt another iterate
         m = mat([np.eye(2), np.eye(3), 2.0 * np.eye(2)])
         with pytest.raises(ValueError):
             m.blocks[1][0, 0] = 5.0
