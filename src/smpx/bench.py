@@ -30,6 +30,8 @@ import binascii
 import dataclasses
 import json
 import math
+import numbers
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -65,18 +67,34 @@ def canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def save_payload(path: str, payload: dict) -> str:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(payload))
+    _write_text(path, canonical_json(payload))
     return path
 
-def load_payload(path: str) -> dict:
+
+def read_json_object(path: str, what: str) -> dict:
+    """The JSON object a file holds; InputError if it cannot be read as one."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            data = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError covers malformed JSON
-        raise InputError(f"cannot read instance file {path}: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("format") != "smpx-instance":
+        raise InputError(f"cannot read {what} {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"{what} {path} does not hold a JSON object")
+    return data
+
+
+def load_payload(path: str) -> dict:
+    payload = read_json_object(path, "instance file")
+    if payload.get("format") != "smpx-instance":
         raise InputError(f"{path} is not an instance file")
     version = payload.get("version")
     if version not in (1, _VERSION):
@@ -379,10 +397,23 @@ class ExperimentConfig:
         return cps
 
     def validate(self):
+        """Reject a bad setting before any instance is built."""
         if self.solver not in ("smp", "rmsa"):
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.oracle not in ("sampled", "exact"):
             raise ConfigError(f"unknown oracle mode {self.oracle!r}")
+        if not (self.stepsize == "auto" or isinstance(self.stepsize, numbers.Real)):
+            raise ConfigError(f"stepsize must be 'auto' or a number, got {self.stepsize!r}")
+        for name in ("t", "k", "seeds", "seed_count", "seed_base", "checkpoints", "n_probes",
+                     "probe_seed"):
+            value = getattr(self, name)
+            ints = value if isinstance(value, (list, tuple)) else [value]
+            if value not in (None, "geometric", "final") and not all(
+                isinstance(v, numbers.Integral) for v in ints
+            ):
+                raise ConfigError(f"{name} must be an integer or a list of them, got {value!r}")
+        if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
+            raise ConfigError(f"output directory of {self.out!r} does not exist")
         if self.k < 1:
             raise ConfigError("oracle averaging width must be >= 1")
         if len(self.horizons()) > 1 and self.checkpoints != "final":
@@ -635,8 +666,7 @@ def _write_outputs(cfg, constants, seeds, rows, bounds, summary) -> dict:
                     ]
                 )
             )
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(csv_path, "\n".join(lines) + "\n")
 
     sidecar = {
         "config": cfg.to_dict(),
@@ -645,8 +675,7 @@ def _write_outputs(cfg, constants, seeds, rows, bounds, summary) -> dict:
         "stats": summary.stats,
         "library_version": _version,
     }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(sidecar, sort_keys=True, indent=1, default=float) + "\n")
+    _write_text(json_path, json.dumps(sidecar, sort_keys=True, indent=1, default=float) + "\n")
     return {"csv": csv_path, "json": json_path}
 
 

@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import bench, checks
@@ -20,6 +19,13 @@ def _int_list(text: str):
 
 def _float_list(text: str):
     return [float(v) for v in str(text).split(",") if v != ""]
+
+
+def _float_or_text(text: str):
+    try:  # a non-number is left for the config's validation to reject
+        return float(text)
+    except ValueError:
+        return text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,7 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--t", type=_int_list, help="horizon(s), e.g. 10000 or 100,1000")
     run.add_argument("--k", type=int, help="oracle averaging width")
     run.add_argument("--oracle", choices=["sampled", "exact"])
-    run.add_argument("--gamma", help="'auto' or an explicit stepsize")
+    run.add_argument("--gamma", type=_float_or_text,
+                     help="'auto' or an explicit stepsize")
     run.add_argument("--seeds", type=_int_list, help="explicit seed list")
     run.add_argument("--seed-count", type=int)
     run.add_argument("--seed-base", type=int)
@@ -91,10 +98,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    data = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    data = bench.read_json_object(args.config, "config file") if args.config else {}
     if args.instance:
         data["instance"] = {"path": args.instance}
     elif args.kind:
@@ -110,30 +114,18 @@ def _cmd_run(args) -> int:
         }
     if "instance" not in data:
         raise ConfigError("provide --config, --instance or --kind")
-    if args.solver:
-        data["solver"] = args.solver
+    flags = {"solver": args.solver, "k": args.k, "oracle": args.oracle, "stepsize": args.gamma,
+             "seeds": args.seeds, "seed_base": args.seed_base, "n_probes": args.n_probes,
+             "out": args.out}
+    data.update((key, value) for key, value in flags.items() if value is not None)
     if args.t:
         data["t"] = args.t if len(args.t) > 1 else args.t[0]
-    if args.k is not None:
-        data["k"] = args.k
-    if args.oracle:
-        data["oracle"] = args.oracle
-    if args.gamma is not None:
-        data["stepsize"] = "auto" if args.gamma == "auto" else float(args.gamma)
-    if args.seeds is not None:
-        data["seeds"] = args.seeds
     if args.seed_count is not None:
         data["seed_count"] = args.seed_count
         data.pop("seeds", None)
-    if args.seed_base is not None:
-        data["seed_base"] = args.seed_base
     if args.checkpoints is not None:
         cps = args.checkpoints
         data["checkpoints"] = cps if cps in ("geometric", "final") else _int_list(cps)
-    if args.n_probes is not None:
-        data["n_probes"] = args.n_probes
-    if args.out:
-        data["out"] = args.out
 
     records, summary, files = bench.run_experiment(data)
     total_ms = sum(rec.wall_ms for recs in records.values() for rec in recs)

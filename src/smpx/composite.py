@@ -10,11 +10,12 @@ turns into a convex-concave saddle problem with the monotone operator
 F is linear in the component values and gradients, so unbiased component
 oracles induce an unbiased oracle for F.  One family is represented: the
 matrix-minimax one, Phi(u) = max_l lambda_max(u_l), where A_l selects the
-l-th diagonal block of a spectahedron variable y, b_l = 0 and Phi_* = 0.
-So F(x, y) = [ sum_l [phi_l'(x)]^* y_l ; -sum_l A_l^* phi_l(x) ].  A
-component's draw returns its value estimate together with its adjoint
-gradient at y_l, and A_l^* embeds a p_l x p_l matrix as block l of an
-otherwise zero y.  The oracle of F is a plain function (z, stream).
+l-th diagonal block of a spectahedron variable y, b_l = 0, Phi_* = 0 and
+component l has a weight beta_l: F(x, y) = [ sum_l beta_l [phi_l'(x)]^* y_l ;
+-blockdiag(beta_l phi_l(x)) ].  A component's draw returns its value
+estimate and its adjoint gradient at y_l; the operator weights both and
+writes the value into block l of one y stack.  The oracle of F is a plain
+function (z, stream).
 
 The semidefinite-feasibility pipeline rebalances a system psi_l <= 0 so
 every component contributes the same regularity scale, builds the induced
@@ -181,25 +182,6 @@ class NoisyAffineComponent(Component):
         return f_hat, self.base.grad_adjoint(x, y_l) + bump * signs
 
 
-class ScaledComponent(Component):
-    """beta * phi with the oracle rescaled accordingly."""
-
-    def __init__(self, base: Component, beta: float):
-        self.base = base
-        self.beta = float(beta)
-        self.p = base.p
-
-    def value(self, x):
-        return self.beta * self.base.value(x)
-
-    def grad_adjoint(self, x, u):
-        return self.beta * self.base.grad_adjoint(x, u)
-
-    def sample(self, x, y_l, stream):
-        f_hat, g = self.base.sample(x, y_l, stream)
-        return self.beta * f_hat, self.beta * g
-
-
 # ---------------------------------------------------------------------------
 # the composite problem
 
@@ -208,53 +190,49 @@ class ScaledComponent(Component):
 class CompositeProblem:
     """Saddle data of a matrix-minimax problem: geometries and components.
 
-    Component l owns block l of the spectahedron y_setup, whose selector is
-    A_l; the offsets b_l and the outer conjugate Phi_* are zero.  l_x, m_x
-    bound the component derivatives per the composite contract.
+    min_x max_l lambda_max(beta_l phi_l(x)).  Component l owns block l of
+    the spectahedron y_setup, whose selector is A_l; the offsets b_l and the
+    outer conjugate Phi_* are zero.  l_x, m_x bound the weighted derivatives.
     """
 
     x_setup: ProxSetup
     y_setup: SpectahedronSetup
     components: tuple
+    betas: tuple
     l_x: float = 0.0
     m_x: float = 0.0
 
 
 def _saddle_operator(cp: CompositeProblem, z: Pair, draw) -> Pair:
-    """F(z) assembled from per-component data.
+    """F(z) in one pass over the components, in index order.
 
     ``draw(comp, x, y_l)`` returns the component's value (or its estimate)
-    and the matching adjoint gradient at block y_l of y.  Components are
-    drawn in index order, and errors are annotated with the component index.
-    The y-part sums one zero-padded block matrix A_l^* phi_l per component
-    in index order; writing the values into one stack instead would change
-    the sign of zero entries, since -0.0 + 0.0 is +0.0.
+    and the adjoint gradient at block y_l; errors carry the component index.
+    F_y is beta_l f_l + pad in block l of one zero stack, negated.  A sum of
+    zero-padded blocks turns -0.0 into +0.0 once m >= 2; pad = +0.0 keeps
+    those bytes, and pad = -0.0 (no change) serves m = 1.
     """
     x, y = z.x, z.y
     structure = cp.y_setup.structure
+    stacks = [np.zeros((len(ids), p, p)) for p, ids in structure.groups]
+    pad = 0.0 if len(cp.components) > 1 else -0.0
     fx = None
-    acc_y = None
-    for idx, comp in enumerate(cp.components):
+    for idx, (comp, beta) in enumerate(zip(cp.components, cp.betas, strict=True)):
+        g, r = structure.slots[idx]
         try:
-            f_hat, gx = draw(comp, x, y.blocks[idx])
-            stacks = [np.zeros((len(ids), p, p)) for p, ids in structure.groups]
-            g, r = structure.slots[idx]
-            stacks[g][r] = f_hat
-            term = BlockSymMatrix.from_stacks(structure, stacks)
+            f_hat, gx = draw(comp, x, y.stacks[g][r])
+            stacks[g][r] = beta * f_hat + pad
         except Exception as exc:  # noqa: BLE001 - annotate with the component index
             raise InputError(f"component {idx} failed: {exc}") from exc
-        fx = gx if fx is None else fx + gx
-        acc_y = term if acc_y is None else acc_y + term
-    return Pair(fx, -acc_y)
-
-
-def _exact_data(comp: Component, x, y_l):
-    return comp.value(x), comp.grad_adjoint(x, y_l)
+        fx = beta * gx if fx is None else fx + beta * gx
+    for s in stacks:
+        np.negative(s, out=s)
+    return Pair(fx, BlockSymMatrix.from_stacks(structure, stacks))
 
 
 def composite_operator(cp: CompositeProblem, z: Pair) -> Pair:
     """Exact monotone operator of the saddle reformulation."""
-    return _saddle_operator(cp, z, _exact_data)
+    return _saddle_operator(cp, z, lambda c, x, y_l: (c.value(x), c.grad_adjoint(x, y_l)))
 
 
 def composite_oracle(cp: CompositeProblem, z: Pair, stream: RandomStream) -> Pair:
@@ -306,18 +284,20 @@ def build_oracle(cp: CompositeProblem) -> Callable:
 
 
 def matrix_minimax_problem(
-    x_setup: ProxSetup, components: Sequence[Component], **constants
+    x_setup: ProxSetup, components: Sequence[Component], betas=None, **constants
 ) -> CompositeProblem:
-    """min_x max_l lambda_max(phi_l(x)) over a unit-trace block y-variable."""
+    """min_x max_l lambda_max(beta_l phi_l(x)); the weights default to 1.0."""
     comps = tuple(components)
+    weights = (1.0,) * len(comps) if betas is None else tuple(float(b) for b in betas)
     y_setup = SpectahedronSetup(BlockStructure([c.p for c in comps]))
-    return CompositeProblem(x_setup=x_setup, y_setup=y_setup, components=comps, **constants)
+    return CompositeProblem(x_setup, y_setup, comps, weights, **constants)
 
 
 def minimax_primal_value(cp: CompositeProblem, x) -> float:
-    """max_l lambda_max(phi_l(x)) for the matrix-minimax family."""
+    """max_l lambda_max(beta_l phi_l(x)) for the matrix-minimax family."""
     return max(
-        float(np.linalg.eigvalsh(c.value(x))[-1]) for c in cp.components
+        float(np.linalg.eigvalsh(b * c.value(x))[-1])
+        for c, b in zip(cp.components, cp.betas, strict=True)
     )
 
 
@@ -360,9 +340,9 @@ class ScaledSdf(NamedTuple):
 def sdf_scale(sys: SDFSystem, t: int) -> ScaledSdf:
     """Rebalance the system for a t-step run and build the minimax problem.
 
-    Component l is scaled by beta_l = mu / mu_l where mu_l combines its
+    Component l is weighted by beta_l = mu / mu_l where mu_l combines its
     smoothness (discounted by sqrt(t)) and noise, and mu is the worst scale.
-    Returns the scaled problem, the pipeline stepsize, and the accuracy
+    Returns the weighted problem, the pipeline stepsize, and the accuracy
     prediction 80 R_x sqrt(ln sum p) mu / sqrt(t) for the scaled violations.
     """
     if t < 1:
@@ -376,10 +356,9 @@ def sdf_scale(sys: SDFSystem, t: int) -> ScaledSdf:
         raise ConfigError("a component has zero scale and cannot be rebalanced")
     mu = float(mus.max())
     betas = mu / mus
-    comps = [
-        ScaledComponent(p.component, b) for p, b in zip(sys.parts, betas)
-    ]
-    cp = matrix_minimax_problem(sys.x_setup, comps, l_x=mu * rt / ox, m_x=mu)
+    cp = matrix_minimax_problem(
+        sys.x_setup, [p.component for p in sys.parts], betas, l_x=mu * rt / ox, m_x=mu
+    )
     logp = math.log(sum(sys.block_sizes))
     lip = 10.0 * math.sqrt(logp) * ox * mu * (rt + 1.0)
     noise = 4.0 * math.sqrt(logp) * ox * mu

@@ -4,9 +4,9 @@ A matrix is stored as one C-contiguous (k, p, p) array per block-size
 group: the k diagonal blocks of size p, in block order.  ``BlockStructure``
 works out the groups once, and every kernel makes one numpy call per group,
 not one per block.  The full N x N matrix is never materialized.  The
-stored stacks are read-only, and ``.blocks`` is a read-only tuple of views
-into them for callers that pick out one block, so a matrix shared between
-iterates cannot be written through.
+stored stacks are read-only, so a matrix shared between iterates cannot be
+written through.  ``.blocks`` builds read-only per-block views on each
+read; kernels pick one block as ``stacks[g][r]`` via ``structure.slots``.
 
 Spectral computations go through numpy's symmetric eigensolver, with
 eigenvalues reported in descending order.  Objects carry an optional cached
@@ -112,10 +112,12 @@ class BlockSymMatrix:
     Each block must be symmetric to within 1e-12 relative tolerance; blocks
     are exactly symmetrized on construction so downstream identities hold to
     round-off.  ``stacks`` holds one read-only (k, p, p) array per size
-    group of the structure.  ``_eig`` memoizes the eigendecomposition.
+    group of the structure; ``.blocks`` gives per-block views of them in
+    block order, built on each read and not kept.  ``_eig`` memoizes the
+    eigendecomposition.
     """
 
-    __slots__ = ("structure", "stacks", "_eig", "_blocks")
+    __slots__ = ("structure", "stacks", "_eig")
 
     def __init__(self, structure: BlockStructure, blocks, _validate: bool = True):
         blocks = [np.asarray(b, dtype=float) for b in blocks]
@@ -149,7 +151,6 @@ class BlockSymMatrix:
         self.structure = structure
         self.stacks = tuple(stacks)
         self._eig = eig
-        self._blocks = None
 
     @classmethod
     def from_stacks(cls, structure: BlockStructure, stacks, eig=None) -> "BlockSymMatrix":
@@ -160,10 +161,8 @@ class BlockSymMatrix:
 
     @property
     def blocks(self) -> tuple:
-        """Read-only views of the blocks, in block order."""
-        if self._blocks is None:
-            self._blocks = tuple(self.stacks[g][r] for g, r in self.structure.slots)
-        return self._blocks
+        """Read-only views of the blocks, in block order, made on each read."""
+        return tuple(self.stacks[g][r] for g, r in self.structure.slots)
 
     # -- constructors -------------------------------------------------
 

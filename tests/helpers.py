@@ -182,7 +182,8 @@ def ref_noisy_sample(comp, x, y_l, stream):
 def ref_composite_oracle(cp, z, stream):
     """Oracle draw that adds one zero-padded block matrix per component.
 
-    Each padded term is stacked from a list of blocks, zeros except block l.
+    Each draw is weighted by its beta, and each padded term is stacked from
+    a list of blocks, zeros except block l.
     """
     from smpx.geometry import Pair
     from smpx.symmat import BlockSymMatrix
@@ -192,6 +193,7 @@ def ref_composite_oracle(cp, z, stream):
     fx = acc_y = None
     for l, comp in enumerate(cp.components):
         f_hat, gx = comp.sample(z.x, z.y.blocks[l], stream)
+        f_hat, gx = cp.betas[l] * f_hat, cp.betas[l] * gx
         blocks = [f_hat if i == l else np.zeros((p, p)) for i, p in enumerate(sizes)]
         term = BlockSymMatrix(structure, blocks, _validate=False)
         fx = gx if fx is None else fx + gx

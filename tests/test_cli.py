@@ -2,7 +2,26 @@ import csv
 import json
 import math
 
+import pytest
+
+from smpx import bench
 from smpx.cli import main
+
+RUN = ["run", "--kind", "eig_min", "--n", "4", "--t", "8", "--seeds", "0"]
+
+
+def exits_2_with_one_line(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.fixture
+def no_instance(monkeypatch):
+    """Fail the test if the run gets as far as building its instance."""
+    def refuse(cfg):
+        raise AssertionError("instance built before the config was rejected")
+    monkeypatch.setattr(bench, "_resolve_instance", refuse)
 
 
 class TestGenerateCommand:
@@ -121,6 +140,45 @@ class TestRunCommand:
              "--seeds", "0", "--out", str(tmp_path / "e")]
         )
         assert code == 2
+
+
+class TestBadInputExits2:
+    def test_config_file_not_found(self, tmp_path, capsys):
+        exits_2_with_one_line(capsys, ["run", "--config", str(tmp_path / "missing.json")])
+
+    def test_truncated_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"instance": {"kind": "eig_min"')
+        exits_2_with_one_line(capsys, ["run", "--config", str(cfg)])
+
+    def test_config_list_with_kind(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        exits_2_with_one_line(capsys, ["run", "--config", str(cfg), "--kind", "eig_min"])
+
+    def test_instance_out_in_missing_directory(self, tmp_path, capsys):
+        exits_2_with_one_line(capsys, ["generate", "--kind", "eig_min", "--n", "4",
+                                       "--out", str(tmp_path / "nodir" / "x.json")])
+
+    def test_run_out_in_missing_directory(self, tmp_path, capsys, no_instance):
+        exits_2_with_one_line(capsys, RUN + ["--out", str(tmp_path / "nodir" / "run")])
+
+    def test_unwritable_run_output(self, tmp_path, capsys):
+        (tmp_path / "run.csv").mkdir()  # the CSV path is taken by a directory
+        exits_2_with_one_line(capsys, RUN + ["--out", str(tmp_path / "run")])
+
+    def test_non_numeric_gamma_flag(self, capsys, no_instance):
+        exits_2_with_one_line(capsys, RUN + ["--gamma", "abc"])
+
+    @pytest.mark.parametrize("entry", [
+        {"stepsize": "fast"}, {"t": "abc"}, {"k": "3"}, {"n_probes": "x"}, {"t": 2.5},
+        {"seeds": ["x"]}, {"seed_count": "x"}, {"checkpoints": ["a"]}, {"probe_seed": "x"},
+    ], ids=lambda entry: "-".join(entry))
+    def test_non_numeric_config_value(self, tmp_path, capsys, no_instance, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instance": {"kind": "eig_min", "params": {"n": 4}},
+                                   **entry}))
+        exits_2_with_one_line(capsys, ["run", "--config", str(cfg)])
 
 
 class TestVerifyCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -248,29 +249,62 @@ class TestOneDrawNoise:
             for s, t in zip(a.y.stacks, b.y.stacks):
                 assert_same_bytes(s, t)
 
+    def test_operator_equals_sum_of_padded_terms(self):
+        # the reference draws through Component.sample, the exact data of
+        # every component but the noisy ones, which are swapped for their bases
+        scaled = sdf_scale(sdf_system(sizes=(3, 2, 3), delta=0.1), 50)
+        cp = scaled.problem
+        exact = dataclasses.replace(cp, components=tuple(
+            getattr(c, "base", c) for c in cp.components
+        ))
+        stream = RandomStream(24)
+        for _ in range(5):
+            z = composite.build_vi(cp).setup.random_point(stream)
+            a = composite_operator(cp, z)
+            b = ref_composite_oracle(exact, z, RandomStream(0))
+            assert_same_bytes(a.x, b.x)
+            for s, t in zip(a.y.stacks, b.y.stacks):
+                assert_same_bytes(s, t)
 
-    def test_one_component_keeps_the_sign_of_zero(self):
-        class Fixed(composite.Component):  # a -0.0 entry in the value
-            out = np.array([[-0.0, 1.0], [1.0, 2.0]])
+    @staticmethod
+    def _fixed(out):
+        class Fixed(composite.Component):  # a value with a -0.0 entry
+            p = len(out)
 
             def value(self, x):
-                return self.out
+                return out
 
             def grad_adjoint(self, x, u):
                 return np.zeros(2)
 
-            def sample(self, x, y_l, stream):
-                return self.out, self.grad_adjoint(x, y_l)
+        return Fixed()
 
-        y_setup = composite.SpectahedronSetup(BlockStructure((2,)))
-        cp = composite.CompositeProblem(SimplexSetup(2), y_setup, (Fixed(),))
-        z = Pair(np.full(2, 0.5), y_setup.center)
+    def test_one_component_keeps_the_sign_of_zero(self):
+        cp = matrix_minimax_problem(
+            SimplexSetup(2), [self._fixed(np.array([[-0.0, 1.0], [1.0, 2.0]]))]
+        )
+        z = Pair(np.full(2, 0.5), cp.y_setup.center)
         a = composite_oracle(cp, z, RandomStream(0))
         b = ref_composite_oracle(cp, z, RandomStream(0))
         exact = composite_operator(cp, z)
         for fy in (a.y, exact.y):
             assert_same_bytes(fy.stacks[0], b.y.stacks[0])
         assert not np.signbit(exact.y.stacks[0][0, 0, 0])  # F_y = -(-0.0)
+
+    def test_two_components_turn_negative_zero_positive(self):
+        # the padded sum adds +0.0 to every entry once m >= 2
+        comps = [
+            self._fixed(np.array([[-0.0, 1.0], [1.0, 2.0]])),
+            self._fixed(np.array([[1.0, -0.0, 0.5], [-0.0, 3.0, 0.0], [0.5, 0.0, 2.0]])),
+        ]
+        cp = matrix_minimax_problem(SimplexSetup(2), comps, betas=[1.0, 0.5])
+        z = Pair(np.full(2, 0.5), cp.y_setup.center)
+        b = ref_composite_oracle(cp, z, RandomStream(0))
+        for fy in (composite_oracle(cp, z, RandomStream(0)).y,
+                   composite_operator(cp, z).y):
+            for s, t in zip(fy.stacks, b.y.stacks):
+                assert_same_bytes(s, t)
+            assert np.signbit(fy.stacks[0][0, 0, 0])  # F_y = -(+0.0)
 
 
 class TestPhiRepresentation:
@@ -357,8 +391,9 @@ class TestSdfScale:
         for _ in range(50):
             x = sys_.x_setup.random_point(stream)
             raw = composite.component_violations(sys_, x)
-            for part, beta, r in zip(scaled.problem.components, scaled.betas, raw):
-                scaled_lm = float(np.linalg.eigvalsh(part.value(x))[-1])
+            cp = scaled.problem
+            for part, beta, r in zip(cp.components, cp.betas, raw):
+                scaled_lm = float(np.linalg.eigvalsh(beta * part.value(x))[-1])
                 assert (scaled_lm <= 0) == (r <= 0)
                 assert scaled_lm == pytest.approx(beta * r, rel=1e-10, abs=1e-12)
 
