@@ -14,7 +14,9 @@ An experiment runs horizon by horizon.  Each family builds a plan per
 horizon (problem, sampled oracle, auto-stepsize rule, error map, and the L
 and M of the K0*/K1* rows); eig instances share one plan across horizons,
 sdf systems are rescaled for each.  The configured stepsize, oracle mode
-and bound rows are then decided once for both families.
+and bound rows are then decided once for both families.  All seeds of a
+horizon run as one lock-step batch (``solver.run_batch``); a seed's record
+has the bytes it has when run alone.
 
 Experiment outputs are a CSV of per-seed, per-checkpoint rows plus a JSON
 sidecar echoing the configuration and the theoretical constants; both are
@@ -271,8 +273,37 @@ def _gen_sdf(params: dict, seed: int) -> dict:
     }
 
 
+# the generator params and the number type each takes ("blocks" and
+# "scalars" are lists of them)
+_PARAM_TYPES = {
+    "n": numbers.Integral, "blocks": numbers.Integral, "scale": numbers.Real,
+    "scalars": numbers.Real, "delta": numbers.Real, "noise_m": numbers.Real,
+    "smooth_scale": numbers.Real, "n_smooth": numbers.Integral,
+}
+
+
+def check_params(params) -> None:
+    """ConfigError unless params is a dict whose generator params are numbers."""
+    if params is None:
+        return
+    if not isinstance(params, dict):
+        raise ConfigError(f"instance params must be an object, got {params!r}")
+    for name, kind in _PARAM_TYPES.items():
+        value = params.get(name)
+        if value is None:
+            continue
+        if name in ("blocks", "scalars"):
+            what = "a list of numbers"
+            ok = isinstance(value, (list, tuple)) and all(isinstance(v, kind) for v in value)
+        else:
+            what, ok = "a number", isinstance(value, kind)
+        if not ok:
+            raise ConfigError(f"instance param {name} must be {what}, got {value!r}")
+
+
 def build_instance_payload(kind: str, params: dict, seed: int) -> dict:
     """Reproducible instance description for the given generator kind."""
+    check_params(params)
     if kind in ("eig_min", "bilinear_simplex_spectahedron"):
         return _gen_eig(params or {}, seed, kind)
     if kind == "scalar_minimax":
@@ -412,6 +443,10 @@ class ExperimentConfig:
                 isinstance(v, numbers.Integral) for v in ints
             ):
                 raise ConfigError(f"{name} must be an integer or a list of them, got {value!r}")
+        if not isinstance(self.instance, dict):
+            raise ConfigError(f"instance must be an object, got {self.instance!r}")
+        if "path" not in self.instance:
+            check_params(self.instance.get("params"))
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
             raise ConfigError(f"output directory of {self.out!r} does not exist")
         if self.k < 1:
@@ -619,10 +654,9 @@ def run_experiment(config: Union[ExperimentConfig, dict]):
         noise = 0.0 if exact else plan.noise
         policy = solver.StepsizePolicy(gamma=gamma, t=t)
         checkpoints = cfg.checkpoint_list(t)
-        for s in seeds:
-            records[s].append(
-                run_fn(plan.problem, oracle, policy, s, checkpoints, error_fn=plan.error_fn)
-            )
+        batch = run_fn(plan.problem, oracle, policy, seeds, checkpoints, error_fn=plan.error_fn)
+        for s, record in zip(seeds, batch, strict=True):
+            records[s].append(record)
         setup = plan.problem.setup
         for i, cp in enumerate(checkpoints):
             k0, k1 = solver.theoretical_bounds(

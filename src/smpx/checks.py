@@ -20,6 +20,8 @@ from .geometry import (
     SimplexSetup,
     SpectahedronSetup,
     inner,
+    stack,
+    unstack,
 )
 from .rng import RandomStream
 from .symmat import BlockStructure
@@ -121,8 +123,9 @@ def large_dual_step_margin(spread: float = 800.0) -> float:
     big = symmat.BlockSymMatrix(spect.structure, [np.zeros((2, 2)), np.diag([0.0, spread])])
     total = 0.0
     for setup, xi in ((SimplexSetup(3), np.array([0.0, spread, 0.0])), (spect, big)):
-        s = setup.step(setup.logits(setup.center), xi)[0]
-        total += setup.norm(setup.step(s, -xi)[1] - setup.center)
+        s = setup.step(stack([setup.logits(setup.center)]), stack([xi]))[0]
+        back = unstack(setup.step(s, stack([-xi]))[1])[0]
+        total += setup.norm(back - setup.center)
     return total
 
 

@@ -14,8 +14,9 @@ l-th diagonal block of a spectahedron variable y, b_l = 0, Phi_* = 0 and
 component l has a weight beta_l: F(x, y) = [ sum_l beta_l [phi_l'(x)]^* y_l ;
 -blockdiag(beta_l phi_l(x)) ].  A component's draw returns its value
 estimate and its adjoint gradient at y_l; the operator weights both and
-writes the value into block l of one y stack.  The oracle of F is a plain
-function (z, stream).
+writes the value into block l of one y stack.  The oracle of F draws per
+point, (z, stream), and ``build_oracle`` lifts it into the stacked oracle
+contract with ``vi.per_seed``.
 
 The semidefinite-feasibility pipeline rebalances a system psi_l <= 0 so
 every component contributes the same regularity scale, builds the induced
@@ -40,7 +41,7 @@ from .geometry import (
 )
 from .rng import RandomStream, box_muller
 from .symmat import BlockStructure, BlockSymMatrix
-from .vi import VIProblem
+from .vi import VIProblem, per_seed
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +127,11 @@ class QuadraticMatrixComponent(Component):
     def grad_adjoint(self, x, u):
         bu = self._factor(x) @ np.asarray(u, dtype=float)
         return 2.0 * (self._flat @ bu.ravel())
+
+    def sample(self, x, y_l, stream: RandomStream):
+        """The exact value and adjoint gradient from one factor B(x)."""
+        b = self._factor(x)
+        return b.T @ b + self.c0, 2.0 * (self._flat @ (b @ np.asarray(y_l, dtype=float)).ravel())
 
     def lipschitz_bounds(self, omega_x: float):
         """Smallest L such that the derivative conditions hold with M = 0."""
@@ -279,8 +285,8 @@ def build_vi(cp: CompositeProblem, lip_l=None, var_m=None) -> VIProblem:
 
 
 def build_oracle(cp: CompositeProblem) -> Callable:
-    """Oracle (z, stream) -> one ``composite_oracle`` draw."""
-    return lambda z, stream: composite_oracle(cp, z, stream)
+    """Stacked oracle: one ``composite_oracle`` draw per row."""
+    return per_seed(lambda z, stream: composite_oracle(cp, z, stream))
 
 
 def matrix_minimax_problem(

@@ -10,6 +10,8 @@ which the single-sample oracle estimates by drawing one index from x and
 one block index from the block traces of y: the y-part uses the sampled
 matrix -(A_0 + A_j), the x-part the traces against the normalized sampled
 block.  Averaging k independent samples cuts the noise level by sqrt(k).
+The sampler draws at every row of a stack of points at once, each row's
+uniforms from its own stream, and ``sample_xi`` is its stack of one.
 
 The exact operator runs per point in the solver loop and the gap; the probe
 set evaluates it a chunk of stacked points at a time (``stacked_operator``),
@@ -27,10 +29,10 @@ import numpy as np
 
 from . import symmat
 from .errors import ConfigError, InputError, NumericalError
-from .geometry import Pair, ProductSetup, SimplexSetup, SpectahedronSetup
+from .geometry import Pair, ProductSetup, SimplexSetup, SpectahedronSetup, stack, unstack
 from .rng import inverse_cdf_index
-from .symmat import BlockStructure, BlockSymMatrix
-from .vi import BlockStack, SaddleInstance, VIProblem
+from .symmat import BlockStack, BlockStructure, BlockSymMatrix
+from .vi import SaddleInstance, VIProblem
 
 _TRACE_SLACK = 1e-12
 
@@ -89,11 +91,12 @@ class EigInstance:
 
     def combination(self, x: np.ndarray) -> BlockSymMatrix:
         """A_0 + sum_j x_j A_j."""
+        return BlockSymMatrix.from_stacks(self.structure, self._combination(x))
+
+    def _combination(self, x) -> list:
+        """The per-group stacks of ``combination(x)``, new and writable."""
         x = np.asarray(x, dtype=float)
-        return BlockSymMatrix.from_stacks(self.structure, [
-            a0 + (x @ flat).reshape(a0.shape)
-            for a0, flat in zip(self.a0.stacks, self._flats)
-        ])
+        return [a0 + (x @ flat).reshape(a0.shape) for a0, flat in zip(self.a0.stacks, self._flats)]
 
     def trace_vector(self, y: BlockSymMatrix) -> np.ndarray:
         """(Tr(y A_1), ..., Tr(y A_n)), the per-block products added in block order."""
@@ -173,7 +176,8 @@ def exact_operator(inst: EigInstance, z: Pair) -> Pair:
         raise InputError("x-dimension mismatch")
     if y.structure != inst.structure:
         raise InputError("y block structure mismatch")
-    return Pair(inst.trace_vector(y), -inst.combination(x))
+    fy = [np.negative(a, out=a) for a in inst._combination(x)]
+    return Pair(inst.trace_vector(y), BlockSymMatrix.from_stacks(inst.structure, fy))
 
 
 def stacked_operator(inst: EigInstance, points: Pair) -> Pair:
@@ -211,72 +215,106 @@ def stacked_operator(inst: EigInstance, points: Pair) -> Pair:
     return Pair(fx, BlockStack(inst.structure, tuple(fy)))
 
 
-def _block_probabilities(y: BlockSymMatrix) -> np.ndarray:
-    nu = y.block_traces()
-    if (nu < -_TRACE_SLACK).any():
-        raise NumericalError("block trace drifted negative beyond tolerance")
+def _block_probabilities(ys: BlockStack) -> np.ndarray:
+    """(R, m) block-sampling probabilities of each row's block traces."""
+    nu = ys.structure.in_block_order([s.trace(axis1=2, axis2=3) for s in ys.stacks])
+    if nu.min() < -_TRACE_SLACK:
+        raise NumericalError("block trace drifted negative beyond tolerance",
+                             row=int(np.argmax((nu < -_TRACE_SLACK).any(axis=1))))
     nu = np.maximum(nu, 0.0)
-    total = nu.sum()
-    if total <= 0.0:
-        raise NumericalError("block traces sum to zero")
+    total = nu.sum(axis=1, keepdims=True)
+    if total.min() <= 0.0:
+        raise NumericalError("block traces sum to zero", row=int(np.argmax(total[:, 0] <= 0.0)))
     return nu / total
 
 
-def _xi_from_indices(inst: EigInstance, y: BlockSymMatrix, j: int, i: int) -> Pair:
-    """Oracle value for sampled matrix index j and block index i."""
-    g, r = inst.structure.slots[i]
-    yb = y.stacks[g][r]
-    ybar = yb / max(float(yb.trace()), 1e-300)
-    xi_x = inst._flats[g][r] @ ybar.ravel()
-    xi_y = BlockSymMatrix.from_stacks(
-        inst.structure, [-(a0 + s[j]) for a0, s in zip(inst.a0.stacks, inst._stacks)]
-    )
-    return Pair(xi_x, xi_y)
+def _xi_from_indices(inst: EigInstance, ys: BlockStack, js, blocks) -> Pair:
+    """Oracle values at the rows of ys for sampled matrix indices js and
+    block indices ``blocks``, one of each per row.
+
+    The x-part of the rows that sampled block i is one (n, p^2) x
+    (rows, p^2, 1) product: a matrix-vector product per row, with no copy
+    of the data.
+    """
+    structure = inst.structure
+    rows_of = {}
+    for row, i in enumerate(blocks.tolist()):
+        rows_of.setdefault(i, []).append(row)
+    # with one block sampled, its product is the whole x-part
+    fx = None if len(rows_of) == 1 else np.empty((len(js), inst.n))
+    for i, rows in rows_of.items():
+        g, r = structure.slots[i]
+        yb = ys.stacks[g][rows, r]
+        ybar = yb / np.maximum(yb.trace(axis1=1, axis2=2), 1e-300)[:, None, None]
+        part = (inst._flats[g][r] @ ybar.reshape(len(rows), -1, 1))[:, :, 0]
+        if fx is None:
+            fx = part
+        else:
+            fx[rows] = part
+    fy = []
+    for a0, s in zip(inst.a0.stacks, inst._stacks):
+        v = s[js]
+        v += a0
+        fy.append(np.negative(v, out=v))
+    return Pair(fx, BlockStack(structure, fy))
+
+
+def _sample(inst: EigInstance, zs: Pair, u: np.ndarray) -> Pair:
+    """One oracle draw per row, with the (R, 2) uniforms u: the matrix index
+    from u[:, 0], the block index from u[:, 1]."""
+    js = inverse_cdf_index(np.cumsum(zs.x, axis=1), u[:, 0])
+    blocks = inverse_cdf_index(np.cumsum(_block_probabilities(zs.y), axis=1), u[:, 1])
+    return _xi_from_indices(inst, zs.y, js, blocks)
+
+
+def stacked_sample(inst: EigInstance, zs: Pair, streams) -> Pair:
+    """One draw of the randomized oracle at each row of a stack of points.
+
+    Row r draws two uniforms from streams[r]: the matrix index follows the
+    x-coordinates read as a probability vector, the block index follows the
+    block traces of y (clamped at zero and renormalized against round-off).
+    Cost is one pass over the data restricted to the sampled blocks plus
+    one copy of the sampled matrices.
+    """
+    return _sample(inst, zs, np.array([stream.uniforms(2) for stream in streams]))
 
 
 def sample_xi(inst: EigInstance, z: Pair, stream) -> Pair:
-    """One draw of the randomized oracle: two inverse-CDF index draws.
-
-    The matrix index follows the x-coordinates read as a probability
-    vector, the block index follows the block traces of y (clamped at zero
-    and renormalized against round-off).  Cost is one pass over the data
-    restricted to the sampled block plus one block copy.
-    """
-    x, y = z.x, z.y
-    j = inverse_cdf_index(np.cumsum(x), stream.uniform())
-    nu = _block_probabilities(y)
-    i = inverse_cdf_index(nu.cumsum(), stream.uniform())
-    return _xi_from_indices(inst, y, j, i)
+    """One draw of the randomized oracle at z: ``stacked_sample`` on a stack of one."""
+    return unstack(stacked_sample(inst, stack([z]), [stream]))[0]
 
 
 def averaged_oracle(inst: EigInstance, k: int) -> Callable:
-    """Oracle (z, stream) averaging k independent draws; noise shrinks by sqrt(k)."""
+    """Stacked oracle averaging k independent draws; noise shrinks by sqrt(k).
+
+    Each row takes its 2k uniforms in one call on its stream, in the order
+    of k ``stacked_sample`` calls.
+    """
     if k < 1:
         raise ConfigError("averaging width k must be >= 1")
-    if k == 1:
-        return lambda z, stream: sample_xi(inst, z, stream)
 
-    def oracle(z, stream):
-        acc = sample_xi(inst, z, stream)
-        for _ in range(k - 1):
-            acc = acc + sample_xi(inst, z, stream)
-        return (1.0 / k) * acc
+    def oracle(zs, streams):
+        u = np.array([stream.uniforms(2 * k) for stream in streams])
+        acc = _sample(inst, zs, u[:, :2])
+        for d in range(1, k):
+            acc = acc + _sample(inst, zs, u[:, 2 * d:2 * d + 2])
+        return acc if k == 1 else (1.0 / k) * acc
 
     return oracle
 
 
 def enumerate_expectation(inst: EigInstance, z: Pair) -> Pair:
     """Full enumeration of E{Xi(z)} over both sampled indices; test oracle."""
-    x, y = z.x, z.y
-    nu = _block_probabilities(y)
+    zs = stack([z])
+    nu = _block_probabilities(zs.y)[0]
     acc = None
     for j in range(inst.n):
         for i in range(len(nu)):
-            w = float(x[j]) * float(nu[i])
+            w = float(z.x[j]) * float(nu[i])
             if w == 0.0:
                 continue
-            term = w * _xi_from_indices(inst, y, j, i)
-            acc = term if acc is None else acc + term
+            xi = unstack(_xi_from_indices(inst, zs.y, np.array([j]), np.array([i])))[0]
+            acc = w * xi if acc is None else acc + w * xi
     if acc is None:
         raise NumericalError("all outcomes have zero probability")
     return acc

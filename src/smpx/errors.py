@@ -6,7 +6,15 @@ library code should raise the most specific class that applies.
 
 
 class SmpxError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    ``row``, when set, is the row of a stacked call that the error concerns:
+    a seed's place in a lock-step batch of the solver.
+    """
+
+    def __init__(self, *args, row=None):
+        super().__init__(*args)
+        self.row = row
 
 
 class ConfigError(SmpxError):

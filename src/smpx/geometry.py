@@ -18,6 +18,17 @@ The solver steps in logit coordinates (``logits``, ``step``), where the
 entropy proxes are linear; steps have no limit on the spread of the dual
 vector, and ``prox_map`` from a boundary point raises DomainError.
 
+``step`` works on stacks: the logits and the dual vectors of R points
+along a leading axis (``stack``, ``unstack``), one row per seed of a
+lock-step solver batch, with an (R, n) array for a vector, a
+``BlockStack`` of (R, k, p, p) arrays for a block matrix and a pair of
+stacks for a pair.  Each row gets the bytes it gets in a stack of one:
+the arithmetic is elementwise or one LAPACK/BLAS call per matrix, and
+the per-row reductions (a simplex total and its ``math.log``, a
+spectahedron shift and trace) add as the one-row step adds.  A row whose
+dual vector is not finite raises InputError with its ``row``.
+``prox_map`` is the step of a stack of one.
+
 All setups are immutable and safe to share across concurrent runs; every
 operation is a pure function.
 """
@@ -31,7 +42,7 @@ import numpy as np
 from . import symmat
 from .errors import ConfigError, DomainError, InputError
 from .rng import box_muller
-from .symmat import BlockStructure, BlockSymMatrix
+from .symmat import BlockStack, BlockStructure, BlockSymMatrix
 
 
 class Pair:
@@ -63,6 +74,41 @@ class Pair:
 
     def __repr__(self):
         return f"Pair({self.x!r}, {self.y!r})"
+
+
+def stack(points):
+    """Points (or dual vectors) of one kind stacked along a new leading axis:
+    an (R, ...) array for arrays, a ``BlockStack`` for block matrices, a
+    pair of stacks for pairs."""
+    first = points[0]
+    if isinstance(first, Pair):
+        return Pair(stack([z.x for z in points]), stack([z.y for z in points]))
+    if isinstance(first, BlockSymMatrix):
+        for z in points:
+            if z.structure is not first.structure and z.structure != first.structure:
+                raise InputError("block structure mismatch")
+        return BlockStack(first.structure, [np.array(g) for g in zip(*[z.stacks for z in points])])
+    return np.array(points, dtype=float)
+
+
+def unstack(stacked, decomposed: bool = False) -> list:
+    """The rows of a ``stack`` result, as views; with ``decomposed``, block
+    matrices carry the decompositions that their stack holds."""
+    if isinstance(stacked, np.ndarray):
+        return list(stacked)
+    if isinstance(stacked, Pair):
+        return list(map(Pair, unstack(stacked.x, decomposed), unstack(stacked.y, decomposed)))
+    return stacked.rows(decomposed)
+
+
+def _require_finite(parts) -> None:
+    """InputError naming the first row with a non-finite entry in any of the
+    (R, ...) arrays."""
+    for a in parts:
+        if not np.isfinite(a).all():
+            ok = np.logical_and.reduce(
+                [np.isfinite(b).reshape(len(b), -1).all(axis=1) for b in parts])
+            raise InputError("non-finite dual vector", row=int(np.argmin(ok)))
 
 
 def inner(a, b) -> float:
@@ -107,11 +153,12 @@ class ProxSetup:
         raise NotImplementedError
 
     def step(self, s, xi):
-        """(logits, point) of prox(z, xi), given s = logits(z)."""
+        """(logits, points) of prox(z, xi) for each row of a stack, given
+        the stacked s = logits(z) and xi."""
         raise NotImplementedError
 
     def prox_map(self, z, xi):
-        return self.step(self.logits(z), xi)[1]
+        return unstack(self.step(stack([self.logits(z)]), stack([xi]))[1], decomposed=True)[0]
 
     def bregman(self, z, u) -> float:
         """omega(u) - omega(z) - <omega'(z), u - z>."""
@@ -176,13 +223,12 @@ class EuclideanBallSetup(ProxSetup):
         return np.asarray(z, dtype=float)
 
     def step(self, s, xi):
-        xi = np.asarray(xi, dtype=float)
-        if not np.isfinite(xi).all():
-            raise InputError("non-finite dual vector")
+        _require_finite([xi])
         v = s - xi
-        n = float(np.linalg.norm(v))
-        if n > self.radius:
-            v = v * (self.radius / n)
+        for r, row in enumerate(v):
+            n = float(np.linalg.norm(row))
+            if n > self.radius:
+                v[r] = row * (self.radius / n)
         return v, v
 
     def contains(self, z, tol=1e-9):
@@ -263,11 +309,12 @@ class SimplexSetup(ProxSetup):
     def step(self, s, xi):
         s = s - xi
         if not np.isfinite(s).all():
-            raise InputError("non-finite dual vector")
-        s -= s.max()
+            _require_finite([s])
+        s -= s.max(axis=1, keepdims=True)
         w = np.exp(s)
-        total = w.sum()
-        s -= math.log(total)
+        total = w.sum(axis=1, keepdims=True)
+        # math.log per row: numpy's vector log rounds some values differently
+        s -= np.array([[math.log(v)] for (v,) in total.tolist()])
         return s, w / total
 
     def contains(self, z, tol=1e-9):
@@ -298,7 +345,10 @@ class SpectahedronSetup(ProxSetup):
     is linear in the matrix logarithm: prox(z, xi) = H(log z - xi) with
     H(b) = exp(b) / Tr exp(b), computed blockwise through eigendecomposition
     with a global max-eigenvalue shift.  Steps take the new logits from the
-    same decomposition, log H(b) = b - log Tr exp(b) I.
+    same decomposition, log H(b) = b - log Tr exp(b) I.  A step makes one
+    ``eigh`` call per size group for all rows; it repeats
+    ``symmat.entropy_map`` row by row (the shift taken over the groups as
+    ``max`` takes it, the per-block sums added in block order).
     """
 
     def __init__(self, structure: BlockStructure):
@@ -333,12 +383,25 @@ class SpectahedronSetup(ProxSetup):
         return symmat.matrix_log(z)
 
     def step(self, s, xi):
-        b = s - xi  # InputError on a mismatched xi; eigh rejects a non-finite one
-        z, log_trace = symmat._entropy_map_and_log_trace(b)
-        stacks = [a.copy() for a in b.stacks]
-        for a, (p, _) in zip(stacks, self.structure.groups):
-            a.reshape(len(a), p * p)[:, ::p + 1] -= log_trace  # the diagonals
-        return BlockSymMatrix.from_stacks(self.structure, stacks), z
+        b = s - xi  # InputError on a mismatched xi
+        _require_finite(b.stacks)
+        structure = self.structure
+        vals, vecs = zip(*(symmat.descending_eigh(a) for a in b.stacks))
+        # each row's (R, 1, 1) shift and total as entropy_map takes them: the
+        # max over the groups as max() takes it, the block sums added by sum()
+        shift = vals[0][:, :, :1].max(axis=1, keepdims=True)
+        for v in vals[1:]:
+            top = v[:, :, :1].max(axis=1, keepdims=True)
+            shift = np.where(top > shift, top, shift)
+        ws = [np.exp(v - shift) for v in vals]
+        sums = structure.in_block_order([w.sum(axis=2) for w in ws])
+        total = np.array([sum(row) for row in sums.tolist()])[:, None, None]
+        log_trace = shift + np.log(total)
+        lams = [w / total for w in ws]
+        points = [(q * lam[:, :, None, :]) @ q.swapaxes(2, 3) for q, lam in zip(vecs, lams)]
+        for a, (p, _) in zip(b.stacks, structure.groups):
+            a.reshape(len(a), -1, p * p)[:, :, ::p + 1] -= log_trace  # the diagonals
+        return b, BlockStack(structure, points, (lams, vecs))
 
     def contains(self, z, tol=1e-9):
         if not isinstance(z, BlockSymMatrix) or z.structure != self.structure:

@@ -67,10 +67,12 @@ def box_muller(u1: np.ndarray, u2: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([r * np.cos(ang), r * np.sin(ang)], axis=-1)[..., :n]
 
 
-def inverse_cdf_index(cumulative: np.ndarray, u: float) -> int:
-    """Smallest i with cumulative[i] >= u; consumes no randomness itself.
+def inverse_cdf_index(cumulative: np.ndarray, u):
+    """Smallest i with cumulative[..., i] >= u, capped at the last index, per
+    row of a stack of nondecreasing rows; consumes no randomness itself.
 
-    Ties at a cumulative boundary resolve toward the smaller index.
+    The index is the count of entries below u, so ties at a cumulative
+    boundary resolve toward the smaller index.
     """
-    idx = int(np.searchsorted(cumulative, u, side="left"))
-    return min(idx, len(cumulative) - 1)
+    # the count over all but the last entry is the capped count
+    return (cumulative[..., :-1] < np.asarray(u)[..., None]).sum(axis=-1)

@@ -10,16 +10,27 @@ and the reported solution is the average of the w's.  The baseline
 iteration and averages the r's.  Runs start at the omega-minimizer, use a
 constant stepsize, and are deterministic given the seed.  The loop carries
 r's logits (``ProxSetup.step``), so it takes log r once, at the start.
+
+There is one loop, ``run_batch``: it runs R seeds of one problem in lock
+step, their logits and iterates stacked along a leading axis
+(``geometry.stack``), so a half-step is one stacked oracle call and one
+stacked ``step``.  Seed s draws from ``RandomStream(s)`` alone, and every
+stacked operation gives each row the bytes it gives a stack of one, so a
+seed's record does not depend on R or on the other seeds.  ``smp_run`` and
+``rmsa_run`` are batches of one.  Each record's ``wall_ms`` is the batch's
+loop time divided by R, so the records of a batch sum to its loop time.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ConfigError, InputError, NumericalError
+from .geometry import stack, unstack
 from .rng import RandomStream
 from .vi import VIProblem
 
@@ -56,6 +67,24 @@ class RunRecord:
     averages: list  # averaged solution snapshot per checkpoint
     errors: dict = field(default_factory=dict)  # column -> per-checkpoint values
     wall_ms: float = 0.0
+
+
+class RunBatch(list):
+    """The records of one lock-step batch, one per seed, in seed order.
+
+    ``t`` and ``oracle_calls`` are the batch's totals, its solver
+    iterations and its oracle calls, so a sum of ``t`` over what the
+    runners return counts every iteration, whether a call ran one seed or
+    a batch.
+    """
+
+    @property
+    def t(self) -> int:
+        return sum(rec.t for rec in self)
+
+    @property
+    def oracle_calls(self) -> int:
+        return sum(rec.oracle_calls for rec in self)
 
 
 def constant_stepsize(
@@ -135,97 +164,116 @@ def _check_checkpoints(checkpoints, t: int):
     return cps
 
 
-def _smp_step(setup, oracle, gamma, s, r, stream):
-    """Two prox steps from r (logits s); returns (s', r', the point averaged)."""
-    w = setup.step(s, gamma * oracle(r, stream))[1]
-    return (*setup.step(s, gamma * oracle(w, stream)), w)
+def run_batch(method: str, problem: VIProblem, oracle: Callable, policy: StepsizePolicy,
+              seeds, checkpoints, error_fn=None, _start=None) -> RunBatch:
+    """Run the seeds of one problem in lock step; one ``RunRecord`` per seed.
 
-
-def _rmsa_step(setup, oracle, gamma, s, r, stream):
-    """One prox step from r; the new iterate is also the point averaged."""
-    s, r = setup.step(s, gamma * oracle(r, stream))
-    return s, r, r
-
-
-def _run(algorithm, step, problem, oracle, policy, seed, checkpoints, error_fn,
-         start) -> RunRecord:
-    """The solver loop shared by both methods; ``step`` is the step rule."""
+    ``method`` is "smp" (two prox steps per iteration, the w's averaged) or
+    "rmsa" (one, the r's averaged).  ``oracle(zs, streams)`` estimates F at
+    the rows of a stack of points, row r from streams[r] (see ``vi``).
+    ``error_fn``, when given, maps one seed's averaged point to a dict of
+    named error values recorded at each checkpoint.  The start point is the
+    geometry's center (a keyword hook overrides it for tests only).  A step
+    that fails raises NumericalError naming the step and the seed.
+    """
+    if method not in ORACLE_CALLS:
+        raise ConfigError(f"unknown method {method!r}")
+    if method == "smp":
+        _check_policy(problem, policy)
     cps = _check_checkpoints(checkpoints, policy.t)
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ConfigError("need at least one seed")
     cp_set = set(cps)
     setup = problem.setup
     gamma = policy.gamma
-    stream = RandomStream(seed)
-    r = setup.center if start is None else start
-    s = setup.logits(r)
-
-    record = RunRecord(
-        algorithm=algorithm,
-        seed=int(seed),
-        t=policy.t,
-        gamma=gamma,
-        oracle_calls=0,
-        checkpoints=cps,
-        averages=[],
-    )
-    calls_per_step = ORACLE_CALLS[algorithm]
-    errors: dict[str, list] = {}
+    streams = [RandomStream(seed) for seed in seeds]
+    start = setup.center if _start is None else _start
+    s = stack([setup.logits(start)] * len(seeds))
+    r = stack([start] * len(seeds))
+    smp = method == "smp"
+    averages = [[] for _ in seeds]
+    errors = [{} for _ in seeds]
     acc = None
     began = time.perf_counter()
     for tau in range(1, policy.t + 1):
         try:
-            s, r, point = step(setup, oracle, gamma, s, r, stream)
-        except InputError as exc:
-            raise NumericalError(f"solver failed at step {tau}: {exc}") from exc
-        record.oracle_calls += calls_per_step
-        acc = point if acc is None else acc + point
+            if smp:
+                w = setup.step(s, gamma * oracle(r, streams))[1]
+                s, r = setup.step(s, gamma * oracle(w, streams))
+            else:
+                s, r = setup.step(s, gamma * oracle(r, streams))
+                w = r
+        except (InputError, NumericalError) as exc:
+            row = 0 if len(seeds) == 1 else exc.row
+            who = f"seed {seeds[row]}" if row is not None else f"seeds {seeds}"
+            raise NumericalError(f"solver failed at step {tau} for {who}: {exc}") from exc
+        acc = w if acc is None else acc + w
         if tau in cp_set:
-            avg = (1.0 / tau) * acc
-            record.averages.append(avg)
-            if error_fn is not None:
-                for name, value in error_fn(avg).items():
-                    errors.setdefault(name, []).append(float(value))
-    record.errors = errors
-    record.wall_ms = 1000.0 * (time.perf_counter() - began)
-    return record
+            for i, avg in enumerate(unstack((1.0 / tau) * acc)):
+                averages[i].append(avg)
+                if error_fn is not None:
+                    for name, value in error_fn(avg).items():
+                        errors[i].setdefault(name, []).append(float(value))
+    wall_ms = 1000.0 * (time.perf_counter() - began) / len(seeds)
+    return RunBatch(
+        RunRecord(
+            algorithm=method,
+            seed=seed,
+            t=policy.t,
+            gamma=gamma,
+            oracle_calls=ORACLE_CALLS[method] * policy.t,
+            checkpoints=list(cps),
+            averages=averages[i],
+            errors=errors[i],
+            wall_ms=wall_ms,
+        )
+        for i, seed in enumerate(seeds)
+    )
+
+
+def _run(method, problem, oracle, policy, seed, checkpoints, error_fn, start):
+    """One seed's record, or the batch of a sequence of seeds."""
+    if isinstance(seed, numbers.Integral):
+        return run_batch(method, problem, oracle, policy, [seed], checkpoints, error_fn,
+                         start)[0]
+    return run_batch(method, problem, oracle, policy, seed, checkpoints, error_fn, start)
 
 
 def smp_run(
     problem: VIProblem,
     oracle: Callable,
     policy: StepsizePolicy,
-    seed: int,
+    seed,
     checkpoints,
     error_fn=None,
     _start=None,
-) -> RunRecord:
+):
     """Run the two-prox solver and snapshot the averaged solution.
 
-    The start point is the geometry's center (a keyword hook overrides it
-    for tests only).  ``oracle(z, stream)`` returns a random estimate of
-    F(z).  ``error_fn``, when given, maps an averaged point to a dict of
-    named error values recorded at each checkpoint.  Two oracle calls are
-    made per step; the record is bit-reproducible for a fixed seed.
+    ``seed`` is one seed, for one ``RunRecord``, or a sequence of seeds run
+    as one lock-step batch, for a ``RunBatch`` (see ``run_batch``).  Two
+    oracle calls are made per step; a record is bit-reproducible for a
+    fixed seed.
     """
-    _check_policy(problem, policy)
-    return _run("smp", _smp_step, problem, oracle, policy, seed, checkpoints,
-                error_fn, _start)
+    return _run("smp", problem, oracle, policy, seed, checkpoints, error_fn, _start)
 
 
 def rmsa_run(
     problem: VIProblem,
     oracle: Callable,
     policy: StepsizePolicy,
-    seed: int,
+    seed,
     checkpoints,
     error_fn=None,
     _start=None,
-) -> RunRecord:
+):
     """One-prox baseline: r_tau = prox(r_{tau-1}, gamma * Xi(r_{tau-1})).
 
-    Averages the iterates themselves and makes one oracle call per step.
+    Averages the iterates themselves and makes one oracle call per step;
+    ``seed`` is one seed or a sequence of them, as for ``smp_run``.
     """
-    return _run("rmsa", _rmsa_step, problem, oracle, policy, seed, checkpoints,
-                error_fn, _start)
+    return _run("rmsa", problem, oracle, policy, seed, checkpoints, error_fn, _start)
 
 
 def geometric_checkpoints(t: int) -> list:

@@ -16,13 +16,17 @@ norms and its logarithm cost no second decomposition.
 Sums that reach results (traces, Frobenius products, the entropy-map
 normalizer) add per-block sums in block order, so the values do not depend
 on how the blocks are grouped.
+
+``BlockStack`` holds R matrices of one structure as (R, k, p, p) arrays,
+the rows of a lock-step batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, NumericalError
 
 _SYM_RTOL = 1e-12
 
@@ -60,10 +64,11 @@ class BlockStructure:
         )
 
     def in_block_order(self, per_group) -> np.ndarray:
-        """Concatenate one value per block, given per group, into block order."""
+        """Concatenate one value per block, given per group along the last
+        axis, into block order along that axis."""
         if self._order is None:
             return per_group[0]
-        return np.concatenate(per_group)[self._order]
+        return np.concatenate(per_group, axis=-1)[..., self._order]
 
     def __eq__(self, other):
         return other is self or (
@@ -97,6 +102,15 @@ class Eigh:
 
     def __len__(self):
         return len(self.structure.block_sizes)
+
+    @classmethod
+    def wrap(cls, structure: BlockStructure, vals, vecs) -> "Eigh":
+        """A decomposition of read-only per-group arrays, taken as they are."""
+        out = cls.__new__(cls)
+        out.structure = structure
+        out.vals = tuple(vals)
+        out.vecs = tuple(vecs)
+        return out
 
     def __getitem__(self, i):
         g, r = self.structure.slots[i]
@@ -236,16 +250,78 @@ class BlockSymMatrix:
         return f"BlockSymMatrix(sizes={self.structure.block_sizes})"
 
 
+class BlockStack:
+    """Block matrices stacked along a leading axis: one (R, k, p, p) array
+    per size group, whose row r holds the stacks of the r-th matrix.
+
+    The stacked form of ``BlockSymMatrix`` for the rows of a batch (the
+    seeds of a lock-step solver run, the probes of a probe-set chunk).
+    Arithmetic is elementwise, so each row gets the bytes it gets alone;
+    ``rows`` gives the row matrices as views.  ``eig``, when set, holds the
+    rows' decompositions as per-group (R, k, p) eigenvalue and (R, k, p, p)
+    eigenvector stacks, which ``rows(decomposed=True)`` makes read-only and
+    hands to the row matrices.
+    """
+
+    __slots__ = ("structure", "stacks", "eig")
+
+    def __init__(self, structure: BlockStructure, stacks, eig=None):
+        self.structure = structure
+        self.stacks = tuple(stacks)
+        self.eig = eig
+
+    def rows(self, decomposed: bool = False) -> list:
+        out = [BlockSymMatrix.from_stacks(self.structure, r) for r in zip(*self.stacks)]
+        if decomposed and self.eig is not None:
+            vals, vecs = self.eig
+            for a in (*vals, *vecs):
+                a.setflags(write=False)
+            for a, v, q in zip(out, zip(*vals), zip(*vecs)):
+                a._eig = Eigh.wrap(self.structure, v, q)
+        return out
+
+    def _check(self, other):
+        if not isinstance(other, BlockStack) or other.structure != self.structure:
+            raise InputError("block structure mismatch")
+
+    def __add__(self, other):
+        self._check(other)
+        return BlockStack(self.structure, [a + b for a, b in zip(self.stacks, other.stacks)])
+
+    def __sub__(self, other):
+        self._check(other)
+        return BlockStack(self.structure, [a - b for a, b in zip(self.stacks, other.stacks)])
+
+    def __mul__(self, c):
+        c = float(c)
+        return BlockStack(self.structure, [c * a for a in self.stacks])
+
+    __rmul__ = __mul__
+
+
+def descending_eigh(s: np.ndarray):
+    """(eigenvalues, eigenvectors) of each matrix of a finite float64 stack
+    of symmetric matrices, in descending order, as C-contiguous arrays.
+
+    One LAPACK call through ``numpy.linalg._umath_linalg.eigh_lo``, the
+    private gufunc that ``numpy.linalg.eigh`` calls, so the results are
+    its results: on a stack of 4 x 4 blocks that wrapper's argument checks
+    and error-state context take about as long as the decomposition.  A
+    decomposition that does not converge comes back as NaN and raises
+    NumericalError.
+    """
+    lam, q = _umath_linalg.eigh_lo(s, signature="d->dd")
+    if not np.isfinite(lam).all():
+        raise NumericalError("eigendecomposition did not converge")
+    return lam[..., ::-1].copy(), q[..., ::-1].copy()
+
+
 def eigh(a: BlockSymMatrix) -> Eigh:
     """Spectral decomposition with eigenvalues descending, one batched
     LAPACK call per size group."""
     if not a.is_finite():
         raise InputError("non-finite entries")
-    vals, vecs = [], []
-    for s in a.stacks:
-        lam, q = np.linalg.eigh(s)
-        vals.append(lam[:, ::-1].copy())
-        vecs.append(q[:, :, ::-1].copy())
+    vals, vecs = zip(*(descending_eigh(s) for s in a.stacks))
     return Eigh(a.structure, vals, vecs)
 
 

@@ -2,9 +2,12 @@
 
 A problem couples a geometry with a monotone operator F and the regularity
 constants (L, M) of ||F(z) - F(z')||_* <= L ||z - z'|| + M.  A stochastic
-oracle is a plain function (z, stream) -> random estimate of F(z); its bias
-and noise constants enter only the stepsize and bound calculators, which
-take them as numbers.
+oracle is a plain function (zs, streams) -> random estimates of F at the
+rows of a stack of points (``geometry.stack``), row r drawn from
+streams[r] alone, so a row gets the values it gets in a stack of one.
+``per_seed`` lifts a per-point function (z, stream) into that contract.
+The bias and noise constants of an oracle enter only the stepsize and
+bound calculators, which take them as numbers.
 
 The residual of a candidate z is max_u <F(u), z - u>; since the exact
 maximum is intractable in general, ``err_vi_lower`` reports the certified
@@ -22,14 +25,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericalError
-from .geometry import Pair, ProxSetup, inner
+from .errors import InputError, NumericalError, SmpxError
+from .geometry import Pair, ProxSetup, inner, stack, unstack
 from .rng import RandomStream
-from .symmat import BlockStructure, BlockSymMatrix
+from .symmat import BlockStack, BlockSymMatrix
 
 # Probes per stored chunk of a ProbeSet, so per stacked operator call in the
 # build and per matrix-vector product in lower_bound.  The chunk bounds the
@@ -55,9 +58,32 @@ class VIProblem:
     stacked_operator: Callable | None = None
 
 
+def per_seed(fn: Callable) -> Callable:
+    """The stacked oracle (zs, streams) of a per-point one fn(z, stream): one
+    call per row, the results stacked.  An error is tagged with its row."""
+
+    def oracle(zs, streams):
+        out = []
+        for row, z in enumerate(unstack(zs)):
+            try:
+                out.append(fn(z, streams[row]))
+            except SmpxError as exc:
+                if exc.row is None:
+                    exc.row = row
+                raise
+        return stack(out)
+
+    return oracle
+
+
+def draw(oracle: Callable, z, stream):
+    """One estimate of F(z) from a stacked oracle: its stack of one."""
+    return unstack(oracle(stack([z]), [stream]))[0]
+
+
 def exact_oracle(problem: VIProblem) -> Callable:
-    """Oracle (z, stream) -> F(z) that draws nothing: zero bias, zero noise."""
-    return lambda z, stream: problem.operator(z)
+    """Oracle F(z) per row that draws nothing: zero bias, zero noise."""
+    return per_seed(lambda z, stream: problem.operator(z))
 
 
 @dataclass(frozen=True)
@@ -80,13 +106,6 @@ def err_vi_lower(problem: VIProblem, z, probes: Sequence) -> float:
     reported alongside the probe count by the harness.
     """
     return ProbeSet(problem, probes).lower_bound(z)
-
-
-class BlockStack(NamedTuple):
-    """Block matrices stacked over probes: one (P, k, p, p) array per group."""
-
-    structure: BlockStructure
-    stacks: tuple
 
 
 def _stack(items, first):
@@ -216,7 +235,7 @@ def oracle_stats(
     acc = None
     m2 = 0.0
     for _ in range(n_samples):
-        d = oracle(z, stream) - fz
+        d = draw(oracle, z, stream) - fz
         m2 += dual_norm(d) ** 2
         acc = d if acc is None else acc + d
     bias = dual_norm((1.0 / n_samples) * acc)

@@ -43,6 +43,14 @@ def mild_simplex_point(setup, stream) -> np.ndarray:
     return g / g.sum()
 
 
+def step_one(setup, s, xi):
+    """``setup.step`` on a stack of one: the (logits, point) of one point."""
+    from smpx.geometry import stack, unstack
+
+    s, z = setup.step(stack([s]), stack([xi]))
+    return unstack(s)[0], unstack(z)[0]
+
+
 def assert_same_bytes(a, b) -> None:
     """a and b have one dtype, one shape and the same bytes.
 
@@ -138,11 +146,12 @@ def ref_combination(a0, mats, x):
 
 def ref_sample_xi(a0, mats, x, y_blocks, stream):
     """One randomized-oracle draw: (xi_x, xi_y blocks, j, i)."""
-    from smpx.rng import inverse_cdf_index
+    def index(cumulative, u):  # smallest i with cumulative[i] >= u
+        return min(int(np.searchsorted(cumulative, u, side="left")), len(cumulative) - 1)
 
-    j = inverse_cdf_index(np.cumsum(x), stream.uniform())
+    j = index(np.cumsum(x), stream.uniform())
     nu = np.maximum(np.array([np.trace(b) for b in y_blocks]), 0.0)
-    i = inverse_cdf_index(np.cumsum(nu / nu.sum()), stream.uniform())
+    i = index(np.cumsum(nu / nu.sum()), stream.uniform())
     ybar = y_blocks[i] / max(float(np.trace(y_blocks[i])), 1e-300)
     xi_x = _ref_flat(mats, i) @ ybar.ravel()
     return xi_x, [-(a + m) for a, m in zip(a0, mats[j])], j, i
@@ -199,3 +208,63 @@ def ref_composite_oracle(cp, z, stream):
         fx = gx if fx is None else fx + gx
         acc_y = term if acc_y is None else acc_y + term
     return Pair(fx, -acc_y)
+
+
+# ---------------------------------------------------------------------------
+# the per-point solver loop, the reference of the lock-step batch
+
+
+def ref_step(setup, s, xi):
+    """One point's (logits, point) of prox(z, xi), step by step as the
+    per-point solver took it: ``math.log`` of the simplex total, and the
+    spectahedron through ``symmat``'s per-point entropy map."""
+    import math
+
+    from smpx import symmat
+    from smpx.geometry import Pair, ProductSetup, SimplexSetup
+    from smpx.symmat import BlockSymMatrix
+
+    if isinstance(setup, ProductSetup):
+        sx, x = ref_step(setup.sx, s.x, setup.scale_x * xi.x)
+        sy, y = ref_step(setup.sy, s.y, setup.scale_y * xi.y)
+        return Pair(sx, sy), Pair(x, y)
+    if isinstance(setup, SimplexSetup):
+        s = s - xi
+        s -= s.max()
+        w = np.exp(s)
+        total = w.sum()
+        s -= math.log(total)
+        return s, w / total
+    b = s - xi
+    z, log_trace = symmat._entropy_map_and_log_trace(b)
+    stacks = [a.copy() for a in b.stacks]
+    for a, (p, _) in zip(stacks, setup.structure.groups):
+        a.reshape(len(a), p * p)[:, ::p + 1] -= log_trace
+    return BlockSymMatrix.from_stacks(setup.structure, stacks), z
+
+
+def ref_run(method, problem, oracle, gamma, t, seed, checkpoints, error_fn):
+    """(averages, errors) of one seed's run, one point at a time, with the
+    per-point oracle(z, stream)."""
+    from smpx.rng import RandomStream
+
+    setup = problem.setup
+    stream = RandomStream(seed)
+    r = setup.center
+    s = setup.logits(r)
+    acc = None
+    averages, errors = [], {}
+    for tau in range(1, t + 1):
+        if method == "smp":
+            w = ref_step(setup, s, gamma * oracle(r, stream))[1]
+            s, r = ref_step(setup, s, gamma * oracle(w, stream))
+        else:
+            s, r = ref_step(setup, s, gamma * oracle(r, stream))
+            w = r
+        acc = w if acc is None else acc + w
+        if tau in checkpoints:
+            avg = (1.0 / tau) * acc
+            averages.append(avg)
+            for name, value in error_fn(avg).items():
+                errors.setdefault(name, []).append(float(value))
+    return averages, errors

@@ -2,8 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The stochastic
 criteria are seeded and deterministic; stated tolerances are asserted
-as written here.  The full suite takes roughly 15 minutes on a laptop-class
-machine, dominated by the feasibility-pipeline rate check.
+as written here.  Criteria 5-8 run their seeds as one lock-step batch per
+horizon (``solver.run_batch``), which gives each seed the numbers of its
+run alone.  The full suite takes about 4 minutes on a 2-core machine,
+dominated by the feasibility-pipeline rate check.
 """
 
 import time
@@ -200,14 +202,11 @@ def test_criterion_5_stochastic_rate(game, tuned_noise):
     means = []
     for t in horizons:
         gamma = solver.constant_stepsize(1.0, radius, lip, tuned_noise, t)
-        vals = [
-            solver.smp_run(
-                problem, oracle, solver.StepsizePolicy(gamma, t), seed, [t],
-                error_fn=gap_error_fn(inst),
-            ).errors["gap"][0]
-            for seed in range(20)
-        ]
-        means.append(float(np.mean(vals)))
+        batch = solver.run_batch(
+            "smp", problem, oracle, solver.StepsizePolicy(gamma, t), range(20), [t],
+            error_fn=gap_error_fn(inst),
+        )
+        means.append(float(np.mean([rec.errors["gap"][0] for rec in batch])))
     k0, _ = solver.theoretical_bounds(1.0, radius, lip, worst_case.noise, 0.0, 10**4)
     slope = float(np.polyfit(np.log(horizons), np.log(means), 1)[0])
     ok = means[-1] <= k0 and -0.65 <= slope <= -0.35
@@ -232,14 +231,11 @@ def test_criterion_6_large_deviations(game, tuned_noise):
     gamma = solver.constant_stepsize(1.0, radius, lip, tuned_noise, t)
     k0, k1 = solver.theoretical_bounds(1.0, radius, lip, worst_case.noise, 0.0, t)
     threshold = k0 + 3.0 * k1
-    exceed = 0
-    for seed in range(100):
-        rec = solver.smp_run(
-            problem, oracle, solver.StepsizePolicy(gamma, t), seed, [t],
-            error_fn=gap_error_fn(inst),
-        )
-        if rec.errors["gap"][0] > threshold:
-            exceed += 1
+    batch = solver.run_batch(
+        "smp", problem, oracle, solver.StepsizePolicy(gamma, t), range(100), [t],
+        error_fn=gap_error_fn(inst),
+    )
+    exceed = sum(rec.errors["gap"][0] > threshold for rec in batch)
     frac = exceed / 100.0
     report(
         6,
@@ -263,12 +259,12 @@ def test_criterion_7_sdf_pipeline(sdf_system):
             scaled.problem, lip_l=scaled.lip_l, var_m=scaled.noise_m
         )
         oracle = composite.build_oracle(scaled.problem)
-        viols = np.zeros((len(seeds), len(system.parts)))
-        for row, seed in enumerate(seeds):
-            rec = solver.smp_run(
-                problem, oracle, solver.StepsizePolicy(scaled.gamma, t), seed, [t]
-            )
-            viols[row] = composite.component_violations(system, rec.averages[0].x)
+        batch = solver.run_batch(
+            "smp", problem, oracle, solver.StepsizePolicy(scaled.gamma, t), seeds, [t]
+        )
+        viols = np.array(
+            [composite.component_violations(system, rec.averages[0].x) for rec in batch]
+        )
         return scaled, viols
 
     # rate split: the pipeline stepsize shrinks like 1/sqrt(t), so the
@@ -324,35 +320,29 @@ def test_criterion_8_smp_vs_rmsa(game, tuned_noise):
     # L-dominated: exact oracle, deterministic
     exact = vi.exact_oracle(problem)
     g_smp = solver.constant_stepsize(1.0, radius, lip, 0.0, budget // 2)
-    smp_l = solver.smp_run(
-        problem, exact, solver.StepsizePolicy(g_smp, budget // 2), 0,
+    smp_l = solver.run_batch(
+        "smp", problem, exact, solver.StepsizePolicy(g_smp, budget // 2), [0],
         [budget // 2], error_fn=err_fn,
-    ).errors["gap"][0]
+    )[0].errors["gap"][0]
     g_rmsa = solver.rmsa_stepsize(1.0, radius, mbar, budget)
-    rmsa_l = solver.rmsa_run(
-        problem, exact, solver.StepsizePolicy(g_rmsa, budget), 0, [budget],
+    rmsa_l = solver.run_batch(
+        "rmsa", problem, exact, solver.StepsizePolicy(g_rmsa, budget), [0], [budget],
         error_fn=err_fn,
-    ).errors["gap"][0]
+    )[0].errors["gap"][0]
     l_ok = smp_l <= 0.5 * rmsa_l
 
     # M-dominated: single-sample oracle, 10 seeds each
     oracle = eigopt.averaged_oracle(inst, 1)
     g_smp2 = solver.constant_stepsize(1.0, radius, lip, tuned_noise, budget // 2)
     g_rmsa2 = solver.rmsa_stepsize(1.0, radius, mbar, budget)
-    smp_vals, rmsa_vals = [], []
-    for seed in range(10):
-        smp_vals.append(
-            solver.smp_run(
-                problem, oracle, solver.StepsizePolicy(g_smp2, budget // 2),
-                seed, [budget // 2], error_fn=err_fn,
-            ).errors["gap"][0]
-        )
-        rmsa_vals.append(
-            solver.rmsa_run(
-                problem, oracle, solver.StepsizePolicy(g_rmsa2, budget),
-                seed, [budget], error_fn=err_fn,
-            ).errors["gap"][0]
-        )
+    smp_vals = [rec.errors["gap"][0] for rec in solver.run_batch(
+        "smp", problem, oracle, solver.StepsizePolicy(g_smp2, budget // 2), range(10),
+        [budget // 2], error_fn=err_fn,
+    )]
+    rmsa_vals = [rec.errors["gap"][0] for rec in solver.run_batch(
+        "rmsa", problem, oracle, solver.StepsizePolicy(g_rmsa2, budget), range(10),
+        [budget], error_fn=err_fn,
+    )]
     ratio = float(np.mean(smp_vals) / np.mean(rmsa_vals))
     m_ok = 0.5 <= ratio <= 2.0
     report(

@@ -37,6 +37,14 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             build_instance_payload("nope", {}, 0)
 
+    @pytest.mark.parametrize("kind, params", [
+        ("eig_min", {"n": "x"}), ("eig_min", {"blocks": 3}), ("sdf_system", {"delta": "0.1"}),
+        ("scalar_minimax", {"scalars": [1.0, "3"]}), ("eig_min", ["n", 3]),
+    ])
+    def test_non_numeric_param_rejected(self, kind, params):
+        with pytest.raises(ConfigError):
+            build_instance_payload(kind, params, 0)
+
     def test_scalar_minimax_records_saddle(self):
         payload = build_instance_payload("scalar_minimax", {"scalars": [1.0, 3.0]}, 0)
         assert payload["meta"]["opt"] == 1.0

@@ -181,6 +181,17 @@ class TestBadInputExits2:
         exits_2_with_one_line(capsys, ["run", "--config", str(cfg)])
 
 
+    @pytest.mark.parametrize("kind, name, value", [
+        ("eig_min", "n", "x"), ("eig_min", "blocks", [2, "x"]), ("eig_min", "blocks", "2,2"),
+        ("eig_min", "scale", "big"), ("sdf_system", "delta", "x"), ("sdf_system", "noise_m", "x"),
+        ("sdf_system", "smooth_scale", [1.0]), ("sdf_system", "n_smooth", 1.5),
+    ], ids=lambda v: str(v).replace(" ", ""))
+    def test_non_numeric_instance_param(self, tmp_path, capsys, no_instance, kind, name, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instance": {"kind": kind, "params": {name: value}}}))
+        exits_2_with_one_line(capsys, ["run", "--config", str(cfg)])
+
+
 class TestVerifyCommand:
     def test_all_checks_pass(self, capsys):
         assert main(["verify"]) == 0

@@ -7,8 +7,8 @@ import pytest
 from helpers import assert_same_bytes, ref_combination, ref_sample_xi, ref_trace_vector
 
 from smpx import bench, composite, eigopt, symmat, vi
-from smpx.errors import ConfigError, InputError
-from smpx.geometry import Pair
+from smpx.errors import ConfigError, InputError, NumericalError
+from smpx.geometry import Pair, stack
 from smpx.rng import RandomStream
 from smpx.symmat import BlockStructure, BlockSymMatrix
 
@@ -136,13 +136,26 @@ class TestSampleXi:
             assert np.abs(diff.x).max() <= 1e-12
             assert symmat.spectral_norm(diff.y) <= 1e-12
 
+    @pytest.mark.parametrize("bad_blocks, message", [
+        ([np.diag([-0.1, 0.0]), np.diag([0.6, 0.5])], "drifted negative"),
+        ([np.zeros((2, 2)), np.zeros((2, 2))], "sum to zero"),
+    ])
+    def test_bad_block_traces_name_their_row(self, bad_blocks, message):
+        inst = load("eig_min", {"n": 3, "blocks": [2, 2]}, 5)
+        good = eigopt.build_setup(inst).center
+        bad = Pair(good.x, BlockSymMatrix(inst.structure, bad_blocks))
+        with pytest.raises(NumericalError, match=message) as info:
+            eigopt.stacked_sample(inst, stack([good, bad, good]),
+                                  [RandomStream(s) for s in range(3)])
+        assert info.value.row == 1
+
 
 class TestAveragedOracle:
     def test_k1_matches_single_draw(self):
         inst = load("eig_min", {"n": 4, "blocks": [2, 2]}, 11)
         setup = eigopt.build_setup(inst)
         z = setup.random_point(RandomStream(0))
-        a = eigopt.averaged_oracle(inst, 1)(z, RandomStream(5))
+        a = vi.draw(eigopt.averaged_oracle(inst, 1), z, RandomStream(5))
         b = eigopt.sample_xi(inst, z, RandomStream(5))
         assert np.array_equal(a.x, b.x)
 

@@ -2,20 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from helpers import assert_same_bytes, ref_run, ref_sample_xi, ref_step
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smpx import bench, eigopt
+from smpx import bench, composite, eigopt
 from smpx.errors import ConfigError, NumericalError
-from smpx.geometry import EuclideanBallSetup
+from smpx.geometry import EuclideanBallSetup, Pair, SimplexSetup, stack, unstack
+from smpx.rng import RandomStream
 from smpx.solver import (
+    RunBatch,
     StepsizePolicy,
     constant_stepsize,
     geometric_checkpoints,
     rmsa_run,
     rmsa_stepsize,
+    run_batch,
     smp_run,
     theoretical_bounds,
 )
-from smpx.vi import VIProblem, exact_oracle
+from smpx.symmat import BlockSymMatrix
+from smpx.vi import VIProblem, exact_oracle, per_seed
 
 
 def one_dim(lip=1.0):
@@ -139,7 +146,7 @@ class TestSmpRun:
             return eigopt.exact_operator(inst, z)
 
         gamma = constant_stepsize(1.0, prob.setup.omega_radius, prob.lip_l, 0.0, 8)
-        rec = smp_run(prob, spy, StepsizePolicy(gamma, 8), 0, [2, 5, 8])
+        rec = smp_run(prob, per_seed(spy), StepsizePolicy(gamma, 8), 0, [2, 5, 8])
         ws = seen[1::2]
         for cp, avg in zip(rec.checkpoints, rec.averages):
             ref = ws[0]
@@ -161,7 +168,7 @@ class TestSmpRun:
             1.0, prob.setup.omega_radius, prob.lip_l,
             eigopt.sample_deviation_bound(inst), 50,
         )
-        smp_run(prob, spy, StepsizePolicy(gamma, 50), 1, [50])
+        smp_run(prob, per_seed(spy), StepsizePolicy(gamma, 50), 1, [50])
         for z in queried:
             assert prob.setup.contains(z, tol=1e-10)
             assert prob.setup.in_interior(z)
@@ -195,7 +202,7 @@ class TestSmpRun:
         with pytest.raises(NumericalError, match="step 3"):
             smp_run(
                 prob,
-                broken,
+                per_seed(broken),
                 StepsizePolicy(0.5, 10),
                 0,
                 [10],
@@ -266,3 +273,147 @@ class TestCheckpoints:
         assert geometric_checkpoints(10) == [1, 2, 4, 8, 10]
         assert geometric_checkpoints(8) == [1, 2, 4, 8]
         assert geometric_checkpoints(1) == [1]
+
+
+def assert_same_point(a, b):
+    assert_same_bytes(a.x, b.x)
+    assert a.y.structure == b.y.structure
+    for u, v in zip(a.y.stacks, b.y.stacks, strict=True):
+        assert_same_bytes(u, v)
+
+
+def assert_records_equal_reference(batch, seeds, reference):
+    """Each seed's record has the bytes of its per-point reference run."""
+    assert [rec.seed for rec in batch] == seeds
+    for rec in batch:
+        averages, errors = reference(rec.seed)
+        assert len(rec.averages) == len(averages)
+        for a, b in zip(rec.averages, averages):
+            assert_same_point(a, b)
+        assert list(rec.errors) == list(errors)
+        for name, values in errors.items():
+            assert_same_bytes(np.array(rec.errors[name]), np.array(values))
+
+
+def ref_draw(inst, z, stream):
+    """The per-point randomized-oracle draw of ``helpers.ref_sample_xi``."""
+    xi_x, xi_y, _, _ = ref_sample_xi(
+        inst.a0.blocks, [m.blocks for m in inst.mats], z.x, z.y.blocks, stream
+    )
+    return Pair(xi_x, BlockSymMatrix(inst.structure, xi_y, _validate=False))
+
+
+# block structures with 1 x 1 blocks and mixed sizes, so that the sampled
+# block of different seeds falls in different size groups
+SIZES = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda s: sum(s) >= 2)
+SEEDS = st.lists(st.integers(0, 3), min_size=1, max_size=5)  # duplicates included
+
+
+class TestRunBatch:
+    """A seed's record in a lock-step batch has the bytes of the per-point
+    run of that seed, whatever the batch size and the other seeds."""
+
+    @given(sizes=SIZES, n=st.integers(2, 6), method=st.sampled_from(["smp", "rmsa"]),
+           kind=st.sampled_from(["sampled", "sampled_k2", "exact", "adapter"]),
+           seeds=SEEDS, t=st.integers(1, 10), step=st.floats(0.05, 1.0), data=st.data())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_eig_records_equal_per_point_runs(self, sizes, n, method, kind, seeds, t, step,
+                                              data):
+        inst, saddle = eig_problem(n=n, blocks=sizes, seed=len(sizes) + n)
+        problem = saddle.problem
+        gamma = step / (math.sqrt(3.0) * problem.lip_l)
+        cps = sorted(data.draw(st.sets(st.integers(1, t), min_size=1)))
+        oracle, ref_oracle = {
+            "sampled": (eigopt.averaged_oracle(inst, 1), lambda z, s: ref_draw(inst, z, s)),
+            "sampled_k2": (eigopt.averaged_oracle(inst, 2),
+                           lambda z, s: 0.5 * (ref_draw(inst, z, s) + ref_draw(inst, z, s))),
+            "exact": (exact_oracle(problem), lambda z, s: problem.operator(z)),
+            "adapter": (per_seed(lambda z, s: eigopt.sample_xi(inst, z, s)),
+                        lambda z, s: ref_draw(inst, z, s)),
+        }[kind]
+        error_fn = lambda z: {"gap": eigopt.objective_and_gap(inst, z)[1]}  # noqa: E731
+        batch = run_batch(method, problem, oracle, StepsizePolicy(gamma, t), seeds, cps,
+                          error_fn)
+        assert_records_equal_reference(batch, seeds, lambda seed: ref_run(
+            method, problem, ref_oracle, gamma, t, seed, cps, error_fn))
+
+    @given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(
+               lambda s: sum(s) >= 2),
+           method=st.sampled_from(["smp", "rmsa"]), kind=st.sampled_from(["sampled", "exact"]),
+           seeds=SEEDS, t=st.integers(1, 6))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_sdf_records_equal_per_point_runs(self, sizes, method, kind, seeds, t):
+        payload = bench.build_instance_payload(
+            "sdf_system",
+            {"n": 3, "blocks": sizes, "delta": 0.0, "noise_m": 0.5, "n_smooth": 1}, 11)
+        _, system = bench.payload_to_instance(payload)
+        scaled = composite.sdf_scale(system, t)
+        problem = composite.build_vi(scaled.problem, lip_l=scaled.lip_l, var_m=scaled.noise_m)
+        if kind == "sampled":
+            oracle = composite.build_oracle(scaled.problem)
+            ref_oracle = lambda z, s: composite.composite_oracle(scaled.problem, z, s)  # noqa: E731
+        else:
+            oracle, ref_oracle = exact_oracle(problem), lambda z, s: problem.operator(z)
+
+        def error_fn(z):
+            viols = composite.component_violations(system, z.x)
+            return {f"viol_{i}": v for i, v in enumerate(viols)}
+
+        batch = run_batch(method, problem, oracle, StepsizePolicy(scaled.gamma, t), seeds, [t],
+                          error_fn)
+        assert_records_equal_reference(batch, seeds, lambda seed: ref_run(
+            method, problem, ref_oracle, scaled.gamma, t, seed, [t], error_fn))
+
+    def test_simplex_step_rows_equal_per_point_steps(self):
+        # enough rows that some totals are values whose numpy vector log
+        # differs from math.log
+        setup = SimplexSetup(5)
+        stream = RandomStream(3)
+        s = np.log(stream.uniforms((20_000, 5)) + 0.01)
+        s -= np.log(np.exp(s).sum(axis=1, keepdims=True))
+        xi = 3.0 * stream.normals((20_000, 5))
+        got_s, got_z = setup.step(s, xi)
+        for row in range(len(s)):
+            ref_s, ref_z = ref_step(setup, s[row], xi[row])
+            assert_same_bytes(got_s[row], ref_s)
+            assert_same_bytes(got_z[row], ref_z)
+
+    def test_step_and_seed_of_a_failure_are_named(self):
+        inst, saddle = eig_problem()
+        calls = []
+
+        def broken(z, stream):
+            calls.append(stream.base_seed)
+            xi = eigopt.sample_xi(inst, z, stream)
+            if stream.base_seed == 5 and calls.count(5) == 3:
+                return float("nan") * xi
+            return xi
+
+        with pytest.raises(NumericalError, match="step 2 for seed 5"):
+            run_batch("smp", saddle.problem, per_seed(broken), StepsizePolicy(0.01, 4),
+                      [3, 5, 8], [4])
+
+    def test_runners_take_one_seed_or_a_batch(self):
+        inst, saddle = eig_problem()
+        orc = eigopt.averaged_oracle(inst, 1)
+        policy = StepsizePolicy(0.01, 7)
+        one = smp_run(saddle.problem, orc, policy, 2, [7])
+        batch = smp_run(saddle.problem, orc, policy, [1, 2], [7])
+        assert isinstance(batch, RunBatch) and len(batch) == 2
+        assert_same_point(batch[1].averages[0], one.averages[0])
+        assert (batch.t, batch.oracle_calls) == (14, 28)
+        assert len(rmsa_run(saddle.problem, orc, policy, (4, 4, 4), [7])) == 3
+
+    def test_wall_ms_splits_the_loop_time(self):
+        inst, saddle = eig_problem()
+        batch = run_batch("smp", saddle.problem, eigopt.averaged_oracle(inst, 1),
+                          StepsizePolicy(0.01, 30), [0, 1, 2], [30])
+        share = batch[0].wall_ms
+        assert share > 0.0 and all(rec.wall_ms == share for rec in batch)
+
+    def test_stack_round_trip(self):
+        inst, saddle = eig_problem(blocks=(2, 1, 2))
+        setup = saddle.problem.setup
+        points = [setup.random_point(RandomStream(i)) for i in range(3)]
+        for a, b in zip(unstack(stack(points)), points, strict=True):
+            assert_same_point(a, b)

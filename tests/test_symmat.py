@@ -9,7 +9,7 @@ from helpers import (
 )
 
 from smpx import symmat
-from smpx.errors import ConfigError, InputError
+from smpx.errors import ConfigError, InputError, NumericalError
 from smpx.rng import RandomStream
 from smpx.symmat import BlockStructure, BlockSymMatrix
 
@@ -103,6 +103,27 @@ class TestEigh:
         for (vals, q), blk in zip(symmat.eigh(m), blocks):
             ref = np.linalg.eigvalsh(0.5 * (blk + blk.T))[::-1]
             assert np.allclose(vals, ref)
+
+
+    @pytest.mark.parametrize("shape", [(1, 3, 4, 4), (6, 2, 1, 1), (2, 4, 32, 32)])
+    def test_descending_eigh_is_numpy_eigh_reversed(self, shape):
+        a = RandomStream(7).normals(shape)
+        a = a + a.swapaxes(-1, -2)
+        vals, vecs = symmat.descending_eigh(a)
+        lam, q = np.linalg.eigh(a)
+        assert_same_bytes(vals, lam[..., ::-1].copy())
+        assert_same_bytes(vecs, q[..., ::-1].copy())
+        assert vals.flags.c_contiguous and vecs.flags.c_contiguous
+
+    def test_unconverged_decomposition_raises(self, monkeypatch):
+        class Unconverged:
+            @staticmethod
+            def eigh_lo(a, signature):
+                return np.full(a.shape[:-1], np.nan), np.full(a.shape, np.nan)
+
+        monkeypatch.setattr(symmat, "_umath_linalg", Unconverged)
+        with pytest.raises(NumericalError, match="did not converge"):
+            symmat.descending_eigh(np.eye(3)[None])
 
 
 class TestEntropyMap:
