@@ -12,11 +12,15 @@ oracles induce an unbiased oracle for F.  One family is represented: the
 matrix-minimax one, Phi(u) = max_l lambda_max(u_l), where A_l selects the
 l-th diagonal block of a spectahedron variable y, b_l = 0, Phi_* = 0 and
 component l has a weight beta_l: F(x, y) = [ sum_l beta_l [phi_l'(x)]^* y_l ;
--blockdiag(beta_l phi_l(x)) ].  A component's draw returns its value
-estimate and its adjoint gradient at y_l; the operator weights both and
-writes the value into block l of one y stack.  The oracle of F draws per
-point, (z, stream), and ``build_oracle`` lifts it into the stacked oracle
-contract with ``vi.per_seed``.
+-blockdiag(beta_l phi_l(x)) ].  The operator works on a stack of R points
+(the seeds of a lock-step run, the probes of a probe-set chunk): each
+component evaluates its values and adjoint gradients at all rows in one
+call, exact or drawn from a row's uniforms, and the operator weights both
+and writes the values into block l of one y stack.  The oracle of F takes
+each row's uniforms in one call on that row's stream and hands each
+component its columns in index order.  Every operation is a product or an
+elementwise step per row, never one matrix product across the rows, so a
+row gets the bytes it gets in a stack of one.
 
 The semidefinite-feasibility pipeline rebalances a system psi_l <= 0 so
 every component contributes the same regularity scale, builds the induced
@@ -32,16 +36,18 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, SmpxError
 from .geometry import (
     Pair,
     ProductSetup,
     ProxSetup,
     SpectahedronSetup,
+    stack,
+    unstack,
 )
 from .rng import RandomStream, box_muller
-from .symmat import BlockStructure, BlockSymMatrix
-from .vi import VIProblem, per_seed
+from .symmat import BlockStack, BlockStructure
+from .vi import VIProblem, draw
 
 
 # ---------------------------------------------------------------------------
@@ -51,11 +57,16 @@ from .vi import VIProblem, per_seed
 class Component:
     """PSD-convex map into S^p with a subgradient selection and an oracle.
 
-    ``sample(x, y_l, stream)`` returns a value estimate and the matching
-    estimate of the adjoint gradient at y_l; the default oracle is exact.
+    ``rows(xs, ys, u)`` evaluates the component at the rows of an (R, n)
+    stack of points against an (R, p, p) stack of blocks y_l: (R, p, p)
+    values and (R, n) adjoint gradients, exact when u is None, else value
+    and gradient estimates drawn from the (R, uniforms) array u.  The
+    default draws nothing and evaluates ``value`` and ``grad_adjoint`` row
+    by row; an error is tagged with its row.
     """
 
     p: int = 1
+    uniforms: int = 0  # uniforms one draw takes per row
 
     def value(self, x):
         raise NotImplementedError
@@ -64,8 +75,15 @@ class Component:
         """Vector with entries <(d phi / d x_j), u>."""
         raise NotImplementedError
 
-    def sample(self, x, y_l, stream: RandomStream):
-        return self.value(x), self.grad_adjoint(x, y_l)
+    def rows(self, xs, ys, u=None):
+        vals, grads = [], []
+        for row, (x, y_l) in enumerate(zip(xs, ys, strict=True)):
+            try:
+                vals.append(self.value(x))
+                grads.append(self.grad_adjoint(x, y_l))
+            except Exception as exc:  # noqa: BLE001 - annotate with the row
+                raise InputError(str(exc), row=row) from exc
+        return np.array(vals, dtype=float), np.array(grads, dtype=float)
 
 
 class AffineMatrixComponent(Component):
@@ -86,6 +104,12 @@ class AffineMatrixComponent(Component):
 
     def grad_adjoint(self, x, u):
         return self._flat @ np.asarray(u, dtype=float).ravel()
+
+    def rows(self, xs, ys, u=None):
+        n_rows = len(xs)
+        vals = (xs[:, None, :] @ self._flat).reshape(n_rows, self.p, self.p)
+        vals += self.c0
+        return vals, (self._flat @ ys.reshape(n_rows, -1, 1))[:, :, 0]
 
     def grad_sup_norm(self) -> float:
         """max_j |C_j|_inf: bounds |phi'(x) h|_inf over ||h||_1 <= 1."""
@@ -128,10 +152,12 @@ class QuadraticMatrixComponent(Component):
         bu = self._factor(x) @ np.asarray(u, dtype=float)
         return 2.0 * (self._flat @ bu.ravel())
 
-    def sample(self, x, y_l, stream: RandomStream):
-        """The exact value and adjoint gradient from one factor B(x)."""
-        b = self._factor(x)
-        return b.T @ b + self.c0, 2.0 * (self._flat @ (b @ np.asarray(y_l, dtype=float)).ravel())
+    def rows(self, xs, ys, u=None):
+        """The exact values and adjoint gradients from one factor B(x) per row."""
+        n_rows = len(xs)
+        b = (xs[:, None, :] @ self._flat).reshape(n_rows, self._rows, self.p) + self.b0
+        grads = self._flat @ (b @ ys).reshape(n_rows, -1, 1)
+        return b.transpose(0, 2, 1) @ b + self.c0, 2.0 * grads[:, :, 0]
 
     def lipschitz_bounds(self, omega_x: float):
         """Smallest L such that the derivative conditions hold with M = 0."""
@@ -158,6 +184,8 @@ class NoisyAffineComponent(Component):
         self.rho_g = float(rho_g)
         self.n = base.n
         self.p = base.p
+        # per matrix, the m Box-Muller pairs and the sign; then n Rademacher signs
+        self.uniforms = 2 * (2 * ((self.p + 1) // 2) + 1) + self.n
 
     def value(self, x):
         return self.base.value(x)
@@ -165,27 +193,28 @@ class NoisyAffineComponent(Component):
     def grad_adjoint(self, x, u):
         return self.base.grad_adjoint(x, u)
 
-    def sample(self, x, y_l, stream: RandomStream):
+    def rows(self, xs, ys, u=None):
         # U_f and U_g are signed normalized rank-one outer products
         # +-qq^T / q^T q: spectral norm exactly one, mean zero, no eigensolve.
-        # One draw of uniforms holds, per matrix, the m Box-Muller pairs
-        # (the m first members, then the m second ones) and the sign, then
-        # the n Rademacher signs: the order of one call per variate.
-        p, m = self.p, (self.p + 1) // 2
-        u = stream.uniforms(2 * (2 * m + 1) + self.n)
-        rows = u[:2 * (2 * m + 1)].reshape(2, 2 * m + 1)
-        q = box_muller(rows[:, :m], rows[:, m:2 * m], p)
+        # A row's uniforms hold, per matrix, the m Box-Muller pairs (the m
+        # first members, then the m second ones) and the sign, then the n
+        # Rademacher signs: the order of one stream call per variate.
+        vals, grads = self.base.rows(xs, ys)
+        if u is None:
+            return vals, grads
+        n_rows, p, m = len(u), self.p, (self.p + 1) // 2
+        pairs = u[:, :2 * (2 * m + 1)].reshape(n_rows, 2, 2 * m + 1)
+        q = box_muller(pairs[..., :m], pairs[..., m:2 * m], p)
         nsq = np.vecdot(q, q)
         zero = nsq == 0.0
         if zero.any():
             q[zero] = 1.0
             nsq[zero] = float(p)
-        scale = np.where(rows[:, 2 * m] < 0.5, 1.0, -1.0) / nsq
-        u_f, u_g = scale[:, None, None] * (q[:, :, None] * q[:, None, :])
-        f_hat = self.base.value(x) + self.rho_f * u_f
-        signs = np.where(u[2 * (2 * m + 1):] < 0.5, 1.0, -1.0)
-        bump = self.rho_g * float(np.sum(u_g * np.asarray(y_l, dtype=float)))
-        return f_hat, self.base.grad_adjoint(x, y_l) + bump * signs
+        scale = np.where(pairs[..., 2 * m] < 0.5, 1.0, -1.0) / nsq
+        mats = scale[..., None, None] * (q[..., :, None] * q[..., None, :])
+        signs = np.where(u[:, 2 * (2 * m + 1):] < 0.5, 1.0, -1.0)
+        bump = self.rho_g * (mats[:, 1] * ys).reshape(n_rows, -1).sum(axis=1)
+        return vals + self.rho_f * mats[:, 0], grads + bump[:, None] * signs
 
 
 # ---------------------------------------------------------------------------
@@ -209,45 +238,53 @@ class CompositeProblem:
     m_x: float = 0.0
 
 
-def _saddle_operator(cp: CompositeProblem, z: Pair, draw) -> Pair:
-    """F(z) in one pass over the components, in index order.
+def _saddle_operator(cp: CompositeProblem, zs: Pair, u=None) -> Pair:
+    """F at the rows of a stack of points, in one pass over the components.
 
-    ``draw(comp, x, y_l)`` returns the component's value (or its estimate)
-    and the adjoint gradient at block y_l; errors carry the component index.
-    F_y is beta_l f_l + pad in block l of one zero stack, negated.  A sum of
-    zero-padded blocks turns -0.0 into +0.0 once m >= 2; pad = +0.0 keeps
-    those bytes, and pad = -0.0 (no change) serves m = 1.
+    zs.x is (R, n) and zs.y a ``BlockStack``.  u is None for the exact
+    operator, else an (R, U) array of uniforms, component l taking the next
+    ``uniforms`` columns in index order.  Errors carry the component index
+    and, when known, the row.  F_y is beta_l f_l + pad in block l of one
+    zero stack, negated.  A sum of zero-padded blocks turns -0.0 into +0.0
+    once m >= 2; pad = +0.0 keeps those bytes, and pad = -0.0 (no change)
+    serves m = 1.  The values come back as read-only stacks.
     """
-    x, y = z.x, z.y
+    xs, ys = zs.x, zs.y
     structure = cp.y_setup.structure
-    stacks = [np.zeros((len(ids), p, p)) for p, ids in structure.groups]
+    stacks = [np.zeros((len(xs), len(ids), p, p)) for p, ids in structure.groups]
     pad = 0.0 if len(cp.components) > 1 else -0.0
     fx = None
+    start = 0
     for idx, (comp, beta) in enumerate(zip(cp.components, cp.betas, strict=True)):
         g, r = structure.slots[idx]
+        stop = start + comp.uniforms
         try:
-            f_hat, gx = draw(comp, x, y.stacks[g][r])
-            stacks[g][r] = beta * f_hat + pad
+            f_hat, gx = comp.rows(xs, ys.stacks[g][:, r], None if u is None else u[:, start:stop])
+            stacks[g][:, r] = beta * f_hat + pad
         except Exception as exc:  # noqa: BLE001 - annotate with the component index
-            raise InputError(f"component {idx} failed: {exc}") from exc
+            row = exc.row if isinstance(exc, SmpxError) else None
+            at = "" if row is None else f" at row {row}"
+            raise InputError(f"component {idx} failed{at}: {exc}", row=row) from exc
+        start = stop
         fx = beta * gx if fx is None else fx + beta * gx
     for s in stacks:
         np.negative(s, out=s)
-    return Pair(fx, BlockSymMatrix.from_stacks(structure, stacks))
+    for a in (fx, *stacks):
+        a.setflags(write=False)
+    return Pair(fx, BlockStack(structure, stacks))
 
 
 def composite_operator(cp: CompositeProblem, z: Pair) -> Pair:
-    """Exact monotone operator of the saddle reformulation."""
-    return _saddle_operator(cp, z, lambda c, x, y_l: (c.value(x), c.grad_adjoint(x, y_l)))
+    """Exact monotone operator of the saddle reformulation at one point."""
+    return unstack(_saddle_operator(cp, stack([z])))[0]
 
 
 def composite_oracle(cp: CompositeProblem, z: Pair, stream: RandomStream) -> Pair:
-    """One oracle draw: plugs sampled component values/gradients into F.
+    """One oracle draw at one point: ``build_oracle`` on a stack of one.
 
     Linearity of F in the component data makes the estimate unbiased.
-    Components are sampled in index order off the single run stream.
     """
-    return _saddle_operator(cp, z, lambda comp, x, y_l: comp.sample(x, y_l, stream))
+    return draw(build_oracle(cp), z, stream)
 
 
 def lipschitz_constants(cp: CompositeProblem) -> tuple:
@@ -281,12 +318,20 @@ def build_vi(cp: CompositeProblem, lip_l=None, var_m=None) -> VIProblem:
         operator=lambda z: composite_operator(cp, z),
         lip_l=float(lip_l),
         var_m=float(var_m),
+        stacked_operator=lambda points: _saddle_operator(cp, points),
     )
 
 
 def build_oracle(cp: CompositeProblem) -> Callable:
-    """Stacked oracle: one ``composite_oracle`` draw per row."""
-    return per_seed(lambda z, stream: composite_oracle(cp, z, stream))
+    """Stacked oracle: one draw of F per row, row r's uniforms from one
+    call on streams[r]; rows whose components are all exact draw nothing."""
+    total = sum(c.uniforms for c in cp.components)
+
+    def oracle(zs, streams):
+        u = np.array([stream.uniforms(total) for stream in streams]) if total else None
+        return _saddle_operator(cp, zs, u)
+
+    return oracle
 
 
 def matrix_minimax_problem(

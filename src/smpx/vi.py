@@ -5,7 +5,9 @@ constants (L, M) of ||F(z) - F(z')||_* <= L ||z - z'|| + M.  A stochastic
 oracle is a plain function (zs, streams) -> random estimates of F at the
 rows of a stack of points (``geometry.stack``), row r drawn from
 streams[r] alone, so a row gets the values it gets in a stack of one.
-``per_seed`` lifts a per-point function (z, stream) into that contract.
+``per_seed`` lifts a per-point function (z, stream) into that contract,
+one call per row; ``exact_oracle`` is built with it, while the eig and
+composite oracles evaluate all rows at once.
 The bias and noise constants of an oracle enter only the stepsize and
 bound calculators, which take them as numbers.
 
@@ -15,9 +17,9 @@ lower bound over a finite probe set.  Written as <F(u), z> - <F(u), u>,
 the bound needs of a probe only its operator value and one number, both
 computed once, so the probe set keeps those and not the points.  The
 values come per probe, or a chunk of probes at a time when the problem
-supplies a stacked operator (the eig saddle does).  For saddle-point
-instances the functional (Nash) error is the exact duality gap and is
-computed from the instance's closed forms.
+supplies a stacked operator (the eig saddle and the composite problems
+do).  For saddle-point instances the functional (Nash) error is the exact
+duality gap and is computed from the instance's closed forms.
 """
 
 from __future__ import annotations
@@ -255,17 +257,25 @@ def estimate_noise_level(
     Takes the largest sampled root-mean-square deviation over the center
     and seeded random points, inflated by the safety factor.  Deterministic
     for a fixed seed; used when the worst-case noise constants are too
-    conservative to give informative stepsizes.
+    conservative to give informative stepsizes.  The points are the rows of
+    one stack, point i drawing from stream seed + 1 + i, so each gets the
+    second moment that ``oracle_stats`` gives it.
     """
+    if n_samples < 1:
+        raise InputError("need at least one sample")
     stream = RandomStream(seed)
     points = [problem.setup.center] + [
         problem.setup.random_point(stream) for _ in range(max(n_points - 1, 0))
     ]
-    worst = 0.0
-    for i, z in enumerate(points):
-        _, m2 = oracle_stats(oracle, problem, z, n_samples, seed + 1 + i)
-        worst = max(worst, math.sqrt(m2))
-    return safety * worst
+    streams = [RandomStream(seed + 1 + i) for i in range(len(points))]
+    zs = stack(points)
+    fz = stack([problem.operator(z) for z in points])
+    dual_norm = problem.setup.dual_norm
+    m2 = [0.0] * len(points)
+    for _ in range(n_samples):
+        for i, d in enumerate(unstack(oracle(zs, streams) - fz)):
+            m2[i] += dual_norm(d) ** 2
+    return safety * max(0.0, *(math.sqrt(v / n_samples) for v in m2))
 
 
 def spot_check_regularity(

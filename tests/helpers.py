@@ -188,8 +188,31 @@ def ref_noisy_sample(comp, x, y_l, stream):
     return f_hat, comp.base.grad_adjoint(x, y_l) + bump * signs
 
 
-def ref_composite_oracle(cp, z, stream):
-    """Oracle draw that adds one zero-padded block matrix per component.
+def ref_quadratic(comp, x, y_l):
+    """Value B^T B + C_0 and adjoint gradient 2 <B_j, B y_l> of a quadratic
+    component at one point, from one factor B = B_0 + sum_j x_j B_j."""
+    flat = comp.bs.reshape(comp.n, -1)
+    b = (np.asarray(x, dtype=float) @ flat).reshape(comp.bs.shape[1:]) + comp.b0
+    return b.T @ b + comp.c0, 2.0 * (flat @ (b @ y_l).ravel())
+
+
+def ref_component_draw(comp, x, y_l, stream, exact=False):
+    """One component's (value, adjoint gradient) at one point: a noisy draw
+    unless exact, a quadratic from ``ref_quadratic``, else the exact data."""
+    from smpx.composite import NoisyAffineComponent, QuadraticMatrixComponent
+
+    if isinstance(comp, NoisyAffineComponent):
+        if not exact:
+            return ref_noisy_sample(comp, x, y_l, stream)
+        comp = comp.base
+    if isinstance(comp, QuadraticMatrixComponent):
+        return ref_quadratic(comp, x, y_l)
+    return comp.value(x), comp.grad_adjoint(x, y_l)
+
+
+def ref_composite_oracle(cp, z, stream, exact=False):
+    """Oracle draw (the exact operator if exact) that adds one zero-padded
+    block matrix per component.
 
     Each draw is weighted by its beta, and each padded term is stacked from
     a list of blocks, zeros except block l.
@@ -201,7 +224,7 @@ def ref_composite_oracle(cp, z, stream):
     sizes = structure.block_sizes
     fx = acc_y = None
     for l, comp in enumerate(cp.components):
-        f_hat, gx = comp.sample(z.x, z.y.blocks[l], stream)
+        f_hat, gx = ref_component_draw(comp, z.x, z.y.blocks[l], stream, exact)
         f_hat, gx = cp.betas[l] * f_hat, cp.betas[l] * gx
         blocks = [f_hat if i == l else np.zeros((p, p)) for i, p in enumerate(sizes)]
         term = BlockSymMatrix(structure, blocks, _validate=False)

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from helpers import assert_same_bytes, ref_composite_oracle, ref_noisy_sample
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smpx import bench, composite, symmat, vi
 from smpx.composite import (
@@ -18,9 +20,10 @@ from smpx.composite import (
     matrix_minimax_problem,
     sdf_scale,
 )
-from smpx.errors import ConfigError
-from smpx.geometry import EuclideanBallSetup, Pair, SimplexSetup
+from smpx.errors import ConfigError, InputError, NumericalError
+from smpx.geometry import EuclideanBallSetup, Pair, SimplexSetup, stack, unstack
 from smpx.rng import RandomStream
+from smpx.solver import StepsizePolicy, run_batch
 from smpx.symmat import BlockStructure, BlockSymMatrix
 
 
@@ -32,6 +35,30 @@ def affine_minimax(n=4, sizes=(2, 2), seed=5, m_x=0.0):
         cs = np.stack([stream.symmetric(p) for _ in range(n)])
         comps.append(AffineMatrixComponent(c0, cs))
     return matrix_minimax_problem(SimplexSetup(n), comps, m_x=m_x)
+
+
+def assert_same_pair(a, b):
+    assert_same_bytes(a.x, b.x)
+    assert a.y.structure == b.y.structure
+    for s, t in zip(a.y.stacks, b.y.stacks, strict=True):
+        assert_same_bytes(s, t)
+
+
+class ZeroGen:  # every uniform is 0, so every normal is 0
+    def random(self, n=None):
+        return 0.0 if n is None else np.zeros(n)
+
+
+def zero_stream():
+    stream = RandomStream(0)
+    stream._gen = ZeroGen()
+    return stream
+
+
+def sample(comp, x, y_l, stream):
+    """One draw of comp at one point: its ``rows`` on a stack of one."""
+    f_hat, g = comp.rows(x[None], np.asarray(y_l)[None], stream.uniforms(comp.uniforms)[None])
+    return f_hat[0], g[0]
 
 
 def sdf_system(n=5, sizes=(3, 3, 3), seed=2, delta=0.0):
@@ -188,7 +215,7 @@ class TestComponents:
         x = SimplexSetup(4).random_point(stream)
         for _ in range(300):
             u = stream.symmetric(3)
-            f_hat, g = noisy.sample(x, u, stream)
+            f_hat, g = sample(noisy, x, u, stream)
             dev = f_hat - base.value(x)
             # value noise has spectral norm exactly rho_f
             assert np.abs(np.linalg.eigvalsh(dev)).max() <= 0.8 + 1e-12
@@ -213,26 +240,17 @@ class TestOneDrawNoise:
         ours, ref = RandomStream(21), RandomStream(21)
         for _ in range(10):
             u = data.symmetric(p)
-            f_hat, g = noisy.sample(x, u, ours)
+            f_hat, g = sample(noisy, x, u, ours)
             f_ref, g_ref = ref_noisy_sample(noisy, x, u, ref)
             assert_same_bytes(f_hat, f_ref)
             assert_same_bytes(g, g_ref)
             assert ours.uniform() == ref.uniform()  # the streams stand at one position
 
     def test_zero_normals_take_the_guard(self):
-        class ZeroGen:  # every uniform is 0, so every normal is 0
-            def random(self, n=None):
-                return 0.0 if n is None else np.zeros(n)
-
-        def zero_stream():
-            stream = RandomStream(0)
-            stream._gen = ZeroGen()
-            return stream
-
         base = AffineMatrixComponent(np.eye(3), np.stack([np.eye(3)] * 4))
         noisy = NoisyAffineComponent(base, rho_f=0.8, rho_g=0.5)
         x = np.full(4, 0.25)
-        f_hat, g = noisy.sample(x, np.eye(3), zero_stream())
+        f_hat, g = sample(noisy, x, np.eye(3), zero_stream())
         f_ref, g_ref = ref_noisy_sample(noisy, x, np.eye(3), zero_stream())
         assert_same_bytes(f_hat, f_ref)
         assert_same_bytes(g, g_ref)
@@ -250,8 +268,8 @@ class TestOneDrawNoise:
                 assert_same_bytes(s, t)
 
     def test_operator_equals_sum_of_padded_terms(self):
-        # the reference draws through Component.sample, the exact data of
-        # every component but the noisy ones, which are swapped for their bases
+        # the reference takes the exact data of every component once the
+        # noisy ones are swapped for their bases
         scaled = sdf_scale(sdf_system(sizes=(3, 2, 3), delta=0.1), 50)
         cp = scaled.problem
         exact = dataclasses.replace(cp, components=tuple(
@@ -279,19 +297,31 @@ class TestOneDrawNoise:
 
         return Fixed()
 
-    def test_one_component_keeps_the_sign_of_zero(self):
+    @staticmethod
+    def _draws(cp, z, n_rows):
+        """(oracle draws, exact values) at n_rows copies of z: through the
+        one-point entry points for one row, else as the rows of a stack."""
+        if n_rows == 1:
+            return [composite_oracle(cp, z, RandomStream(0))], [composite_operator(cp, z)]
+        zs = stack([z] * n_rows)
+        draws = composite.build_oracle(cp)(zs, [RandomStream(0) for _ in range(n_rows)])
+        return unstack(draws), unstack(composite.build_vi(cp).stacked_operator(zs))
+
+    @pytest.mark.parametrize("n_rows", [1, 3])
+    def test_one_component_keeps_the_sign_of_zero(self, n_rows):
         cp = matrix_minimax_problem(
             SimplexSetup(2), [self._fixed(np.array([[-0.0, 1.0], [1.0, 2.0]]))]
         )
         z = Pair(np.full(2, 0.5), cp.y_setup.center)
-        a = composite_oracle(cp, z, RandomStream(0))
         b = ref_composite_oracle(cp, z, RandomStream(0))
-        exact = composite_operator(cp, z)
-        for fy in (a.y, exact.y):
-            assert_same_bytes(fy.stacks[0], b.y.stacks[0])
-        assert not np.signbit(exact.y.stacks[0][0, 0, 0])  # F_y = -(-0.0)
+        draws, values = self._draws(cp, z, n_rows)
+        for a, exact in zip(draws, values, strict=True):
+            for fy in (a.y, exact.y):
+                assert_same_bytes(fy.stacks[0], b.y.stacks[0])
+            assert not np.signbit(exact.y.stacks[0][0, 0, 0])  # F_y = -(-0.0)
 
-    def test_two_components_turn_negative_zero_positive(self):
+    @pytest.mark.parametrize("n_rows", [1, 3])
+    def test_two_components_turn_negative_zero_positive(self, n_rows):
         # the padded sum adds +0.0 to every entry once m >= 2
         comps = [
             self._fixed(np.array([[-0.0, 1.0], [1.0, 2.0]])),
@@ -300,11 +330,115 @@ class TestOneDrawNoise:
         cp = matrix_minimax_problem(SimplexSetup(2), comps, betas=[1.0, 0.5])
         z = Pair(np.full(2, 0.5), cp.y_setup.center)
         b = ref_composite_oracle(cp, z, RandomStream(0))
-        for fy in (composite_oracle(cp, z, RandomStream(0)).y,
-                   composite_operator(cp, z).y):
+        draws, values = self._draws(cp, z, n_rows)
+        for fy in [a.y for a in draws] + [a.y for a in values]:
             for s, t in zip(fy.stacks, b.y.stacks):
                 assert_same_bytes(s, t)
             assert np.signbit(fy.stacks[0][0, 0, 0])  # F_y = -(+0.0)
+
+
+def random_component(kind, n, p, stream):
+    """An exact affine, a noisy affine or a quadratic component with a
+    factor of 1 to 3 rows and nonzero B_0 and C_0."""
+    if kind == "quadratic":
+        rows = 1 + int(3 * stream.uniform())
+        return QuadraticMatrixComponent(stream.normals((rows, p)),
+                                        stream.normals((n, rows, p)), stream.symmetric(p))
+    base = AffineMatrixComponent(stream.symmetric(p),
+                                 np.stack([stream.symmetric(p) for _ in range(n)]))
+    return base if kind == "affine" else NoisyAffineComponent(base, rho_f=0.8, rho_g=0.5)
+
+
+class _FailsOnThirdValue(composite.Component):
+    """A value/gradient-only component whose third value call raises, so
+    the default row loop fails on row 2 of the first stack it sees."""
+
+    p = 2
+
+    def __init__(self):
+        self.calls = 0
+
+    def value(self, x):
+        self.calls += 1
+        if self.calls == 3:
+            raise ValueError("boom")
+        return np.eye(2)
+
+    def grad_adjoint(self, x, u):
+        return np.zeros(len(x))
+
+
+class TestStackedOperator:
+    """Each row of the stacked oracle and operator has the bytes of the
+    per-point reference on that row, whatever the other rows."""
+
+    # 1 x 1 blocks and mixed sizes; one to four components of each kind, so
+    # from no smooth component to all smooth ones, and m = 1 (the -0.0 pad)
+    @given(kinds=st.lists(st.tuples(st.integers(1, 3),
+                                    st.sampled_from(["affine", "noisy", "quadratic"])),
+                          min_size=1, max_size=4).filter(lambda k: sum(p for p, _ in k) >= 2),
+           n=st.integers(2, 12), seeds=st.lists(st.integers(0, 3), min_size=1, max_size=5),
+           data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_oracle_rows_equal_per_point_draws(self, kinds, n, seeds, data):
+        stream = RandomStream(len(kinds) + 10 * n)
+        comps = [random_component(kind, n, p, stream) for p, kind in kinds]
+        betas = [0.5 + stream.uniform() for _ in comps]
+        cp = matrix_minimax_problem(SimplexSetup(n), comps, betas)
+        setup = composite.build_vi(cp).setup
+        points = [setup.random_point(stream) for _ in seeds]
+        zero = data.draw(st.none() | st.integers(0, len(seeds) - 1))  # guard on one row
+
+        def streams():
+            out = [RandomStream(seed) for seed in seeds]
+            if zero is not None:
+                out[zero] = zero_stream()
+            return out
+
+        ours, refs = streams(), streams()
+        oracle = composite.build_oracle(cp)
+        for _ in range(2):
+            got = unstack(oracle(stack(points), ours))
+            for a, z, ref in zip(got, points, refs, strict=True):
+                assert_same_pair(a, ref_composite_oracle(cp, z, ref))
+        for a, b in zip(ours, refs):
+            assert a.uniform() == b.uniform()  # the streams stand at one position
+        exact = unstack(composite.build_vi(cp).stacked_operator(stack(points)))
+        for a, z in zip(exact, points, strict=True):
+            assert_same_pair(a, ref_composite_oracle(cp, z, None, exact=True))
+
+    def test_probe_chunks_equal_per_probe_operator(self):
+        cp = sdf_scale(sdf_system(sizes=(3, 1, 2), delta=0.1), 50).problem
+        problem = composite.build_vi(cp)
+        points = list(problem.setup.probe_points(RandomStream(3), 60))
+        probes = vi.ProbeSet(problem, points)
+        assert len(probes.chunks) > 1
+        for k, (rows, _) in enumerate(probes.chunks):
+            chunk = points[k * vi._CHUNK:(k + 1) * vi._CHUNK]
+            ref = vi._stack([composite_operator(cp, u) for u in chunk], points[0])
+            for got, want in zip(rows, vi._rows(ref), strict=True):
+                assert not got.flags.writeable
+                assert_same_bytes(got, want)
+
+    def _failing_problem(self):
+        stream = RandomStream(30)
+        comps = [random_component("noisy", 3, 2, stream), _FailsOnThirdValue()]
+        return matrix_minimax_problem(SimplexSetup(3), comps)
+
+    def test_component_error_names_index_and_row(self):
+        cp = self._failing_problem()
+        zs = stack([composite.build_vi(cp).setup.center] * 4)
+        with pytest.raises(InputError, match="component 1 failed at row 2: boom") as info:
+            composite.build_vi(cp).stacked_operator(zs)
+        assert info.value.row == 2
+
+    def test_run_batch_names_the_failing_seed(self):
+        cp = self._failing_problem()
+        problem = composite.build_vi(cp, lip_l=1.0, var_m=0.0)
+        with pytest.raises(NumericalError,
+                           match="step 1 for seed 12: component 1 failed at row 2"):
+            run_batch("smp", problem, composite.build_oracle(cp), StepsizePolicy(0.01, 3),
+                      [10, 11, 12, 13], [3])
 
 
 class TestPhiRepresentation:

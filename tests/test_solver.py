@@ -2,7 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from helpers import assert_same_bytes, ref_run, ref_sample_xi, ref_step
+from helpers import (
+    assert_same_bytes,
+    ref_composite_oracle,
+    ref_run,
+    ref_sample_xi,
+    ref_step,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -349,11 +355,9 @@ class TestRunBatch:
         _, system = bench.payload_to_instance(payload)
         scaled = composite.sdf_scale(system, t)
         problem = composite.build_vi(scaled.problem, lip_l=scaled.lip_l, var_m=scaled.noise_m)
-        if kind == "sampled":
-            oracle = composite.build_oracle(scaled.problem)
-            ref_oracle = lambda z, s: composite.composite_oracle(scaled.problem, z, s)  # noqa: E731
-        else:
-            oracle, ref_oracle = exact_oracle(problem), lambda z, s: problem.operator(z)
+        exact = kind == "exact"
+        oracle = exact_oracle(problem) if exact else composite.build_oracle(scaled.problem)
+        ref_oracle = lambda z, s: ref_composite_oracle(scaled.problem, z, s, exact)  # noqa: E731
 
         def error_fn(z):
             viols = composite.component_violations(system, z.x)

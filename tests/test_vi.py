@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from smpx import bench, eigopt
+from smpx import bench, composite, eigopt
 from smpx.errors import InputError
 from smpx.geometry import EuclideanBallSetup, Pair
 from smpx.rng import RandomStream
@@ -12,6 +14,7 @@ from smpx.vi import (
     default_probes,
     err_nash_saddle,
     err_vi_lower,
+    estimate_noise_level,
     exact_oracle,
     oracle_stats,
     spot_check_regularity,
@@ -168,6 +171,31 @@ class TestOracleStats:
         )
         ratio = m2_1 / m2_4
         assert 4.0 * 0.8 <= ratio <= 4.0 * 1.2
+
+
+    @pytest.mark.parametrize("family", ["eig", "composite"])
+    def test_noise_level_equals_per_point_stats(self, family):
+        # the points run as the rows of one stack; each keeps the second
+        # moment of its own oracle_stats loop, to the bit
+        if family == "eig":
+            inst, saddle = small_saddle()
+            problem, orc = saddle.problem, eigopt.averaged_oracle(inst, 1)
+        else:
+            payload = bench.build_instance_payload(
+                "sdf_system", {"n": 4, "blocks": [2, 1, 2], "n_smooth": 1}, 3)
+            _, system = bench.payload_to_instance(payload)
+            cp = composite.sdf_scale(system, 50).problem
+            problem, orc = composite.build_vi(cp), composite.build_oracle(cp)
+        got = estimate_noise_level(orc, problem, n_points=4, n_samples=60, seed=5,
+                                   safety=1.3)
+        stream = RandomStream(5)
+        points = [problem.setup.center] + [problem.setup.random_point(stream)
+                                           for _ in range(3)]
+        worst = 0.0
+        for i, z in enumerate(points):
+            _, m2 = oracle_stats(orc, problem, z, 60, 5 + 1 + i)
+            worst = max(worst, math.sqrt(m2))
+        assert got == 1.3 * worst
 
 
 class TestRegularity:
