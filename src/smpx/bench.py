@@ -490,7 +490,8 @@ def _resolve_instance(cfg: ExperimentConfig):
 class _Plan:
     """What the runs of one horizon share.
 
-    ``oracle`` is the sampled oracle, (z, stream) -> estimate of F(z).
+    ``oracle`` is the sampled oracle, (zs, streams) -> estimates of F at
+    the rows of a stack of points.
     ``stepsize`` is the family's auto rule, t -> gamma; an explicit
     configured stepsize replaces it.  The K0*/K1* bound rows take L from
     ``problem.lip_l`` and M from ``noise``, for the sampled oracle.

@@ -37,14 +37,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError, SmpxError
-from .geometry import (
-    Pair,
-    ProductSetup,
-    ProxSetup,
-    SpectahedronSetup,
-    stack,
-    unstack,
-)
+from .geometry import Pair, ProductSetup, ProxSetup, SpectahedronSetup
 from .rng import RandomStream, box_muller
 from .symmat import BlockStack, BlockStructure
 from .vi import VIProblem, draw
@@ -274,11 +267,6 @@ def _saddle_operator(cp: CompositeProblem, zs: Pair, u=None) -> Pair:
     return Pair(fx, BlockStack(structure, stacks))
 
 
-def composite_operator(cp: CompositeProblem, z: Pair) -> Pair:
-    """Exact monotone operator of the saddle reformulation at one point."""
-    return unstack(_saddle_operator(cp, stack([z])))[0]
-
-
 def composite_oracle(cp: CompositeProblem, z: Pair, stream: RandomStream) -> Pair:
     """One oracle draw at one point: ``build_oracle`` on a stack of one.
 
@@ -315,10 +303,9 @@ def build_vi(cp: CompositeProblem, lip_l=None, var_m=None) -> VIProblem:
     setup = ProductSetup(cp.x_setup, cp.y_setup)
     return VIProblem(
         setup=setup,
-        operator=lambda z: composite_operator(cp, z),
+        operator=lambda zs: _saddle_operator(cp, zs),
         lip_l=float(lip_l),
         var_m=float(var_m),
-        stacked_operator=lambda points: _saddle_operator(cp, points),
     )
 
 

@@ -13,10 +13,11 @@ block.  Averaging k independent samples cuts the noise level by sqrt(k).
 The sampler draws at every row of a stack of points at once, each row's
 uniforms from its own stream, and ``sample_xi`` is its stack of one.
 
-The exact operator runs per point in the solver loop and the gap; the probe
-set evaluates it a chunk of stacked points at a time (``stacked_operator``),
-with one matrix product per block-size group and operator part, which
-rounds differently from the per-point products.
+The exact operator works on a stack of points too, with one matrix-vector
+product per row and block, so a row gets the bytes it gets in a stack of
+one.  The probe set evaluates it a chunk of stacked points at a time
+through ``probe_operator``, with one matrix product per block-size group
+and operator part across the rows, which rounds differently.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import ConfigError, InputError, NumericalError
 from .geometry import Pair, ProductSetup, SimplexSetup, SpectahedronSetup, stack, unstack
 from .rng import inverse_cdf_index
 from .symmat import BlockStack, BlockStructure, BlockSymMatrix
-from .vi import SaddleInstance, VIProblem
+from .vi import SaddleInstance, VIProblem, draw
 
 _TRACE_SLACK = 1e-12
 
@@ -43,8 +44,9 @@ class EigInstance:
 
     a_inf is the largest spectral norm among A_1..A_n (A_0 excluded).
     A_1..A_n are held once, as one read-only (n, k, p, p) stack per
-    block-size group; ``mats[j]`` are views into it, and operator and oracle
-    calls index the stack with one vectorized pass per group.
+    block-size group (a 1 x 1 group also as a (k, n, 1) copy); ``mats[j]``
+    are views into it, and operator and oracle calls index the stack with
+    one vectorized pass per group.
     """
 
     structure: BlockStructure
@@ -52,7 +54,7 @@ class EigInstance:
     mats: tuple  # A_1..A_n as BlockSymMatrix views of _stacks
     a_inf: float = field(init=False)
     _stacks: tuple = field(init=False, repr=False)  # per group: (n, k, p, p)
-    _flats: tuple = field(init=False, repr=False)  # per group: (k, n, p * p) views
+    _flats: tuple = field(init=False, repr=False)  # per group: (k, n, p * p)
 
     def __post_init__(self):
         if len(self.mats) < 2:
@@ -74,9 +76,14 @@ class EigInstance:
             BlockSymMatrix.from_stacks(self.structure, [s[j] for s in stacks])
             for j in range(n)
         ))
-        object.__setattr__(self, "_flats", tuple(
-            s.reshape(n, s.shape[1], -1).transpose(1, 0, 2) for s in stacks
-        ))
+        flats = [s.reshape(n, s.shape[1], -1).transpose(1, 0, 2) for s in stacks]
+        # x @ flat[r] of a 1 x 1 group is a dot product, which rounds one way
+        # on a unit-stride column and another on a strided one; a copy (n k
+        # numbers) gives each block the unit-stride column it has alone
+        flats = [f.copy() if f.shape[2] == 1 else f for f in flats]
+        for f in flats:
+            f.setflags(write=False)
+        object.__setattr__(self, "_flats", tuple(flats))
         object.__setattr__(self, "a_inf", max(
             float(np.abs(np.linalg.eigvalsh(s)).max()) for s in stacks
         ))
@@ -91,12 +98,10 @@ class EigInstance:
 
     def combination(self, x: np.ndarray) -> BlockSymMatrix:
         """A_0 + sum_j x_j A_j."""
-        return BlockSymMatrix.from_stacks(self.structure, self._combination(x))
-
-    def _combination(self, x) -> list:
-        """The per-group stacks of ``combination(x)``, new and writable."""
         x = np.asarray(x, dtype=float)
-        return [a0 + (x @ flat).reshape(a0.shape) for a0, flat in zip(self.a0.stacks, self._flats)]
+        return BlockSymMatrix.from_stacks(self.structure, [
+            a0 + (x @ flat).reshape(a0.shape) for a0, flat in zip(self.a0.stacks, self._flats)
+        ])
 
     def trace_vector(self, y: BlockSymMatrix) -> np.ndarray:
         """(Tr(y A_1), ..., Tr(y A_n)), the per-block products added in block order."""
@@ -169,33 +174,51 @@ def build_setup(inst: EigInstance) -> ProductSetup:
     return ProductSetup(SimplexSetup(inst.n), SpectahedronSetup(inst.structure))
 
 
-def exact_operator(inst: EigInstance, z: Pair) -> Pair:
-    """The bilinear saddle operator; Lipschitz with M = 0."""
-    x, y = z.x, z.y
-    if len(x) != inst.n:
+def _check_stack(inst: EigInstance, zs: Pair) -> None:
+    if zs.x.ndim != 2 or zs.x.shape[1] != inst.n:
         raise InputError("x-dimension mismatch")
-    if y.structure != inst.structure:
+    if not isinstance(zs.y, BlockStack) or zs.y.structure != inst.structure:
         raise InputError("y block structure mismatch")
-    fy = [np.negative(a, out=a) for a in inst._combination(x)]
-    return Pair(inst.trace_vector(y), BlockSymMatrix.from_stacks(inst.structure, fy))
 
 
-def stacked_operator(inst: EigInstance, points: Pair) -> Pair:
+def exact_operator(inst: EigInstance, zs: Pair) -> Pair:
+    """The bilinear saddle operator at the rows of a stack of points;
+    Lipschitz with M = 0.
+
+    zs.x is (R, n) and zs.y a ``BlockStack``.  Per row and block, F_x takes
+    one (n, p^2) x (p^2) product, added in block order as in
+    ``trace_vector``, and F_y = -(A_0 + sum_j x_j A_j) one (n) x (n, p^2)
+    product, so a row gets the bytes it gets in a stack of one.
+    """
+    _check_stack(inst, zs)
+    xs, ys = zs.x, zs.y
+    n_rows = len(xs)
+    per_group = [
+        flat @ s.reshape(n_rows, len(flat), -1, 1) for flat, s in zip(inst._flats, ys.stacks)
+    ]
+    fx = np.zeros((n_rows, inst.n))
+    for g, r in inst.structure.slots:
+        fx += per_group[g][:, r, :, 0]
+    fy = []
+    for a0, flat in zip(inst.a0.stacks, inst._flats):
+        v = (xs[:, None, None, :] @ flat).reshape(n_rows, *a0.shape)
+        v += a0
+        fy.append(np.negative(v, out=v))
+    return Pair(fx, BlockStack(inst.structure, fy))
+
+
+def probe_operator(inst: EigInstance, points: Pair) -> Pair:
     """``exact_operator`` at a chunk of P stacked points, as read-only stacks.
 
-    points.x is (P, n) and points.y a ``BlockStack`` of (P, k, p, p) stacks;
-    the values come back in the same layout.  Per block-size group, F_x is
-    one (k, n, p^2) x (k, p^2, P) product whose per-block results add in
-    block order, as in ``trace_vector``, and F_y = -(A_0 + sum_j x_j A_j) is
-    one (P, n) x (n, k p^2) product.  The products sum in another order than
-    the per-point ones, so the values agree with ``exact_operator`` to
-    round-off, not bit for bit.
+    Per block-size group, F_x is one (k, n, p^2) x (k, p^2, P) product whose
+    per-block results add in block order, and F_y = -(A_0 + sum_j x_j A_j)
+    is one (P, n) x (n, k p^2) product, so the data is read once per chunk,
+    not once per point.  The products sum in another order than the
+    per-row ones, so the values agree with ``exact_operator`` to round-off,
+    not bit for bit.
     """
+    _check_stack(inst, points)
     xs, ys = points.x, points.y
-    if xs.ndim != 2 or xs.shape[1] != inst.n:
-        raise InputError("x-dimension mismatch")
-    if not isinstance(ys, BlockStack) or ys.structure != inst.structure:
-        raise InputError("y block structure mismatch")
     n_points = len(xs)
     per_group = [
         flat @ s.reshape(n_points, len(flat), -1).transpose(1, 2, 0)
@@ -260,35 +283,30 @@ def _xi_from_indices(inst: EigInstance, ys: BlockStack, js, blocks) -> Pair:
 
 
 def _sample(inst: EigInstance, zs: Pair, u: np.ndarray) -> Pair:
-    """One oracle draw per row, with the (R, 2) uniforms u: the matrix index
-    from u[:, 0], the block index from u[:, 1]."""
+    """One oracle draw per row, with the (R, 2) uniforms u.
+
+    The matrix index follows the x-coordinates read as a probability vector
+    (from u[:, 0]), the block index the block traces of y, clamped at zero
+    and renormalized against round-off (from u[:, 1]).  Cost is one pass
+    over the data restricted to the sampled blocks plus one copy of the
+    sampled matrices.
+    """
     js = inverse_cdf_index(np.cumsum(zs.x, axis=1), u[:, 0])
     blocks = inverse_cdf_index(np.cumsum(_block_probabilities(zs.y), axis=1), u[:, 1])
     return _xi_from_indices(inst, zs.y, js, blocks)
 
 
-def stacked_sample(inst: EigInstance, zs: Pair, streams) -> Pair:
-    """One draw of the randomized oracle at each row of a stack of points.
-
-    Row r draws two uniforms from streams[r]: the matrix index follows the
-    x-coordinates read as a probability vector, the block index follows the
-    block traces of y (clamped at zero and renormalized against round-off).
-    Cost is one pass over the data restricted to the sampled blocks plus
-    one copy of the sampled matrices.
-    """
-    return _sample(inst, zs, np.array([stream.uniforms(2) for stream in streams]))
-
-
 def sample_xi(inst: EigInstance, z: Pair, stream) -> Pair:
-    """One draw of the randomized oracle at z: ``stacked_sample`` on a stack of one."""
-    return unstack(stacked_sample(inst, stack([z]), [stream]))[0]
+    """One draw of the randomized oracle at z: ``averaged_oracle(inst, 1)``
+    on a stack of one."""
+    return draw(averaged_oracle(inst, 1), z, stream)
 
 
 def averaged_oracle(inst: EigInstance, k: int) -> Callable:
     """Stacked oracle averaging k independent draws; noise shrinks by sqrt(k).
 
-    Each row takes its 2k uniforms in one call on its stream, in the order
-    of k ``stacked_sample`` calls.
+    Each row takes its 2k uniforms in one call on its stream, two per draw
+    in draw order.
     """
     if k < 1:
         raise ConfigError("averaging width k must be >= 1")
@@ -343,15 +361,17 @@ def build_saddle(inst: EigInstance) -> SaddleInstance:
 
     The declared Lipschitz constant is the effective one (literal constant
     times a_inf); the exact operator has no stochastic part (M = 0).  The
-    problem's ``stacked_operator`` evaluates the operator for probe sets.
+    problem's ``probe_operator`` evaluates the operator for probe sets.  Both
+    closures look the functions up at call time, so a wrapper put on the
+    module sees every call.
     """
     setup = build_setup(inst)
     problem = VIProblem(
         setup=setup,
-        operator=lambda z: exact_operator(inst, z),
+        operator=lambda zs: exact_operator(inst, zs),
         lip_l=effective_lipschitz(inst),
         var_m=0.0,
-        stacked_operator=lambda points: stacked_operator(inst, points),
+        probe_operator=lambda points: probe_operator(inst, points),
     )
     return SaddleInstance(
         problem=problem,

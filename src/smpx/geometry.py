@@ -346,9 +346,8 @@ class SpectahedronSetup(ProxSetup):
     H(b) = exp(b) / Tr exp(b), computed blockwise through eigendecomposition
     with a global max-eigenvalue shift.  Steps take the new logits from the
     same decomposition, log H(b) = b - log Tr exp(b) I.  A step makes one
-    ``eigh`` call per size group for all rows; it repeats
-    ``symmat.entropy_map`` row by row (the shift taken over the groups as
-    ``max`` takes it, the per-block sums added in block order).
+    ``eigh`` call per size group for all rows and hands the decompositions
+    to ``symmat.entropy_rows``, the kernel of ``symmat.entropy_map``.
     """
 
     def __init__(self, structure: BlockStructure):
@@ -387,18 +386,7 @@ class SpectahedronSetup(ProxSetup):
         _require_finite(b.stacks)
         structure = self.structure
         vals, vecs = zip(*(symmat.descending_eigh(a) for a in b.stacks))
-        # each row's (R, 1, 1) shift and total as entropy_map takes them: the
-        # max over the groups as max() takes it, the block sums added by sum()
-        shift = vals[0][:, :, :1].max(axis=1, keepdims=True)
-        for v in vals[1:]:
-            top = v[:, :, :1].max(axis=1, keepdims=True)
-            shift = np.where(top > shift, top, shift)
-        ws = [np.exp(v - shift) for v in vals]
-        sums = structure.in_block_order([w.sum(axis=2) for w in ws])
-        total = np.array([sum(row) for row in sums.tolist()])[:, None, None]
-        log_trace = shift + np.log(total)
-        lams = [w / total for w in ws]
-        points = [(q * lam[:, :, None, :]) @ q.swapaxes(2, 3) for q, lam in zip(vecs, lams)]
+        points, lams, log_trace = symmat.entropy_rows(structure, vals, vecs)
         for a, (p, _) in zip(b.stacks, structure.groups):
             a.reshape(len(a), -1, p * p)[:, :, ::p + 1] -= log_trace  # the diagonals
         return b, BlockStack(structure, points, (lams, vecs))

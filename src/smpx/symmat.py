@@ -332,11 +332,6 @@ def cached_eigh(a: BlockSymMatrix) -> Eigh:
     return a._eig
 
 
-def _rebuild(q: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Q diag(lam) Q^T for every block of a group."""
-    return (q * lam[:, None, :]) @ q.transpose(0, 2, 1)
-
-
 def eigenvalues(a: BlockSymMatrix) -> np.ndarray:
     """All eigenvalues, concatenated over blocks (each block descending)."""
     return np.concatenate([vals for vals, _ in cached_eigh(a)])
@@ -348,28 +343,46 @@ def entropy_map(b: BlockSymMatrix) -> BlockSymMatrix:
     Subtracting the largest eigenvalue across all blocks first keeps it
     finite for any spectrum; eigenvalues ~745 below the largest give 0.
     The result is PSD with unit total trace and carries its decomposition.
+    It is ``entropy_rows`` on a stack of one.
     """
-    return _entropy_map_and_log_trace(b)[0]
-
-
-def _entropy_map_and_log_trace(b: BlockSymMatrix):
-    """(entropy_map(b), log Tr exp(b)) from one decomposition of b."""
     decomp = cached_eigh(b)
-    shift = max(float(vals[:, 0].max()) for vals in decomp.vals)
-    ws = [np.exp(vals - shift) for vals in decomp.vals]
-    structure = b.structure
-    total = sum(structure.in_block_order([w.sum(axis=1) for w in ws]).tolist())
+    points, lams, _ = entropy_rows(
+        b.structure, [v[None] for v in decomp.vals], [q[None] for q in decomp.vecs]
+    )
+    return BlockSymMatrix.from_stacks(
+        b.structure, [a[0] for a in points], Eigh(b.structure, [a[0] for a in lams], decomp.vecs)
+    )
+
+
+def entropy_rows(structure: BlockStructure, vals, vecs):
+    """The entropy map of each row of a stack of block matrices, given their
+    decompositions as per-group (R, k, p) eigenvalues, each row descending,
+    and (R, k, p, p) eigenvectors.
+
+    Returns the points and their eigenvalues in the same layout, and the
+    (R, 1, 1) log Tr exp(b) of each row.  A row's shift is its largest
+    eigenvalue, taken over the groups as ``max`` takes it, and its total
+    adds the per-block sums in block order, so a row gets the bytes it gets
+    in a stack of one.
+    """
+    shift = vals[0][:, :, :1].max(axis=1, keepdims=True)
+    for v in vals[1:]:
+        top = v[:, :, :1].max(axis=1, keepdims=True)
+        shift = np.where(top > shift, top, shift)
+    ws = [np.exp(v - shift) for v in vals]
+    sums = structure.in_block_order([w.sum(axis=2) for w in ws])
+    total = np.array([sum(row) for row in sums.tolist()])[:, None, None]
     lams = [w / total for w in ws]
-    stacks = [_rebuild(q, lam) for q, lam in zip(decomp.vecs, lams)]
-    z = BlockSymMatrix.from_stacks(structure, stacks, Eigh(structure, lams, decomp.vecs))
-    return z, shift + np.log(total)
+    points = [(q * lam[:, :, None, :]) @ q.swapaxes(2, 3) for q, lam in zip(vecs, lams)]
+    return points, lams, shift + np.log(total)
 
 
 def matrix_log(a: BlockSymMatrix) -> BlockSymMatrix:
     """Principal logarithm through the eigendecomposition, for a positive
     definite a; a zero eigenvalue gives non-finite entries."""
     decomp = cached_eigh(a)
-    stacks = [_rebuild(q, np.log(vals)) for vals, q in zip(decomp.vals, decomp.vecs)]
+    stacks = [(q * np.log(vals)[:, None, :]) @ q.transpose(0, 2, 1)
+              for vals, q in zip(decomp.vals, decomp.vecs)]
     return BlockSymMatrix.from_stacks(a.structure, stacks)
 
 

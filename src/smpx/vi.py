@@ -1,13 +1,11 @@
 """Variational-inequality problems, stochastic oracles and error measures.
 
 A problem couples a geometry with a monotone operator F and the regularity
-constants (L, M) of ||F(z) - F(z')||_* <= L ||z - z'|| + M.  A stochastic
+constants (L, M) of ||F(z) - F(z')||_* <= L ||z - z'|| + M.  F maps a stack
+of points (``geometry.stack``) to its values at the rows, and a stochastic
 oracle is a plain function (zs, streams) -> random estimates of F at the
-rows of a stack of points (``geometry.stack``), row r drawn from
-streams[r] alone, so a row gets the values it gets in a stack of one.
-``per_seed`` lifts a per-point function (z, stream) into that contract,
-one call per row; ``exact_oracle`` is built with it, while the eig and
-composite oracles evaluate all rows at once.
+rows, row r drawn from streams[r] alone; either way a row gets the values
+it gets in a stack of one.  ``exact_oracle`` is F itself, drawing nothing.
 The bias and noise constants of an oracle enter only the stepsize and
 bound calculators, which take them as numbers.
 
@@ -16,10 +14,10 @@ maximum is intractable in general, ``err_vi_lower`` reports the certified
 lower bound over a finite probe set.  Written as <F(u), z> - <F(u), u>,
 the bound needs of a probe only its operator value and one number, both
 computed once, so the probe set keeps those and not the points.  The
-values come per probe, or a chunk of probes at a time when the problem
-supplies a stacked operator (the eig saddle and the composite problems
-do).  For saddle-point instances the functional (Nash) error is the exact
-duality gap and is computed from the instance's closed forms.
+values come a chunk of probes at a time, from the problem's
+``probe_operator``.  For saddle-point instances the functional (Nash)
+error is the exact duality gap and is computed from the instance's closed
+forms.
 """
 
 from __future__ import annotations
@@ -31,12 +29,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericalError, SmpxError
+from .errors import InputError, NumericalError
 from .geometry import Pair, ProxSetup, inner, stack, unstack
 from .rng import RandomStream
 from .symmat import BlockStack, BlockSymMatrix
 
-# Probes per stored chunk of a ProbeSet, so per stacked operator call in the
+# Probes per stored chunk of a ProbeSet, so per probe_operator call in the
 # build and per matrix-vector product in lower_bound.  The chunk bounds the
 # build's temporaries: a chunk's stacked points, about 1 MB for 4 blocks of
 # 32 x 32, against 11.7 MB for all 357 probes of such an instance.
@@ -47,35 +45,18 @@ _CHUNK = 32
 class VIProblem:
     """Domain setup plus exact operator and its regularity constants.
 
-    ``stacked_operator``, when set, maps a chunk of probe points stacked as
-    ``ProbeSet`` stacks them to their operator values in the same layout; it
-    agrees with ``operator`` to round-off, and ``ProbeSet`` uses it instead
-    of one ``operator`` call per probe.
+    ``operator(zs)`` gives F at the rows of a stack of points, in the same
+    layout, each row with the bytes it gets in a stack of one.
+    ``probe_operator``, when set, does the same for a chunk of probe points
+    stacked as ``ProbeSet`` stacks them, agreeing with ``operator`` to
+    round-off; ``ProbeSet`` uses ``operator`` when it is not set.
     """
 
     setup: ProxSetup
     operator: Callable
     lip_l: float = 0.0
     var_m: float = 0.0
-    stacked_operator: Callable | None = None
-
-
-def per_seed(fn: Callable) -> Callable:
-    """The stacked oracle (zs, streams) of a per-point one fn(z, stream): one
-    call per row, the results stacked.  An error is tagged with its row."""
-
-    def oracle(zs, streams):
-        out = []
-        for row, z in enumerate(unstack(zs)):
-            try:
-                out.append(fn(z, streams[row]))
-            except SmpxError as exc:
-                if exc.row is None:
-                    exc.row = row
-                raise
-        return stack(out)
-
-    return oracle
+    probe_operator: Callable | None = None
 
 
 def draw(oracle: Callable, z, stream):
@@ -85,7 +66,7 @@ def draw(oracle: Callable, z, stream):
 
 def exact_oracle(problem: VIProblem) -> Callable:
     """Oracle F(z) per row that draws nothing: zero bias, zero noise."""
-    return per_seed(lambda z, stream: problem.operator(z))
+    return lambda zs, streams: problem.operator(zs)
 
 
 @dataclass(frozen=True)
@@ -156,28 +137,22 @@ class ProbeSet:
     so a generator of points is never held whole.  ``chunks`` lists, per
     chunk, the values as read-only (P, d) views of their stacks (one per
     part, as ``_rows`` gives them) and c as a read-only (P,) array.  The
-    values of a chunk come from one ``problem.stacked_operator`` call when
-    the problem has one, else from one ``problem.operator`` call per probe.
+    values of a chunk come from one ``problem.probe_operator`` call, or one
+    ``problem.operator`` call when the problem has no probe operator.
     """
 
     def __init__(self, problem: VIProblem, probes: Iterable):
         self.chunks = []
         self._n = 0
-        first = first_value = None
+        first = None
+        operator = problem.probe_operator or problem.operator
         probes = iter(probes)
         while chunk := list(itertools.islice(probes, _CHUNK)):
             if first is None:
                 first = chunk[0]
             # the points are checked before F sees them
             points = _stack(chunk, first)
-            if problem.stacked_operator is not None:
-                values = problem.stacked_operator(points)
-            else:
-                per_probe = [problem.operator(u) for u in chunk]
-                if first_value is None:
-                    first_value = per_probe[0]
-                values = _stack(per_probe, first_value)
-            rows = _rows(values)
+            rows = _rows(operator(points))
             c = sum(np.vecdot(v, u) for v, u in zip(rows, _rows(points), strict=True))
             c.setflags(write=False)
             self.chunks.append((rows, c))
@@ -232,7 +207,7 @@ def oracle_stats(
     if n_samples < 1:
         raise InputError("need at least one sample")
     stream = RandomStream(seed)
-    fz = problem.operator(z)
+    fz = unstack(problem.operator(stack([z])))[0]
     dual_norm = problem.setup.dual_norm
     acc = None
     m2 = 0.0
@@ -269,7 +244,7 @@ def estimate_noise_level(
     ]
     streams = [RandomStream(seed + 1 + i) for i in range(len(points))]
     zs = stack(points)
-    fz = stack([problem.operator(z) for z in points])
+    fz = problem.operator(zs)
     dual_norm = problem.setup.dual_norm
     m2 = [0.0] * len(points)
     for _ in range(n_samples):
@@ -285,17 +260,19 @@ def spot_check_regularity(
 
     Returns (worst_monotonicity, worst_lipschitz_excess): the first should
     be >= -tol for a monotone operator, the second <= tol when the declared
-    constants are valid.
+    constants are valid.  The pairs are drawn first, z then u from one
+    stream, and F is evaluated on the stack of each side.
     """
     stream = RandomStream(seed)
     setup = problem.setup
-    op = problem.operator
+    zs, us = [], []
+    for _ in range(n_pairs):
+        zs.append(setup.random_point(stream))
+        us.append(setup.random_point(stream))
+    fzs, fus = (unstack(problem.operator(stack(points))) for points in (zs, us))
     worst_mono = float("inf")
     worst_lip = -float("inf")
-    for _ in range(n_pairs):
-        z = setup.random_point(stream)
-        u = setup.random_point(stream)
-        fz, fu = op(z), op(u)
+    for z, u, fz, fu in zip(zs, us, fzs, fus):
         worst_mono = min(worst_mono, inner(fz - fu, z - u))
         gap = setup.dual_norm(fz - fu) - (
             problem.lip_l * setup.norm(z - u) + problem.var_m

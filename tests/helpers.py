@@ -51,6 +51,40 @@ def step_one(setup, s, xi):
     return unstack(s)[0], unstack(z)[0]
 
 
+def per_seed(fn):
+    """The stacked oracle (zs, streams) of a per-point one fn(z, stream): one
+    call per row, the results stacked.  An error is tagged with its row."""
+    from smpx.errors import SmpxError
+    from smpx.geometry import stack, unstack
+
+    def oracle(zs, streams):
+        out = []
+        for row, z in enumerate(unstack(zs)):
+            try:
+                out.append(fn(z, streams[row]))
+            except SmpxError as exc:
+                if exc.row is None:
+                    exc.row = row
+                raise
+        return stack(out)
+
+    return oracle
+
+
+def operator_at(operator, z):
+    """A stacked operator's value at one point: its stack of one."""
+    from smpx.geometry import stack, unstack
+
+    return unstack(operator(stack([z])))[0]
+
+
+def exact_at(inst, z):
+    """``eigopt.exact_operator`` of an eig instance at one point."""
+    from smpx import eigopt
+
+    return operator_at(lambda zs: eigopt.exact_operator(inst, zs), z)
+
+
 def assert_same_bytes(a, b) -> None:
     """a and b have one dtype, one shape and the same bytes.
 
@@ -144,6 +178,18 @@ def ref_combination(a0, mats, x):
     ]
 
 
+def ref_exact_operator(inst, z):
+    """The eig saddle operator at one point: the reference traces and the
+    negated reference combination."""
+    from smpx.geometry import Pair
+    from smpx.symmat import BlockSymMatrix
+
+    mats = [m.blocks for m in inst.mats]
+    fy = [-a for a in ref_combination(inst.a0.blocks, mats, z.x)]
+    return Pair(ref_trace_vector(mats, z.y.blocks),
+                BlockSymMatrix(inst.structure, fy, _validate=False))
+
+
 def ref_sample_xi(a0, mats, x, y_blocks, stream):
     """One randomized-oracle draw: (xi_x, xi_y blocks, j, i)."""
     def index(cumulative, u):  # smallest i with cumulative[i] >= u
@@ -165,7 +211,7 @@ def ref_lower_bound(problem, z, probes):
     """max over probes u of <F(u), z - u>, one probe at a time."""
     from smpx.geometry import inner
 
-    return max(inner(problem.operator(u), z - u) for u in probes)
+    return max(inner(operator_at(problem.operator, u), z - u) for u in probes)
 
 
 def _ref_unit_spectral_sym(stream, p):
@@ -237,13 +283,30 @@ def ref_composite_oracle(cp, z, stream, exact=False):
 # the per-point solver loop, the reference of the lock-step batch
 
 
+def ref_entropy_map_and_log_trace(b):
+    """(entropy_map(b), log Tr exp(b)) of one block matrix from one
+    decomposition: the shift a Python max over the groups, the total a
+    Python sum of the per-block sums in block order."""
+    from smpx import symmat
+    from smpx.symmat import BlockSymMatrix, Eigh
+
+    decomp = symmat.cached_eigh(b)
+    shift = max(float(vals[:, 0].max()) for vals in decomp.vals)
+    ws = [np.exp(vals - shift) for vals in decomp.vals]
+    structure = b.structure
+    total = sum(structure.in_block_order([w.sum(axis=1) for w in ws]).tolist())
+    lams = [w / total for w in ws]
+    stacks = [(q * lam[:, None, :]) @ q.transpose(0, 2, 1) for q, lam in zip(decomp.vecs, lams)]
+    z = BlockSymMatrix.from_stacks(structure, stacks, Eigh(structure, lams, decomp.vecs))
+    return z, shift + np.log(total)
+
+
 def ref_step(setup, s, xi):
     """One point's (logits, point) of prox(z, xi), step by step as the
     per-point solver took it: ``math.log`` of the simplex total, and the
-    spectahedron through ``symmat``'s per-point entropy map."""
+    spectahedron through ``ref_entropy_map_and_log_trace``."""
     import math
 
-    from smpx import symmat
     from smpx.geometry import Pair, ProductSetup, SimplexSetup
     from smpx.symmat import BlockSymMatrix
 
@@ -259,7 +322,7 @@ def ref_step(setup, s, xi):
         s -= math.log(total)
         return s, w / total
     b = s - xi
-    z, log_trace = symmat._entropy_map_and_log_trace(b)
+    z, log_trace = ref_entropy_map_and_log_trace(b)
     stacks = [a.copy() for a in b.stacks]
     for a, (p, _) in zip(stacks, setup.structure.groups):
         a.reshape(len(a), p * p)[:, ::p + 1] -= log_trace

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import assert_same_bytes, ref_composite_oracle, ref_noisy_sample
+from helpers import assert_same_bytes, operator_at, ref_composite_oracle, ref_noisy_sample
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +14,6 @@ from smpx.composite import (
     QuadraticMatrixComponent,
     SdfComponent,
     SDFSystem,
-    composite_operator,
     composite_oracle,
     lipschitz_constants,
     matrix_minimax_problem,
@@ -81,7 +80,7 @@ class TestOperator:
             SimplexSetup(3).random_point(stream),
             composite.SpectahedronSetup(BlockStructure((2,))).random_point(stream),
         )
-        f = composite_operator(cp, z)
+        f = operator_at(composite.build_vi(cp).operator, z)
         assert np.allclose(f.x, comp.grad_adjoint(z.x, z.y.blocks[0]))
         assert np.allclose(f.y.blocks[0], -comp.value(z.x))
 
@@ -95,7 +94,7 @@ class TestOperator:
         cp = affine_minimax()
         bad = Pair(np.full(4, 0.25), None)
         with pytest.raises(Exception, match="component 0"):
-            composite_operator(cp, bad)
+            composite.build_vi(cp).operator(stack([bad]))
 
 
 class TestOracle:
@@ -104,7 +103,7 @@ class TestOracle:
         setup = composite.build_vi(cp).setup
         stream = RandomStream(4)
         z = setup.random_point(stream)
-        a = composite_operator(cp, z)
+        a = operator_at(composite.build_vi(cp).operator, z)
         b = composite_oracle(cp, z, RandomStream(5))
         assert np.allclose(a.x, b.x)
         assert setup.sy.dual_norm(a.y - b.y) <= 1e-12
@@ -117,7 +116,7 @@ class TestOracle:
         setup = prob.setup
         stream = RandomStream(6)
         z = setup.random_point(stream)
-        f = composite_operator(cp, z)
+        f = operator_at(composite.build_vi(cp).operator, z)
         n_samples = 100_000
         acc = None
         sq = 0.0
@@ -278,7 +277,7 @@ class TestOneDrawNoise:
         stream = RandomStream(24)
         for _ in range(5):
             z = composite.build_vi(cp).setup.random_point(stream)
-            a = composite_operator(cp, z)
+            a = operator_at(composite.build_vi(cp).operator, z)
             b = ref_composite_oracle(exact, z, RandomStream(0))
             assert_same_bytes(a.x, b.x)
             for s, t in zip(a.y.stacks, b.y.stacks):
@@ -302,10 +301,11 @@ class TestOneDrawNoise:
         """(oracle draws, exact values) at n_rows copies of z: through the
         one-point entry points for one row, else as the rows of a stack."""
         if n_rows == 1:
-            return [composite_oracle(cp, z, RandomStream(0))], [composite_operator(cp, z)]
+            return ([composite_oracle(cp, z, RandomStream(0))],
+                    [operator_at(composite.build_vi(cp).operator, z)])
         zs = stack([z] * n_rows)
         draws = composite.build_oracle(cp)(zs, [RandomStream(0) for _ in range(n_rows)])
-        return unstack(draws), unstack(composite.build_vi(cp).stacked_operator(zs))
+        return unstack(draws), unstack(composite.build_vi(cp).operator(zs))
 
     @pytest.mark.parametrize("n_rows", [1, 3])
     def test_one_component_keeps_the_sign_of_zero(self, n_rows):
@@ -403,7 +403,7 @@ class TestStackedOperator:
                 assert_same_pair(a, ref_composite_oracle(cp, z, ref))
         for a, b in zip(ours, refs):
             assert a.uniform() == b.uniform()  # the streams stand at one position
-        exact = unstack(composite.build_vi(cp).stacked_operator(stack(points)))
+        exact = unstack(composite.build_vi(cp).operator(stack(points)))
         for a, z in zip(exact, points, strict=True):
             assert_same_pair(a, ref_composite_oracle(cp, z, None, exact=True))
 
@@ -415,7 +415,7 @@ class TestStackedOperator:
         assert len(probes.chunks) > 1
         for k, (rows, _) in enumerate(probes.chunks):
             chunk = points[k * vi._CHUNK:(k + 1) * vi._CHUNK]
-            ref = vi._stack([composite_operator(cp, u) for u in chunk], points[0])
+            ref = vi._stack([operator_at(problem.operator, u) for u in chunk], points[0])
             for got, want in zip(rows, vi._rows(ref), strict=True):
                 assert not got.flags.writeable
                 assert_same_bytes(got, want)
@@ -429,7 +429,7 @@ class TestStackedOperator:
         cp = self._failing_problem()
         zs = stack([composite.build_vi(cp).setup.center] * 4)
         with pytest.raises(InputError, match="component 1 failed at row 2: boom") as info:
-            composite.build_vi(cp).stacked_operator(zs)
+            composite.build_vi(cp).operator(zs)
         assert info.value.row == 2
 
     def test_run_batch_names_the_failing_seed(self):

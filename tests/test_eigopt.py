@@ -4,11 +4,21 @@ import math
 
 import numpy as np
 import pytest
-from helpers import assert_same_bytes, ref_combination, ref_sample_xi, ref_trace_vector
+from helpers import (
+    assert_same_bytes,
+    exact_at,
+    operator_at,
+    ref_combination,
+    ref_exact_operator,
+    ref_sample_xi,
+    ref_trace_vector,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smpx import bench, composite, eigopt, symmat, vi
 from smpx.errors import ConfigError, InputError, NumericalError
-from smpx.geometry import Pair, stack
+from smpx.geometry import Pair, stack, unstack
 from smpx.rng import RandomStream
 from smpx.symmat import BlockStructure, BlockSymMatrix
 
@@ -49,7 +59,7 @@ class CountingStream:
 class TestExactOperator:
     def test_scalar_example(self):
         z = Pair(np.array([0.5, 0.5]), unit_y())
-        f = eigopt.exact_operator(scalar_inst(), z)
+        f = exact_at(scalar_inst(), z)
         assert np.allclose(f.x, [1.0, 3.0])
         assert np.allclose(f.y.blocks[0], [[-2.0]])
 
@@ -57,7 +67,7 @@ class TestExactOperator:
         inst = load("eig_min", {"n": 5, "blocks": [2, 3]}, 4)
         setup = eigopt.build_setup(inst)
         z = Pair(setup.sx.center, setup.sy.center)
-        f = eigopt.exact_operator(inst, z)
+        f = exact_at(inst, z)
         n_total = inst.p_total
         expected = np.array([m.trace() / n_total for m in inst.mats])
         assert np.allclose(f.x, expected)
@@ -78,10 +88,33 @@ class TestExactOperator:
         stream = RandomStream(6)
         for _ in range(10):
             z = setup.random_point(stream)
-            a = eigopt.exact_operator(inst, z)
-            b = composite.composite_operator(cp, z)
+            a = exact_at(inst, z)
+            b = operator_at(composite.build_vi(cp).operator, z)
             assert np.max(np.abs(a.x - b.x)) <= 1e-12
             assert setup.sy.dual_norm(a.y - b.y) <= 1e-12
+
+
+class TestExactOperatorRows:
+    """Each row of the exact operator on a stack has the bytes of the
+    per-point reference at that row, whatever the other rows."""
+
+    # 1 x 1 blocks and mixed sizes, so that size groups interleave
+    @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(
+               lambda s: sum(s) >= 2),
+           n=st.integers(2, 8), n_rows=st.integers(1, 5), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_rows_equal_per_point_reference(self, sizes, n, n_rows, seed):
+        inst = load("eig_min", {"n": n, "blocks": sizes}, seed)
+        setup = eigopt.build_setup(inst)
+        stream = RandomStream(seed)
+        points = [setup.random_point(stream, interior=row % 2 == 0) for row in range(n_rows)]
+        got = eigopt.exact_operator(inst, stack(points))
+        assert got.x.shape == (n_rows, n)
+        for f, z in zip(unstack(got), points, strict=True):
+            ref = ref_exact_operator(inst, z)
+            assert_same_bytes(f.x, ref.x)
+            for a, b in zip(f.y.blocks, ref.y.blocks, strict=True):
+                assert_same_bytes(a, b)
 
 
 class TestSampleXi:
@@ -106,7 +139,7 @@ class TestSampleXi:
         for _ in range(1000):
             z = setup.random_point(stream)
             xi = eigopt.sample_xi(inst, z, stream)
-            f = eigopt.exact_operator(inst, z)
+            f = exact_at(inst, z)
             assert np.abs(xi.x).max() <= inst.a_inf + 1e-12
             assert symmat.spectral_norm(xi.y - f.y) <= 2.0 * inst.a_inf + 1e-12
 
@@ -130,9 +163,7 @@ class TestSampleXi:
             y = BlockSymMatrix(inst.structure, blocks, _validate=False)
             y = y * (1.0 / y.trace())
             z = Pair(x, y)
-            diff = eigopt.enumerate_expectation(inst, z) - eigopt.exact_operator(
-                inst, z
-            )
+            diff = eigopt.enumerate_expectation(inst, z) - exact_at(inst, z)
             assert np.abs(diff.x).max() <= 1e-12
             assert symmat.spectral_norm(diff.y) <= 1e-12
 
@@ -145,8 +176,8 @@ class TestSampleXi:
         good = eigopt.build_setup(inst).center
         bad = Pair(good.x, BlockSymMatrix(inst.structure, bad_blocks))
         with pytest.raises(NumericalError, match=message) as info:
-            eigopt.stacked_sample(inst, stack([good, bad, good]),
-                                  [RandomStream(s) for s in range(3)])
+            eigopt.averaged_oracle(inst, 1)(stack([good, bad, good]),
+                                            [RandomStream(s) for s in range(3)])
         assert info.value.row == 1
 
 
@@ -208,9 +239,7 @@ class TestConstants:
             d = setup.norm(z1 - z2)
             if d < 1e-9:
                 continue
-            num = setup.dual_norm(
-                eigopt.exact_operator(inst, z1) - eigopt.exact_operator(inst, z2)
-            )
+            num = setup.dual_norm(exact_at(inst, z1) - exact_at(inst, z2))
             assert num <= lip * d + 1e-8
 
     def test_deviation_bound_below_worst_case_level(self):
@@ -291,7 +320,7 @@ def probe_chunk(inst, seed, size=vi._CHUNK):
 
 
 class TestStackedOperator:
-    """The probe set's chunked operator against the per-point exact operator.
+    """The probe set's chunked operator against the per-row exact operator.
 
     Its products add in another order than the per-point ones, so the check
     is a stated tolerance: 1e-12 of the largest entry of each part.
@@ -302,9 +331,8 @@ class TestStackedOperator:
         # between the 32 x 32 ones
         inst = load("eig_min", {"n": 120, "blocks": [32, 3, 32]}, 31)
         chunk, points = probe_chunk(inst, 32)
-        got = eigopt.stacked_operator(inst, points)
-        values = [eigopt.exact_operator(inst, u) for u in chunk]
-        ref = vi._stack(values, values[0])
+        got = eigopt.probe_operator(inst, points)
+        ref = eigopt.exact_operator(inst, points)
         assert not got.x.flags.writeable
         assert got.x.shape == ref.x.shape == (len(chunk), 120)
         assert np.abs(got.x - ref.x).max() <= 1e-12 * np.abs(ref.x).max()
@@ -316,7 +344,7 @@ class TestStackedOperator:
     def test_probe_set_uses_it_and_bounds_agree(self, monkeypatch):
         inst = load("eig_min", {"n": 30, "blocks": [8, 2, 8]}, 34)
         problem = eigopt.build_saddle(inst).problem
-        per_probe = dataclasses.replace(problem, stacked_operator=None)
+        per_row = dataclasses.replace(problem, probe_operator=None)
         stream = RandomStream(35)
         points = list(problem.setup.probe_points(stream, 50))
         calls = []
@@ -324,8 +352,9 @@ class TestStackedOperator:
         monkeypatch.setattr(eigopt, "exact_operator", lambda *a: calls.append(1) or real(*a))
         stacked = vi.ProbeSet(problem, points)
         assert calls == []
-        reference = vi.ProbeSet(per_probe, points)
-        assert len(calls) == len(points) == len(stacked)
+        reference = vi.ProbeSet(per_row, points)
+        assert len(calls) == len(reference.chunks) == len(stacked.chunks)
+        assert len(reference) == len(points) == len(stacked)
         for _ in range(5):
             z = problem.setup.random_point(stream)
             want = reference.lower_bound(z)
@@ -334,8 +363,9 @@ class TestStackedOperator:
     def test_wrong_dimension_or_structure_rejected(self):
         inst = load("eig_min", {"n": 5, "blocks": [3, 2]}, 36)
         _, points = probe_chunk(inst, 37, 4)
-        with pytest.raises(InputError):
-            eigopt.stacked_operator(inst, Pair(points.x[:, :-1], points.y))
         _, other = probe_chunk(load("eig_min", {"n": 5, "blocks": [2, 3]}, 36), 37, 4)
-        with pytest.raises(InputError):
-            eigopt.stacked_operator(inst, Pair(points.x, other.y))
+        for operator in (eigopt.exact_operator, eigopt.probe_operator):
+            with pytest.raises(InputError):
+                operator(inst, Pair(points.x[:, :-1], points.y))
+            with pytest.raises(InputError):
+                operator(inst, Pair(points.x, other.y))

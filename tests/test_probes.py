@@ -12,7 +12,7 @@ import weakref
 
 import numpy as np
 import pytest
-from helpers import assert_same_bytes, ref_lower_bound
+from helpers import assert_same_bytes, operator_at, ref_lower_bound
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,7 +37,8 @@ def ball_problem():
     g = stream.normals((5, 5))
     a = g @ g.T / 5.0 + (g - g.T)
     b = stream.normals(5)
-    return vi.VIProblem(EuclideanBallSetup(5, 2.0), lambda z: a @ z + b, lip_l=1.0)
+    return vi.VIProblem(EuclideanBallSetup(5, 2.0), lambda zs: (a @ zs[:, :, None])[:, :, 0] + b,
+                        lip_l=1.0)
 
 
 def sdf_problem():
@@ -81,7 +82,8 @@ def exact_lower_bound(problem, z, probes):
 
     return max(
         math.fsum(itertools.chain.from_iterable(
-            f * d for f, d in zip(parts(problem.operator(u)), parts(z - u), strict=True)
+            f * d for f, d in zip(parts(operator_at(problem.operator, u)), parts(z - u),
+                                  strict=True)
         ))
         for u in probes
     )
@@ -98,13 +100,13 @@ def exact_lower_bound(problem, z, probes):
 @settings(max_examples=40, deadline=None)
 def test_lower_bound_matches_exact_sum(sizes, n, full_chunks, rest, stacked, seed):
     # eig saddles on random block structures (1 x 1 blocks and mixed sizes
-    # included), through the stacked operator or the per-probe one, with a
+    # included), through the probe operator or the per-row one, with a
     # partial last chunk
     payload = bench.build_instance_payload("eig_min", {"n": n, "blocks": sizes}, seed)
     _, inst = bench.payload_to_instance(payload)
     problem = eigopt.build_saddle(inst).problem
     if not stacked:
-        problem = dataclasses.replace(problem, stacked_operator=None)
+        problem = dataclasses.replace(problem, probe_operator=None)
     stream = RandomStream(seed)
     count = full_chunks * vi._CHUNK + rest
     points = list(itertools.islice(problem.setup.probe_points(stream, count), count))
@@ -144,8 +146,8 @@ def test_rows_are_read_only_and_no_point_stack_is_kept(monkeypatch):
     monkeypatch.setattr(vi, "_stack", stack)
     probes = vi.ProbeSet(problem, problem.setup.probe_points(RandomStream(1), 50))
     gc.collect()
-    # the game's values come from its stacked operator, so every stack
-    # recorded here is a chunk of points
+    # ProbeSet stacks only the points, so every stack recorded here is a
+    # chunk of points
     assert len(probes.chunks) == 3 and stacked
     assert all(ref() is None for ref in stacked)
     for rows, c in probes.chunks:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from helpers import (
     assert_same_bytes,
+    operator_at,
+    per_seed,
     ref_composite_oracle,
+    ref_exact_operator,
     ref_run,
     ref_sample_xi,
     ref_step,
@@ -28,7 +31,7 @@ from smpx.solver import (
     theoretical_bounds,
 )
 from smpx.symmat import BlockSymMatrix
-from smpx.vi import VIProblem, exact_oracle, per_seed
+from smpx.vi import VIProblem, exact_oracle
 
 
 def one_dim(lip=1.0):
@@ -115,7 +118,7 @@ class TestPolicy:
 class TestSmpRun:
     def test_zero_operator_fixes_center(self):
         _, saddle = eig_problem()
-        prob = VIProblem(saddle.problem.setup, lambda z: 0.0 * saddle.problem.operator(z))
+        prob = VIProblem(saddle.problem.setup, lambda zs: 0.0 * saddle.problem.operator(zs))
         pol = StepsizePolicy(gamma=0.3, t=4)
         rec = smp_run(prob, exact_oracle(prob), pol, 0, [1, 4])
         center = prob.setup.center
@@ -149,7 +152,7 @@ class TestSmpRun:
 
         def spy(z, stream):
             seen.append(z)
-            return eigopt.exact_operator(inst, z)
+            return operator_at(prob.operator, z)
 
         gamma = constant_stepsize(1.0, prob.setup.omega_radius, prob.lip_l, 0.0, 8)
         rec = smp_run(prob, per_seed(spy), StepsizePolicy(gamma, 8), 0, [2, 5, 8])
@@ -249,8 +252,8 @@ class TestRmsaRun:
     def test_zero_operator_fixes_center(self):
         prob = one_dim()
         rec = rmsa_run(
-            VIProblem(prob.setup, lambda z: np.zeros(1)),
-            exact_oracle(VIProblem(prob.setup, lambda z: np.zeros(1))),
+            VIProblem(prob.setup, lambda zs: np.zeros_like(zs)),
+            exact_oracle(VIProblem(prob.setup, lambda zs: np.zeros_like(zs))),
             StepsizePolicy(0.5, 3),
             0,
             [3],
@@ -333,7 +336,7 @@ class TestRunBatch:
             "sampled": (eigopt.averaged_oracle(inst, 1), lambda z, s: ref_draw(inst, z, s)),
             "sampled_k2": (eigopt.averaged_oracle(inst, 2),
                            lambda z, s: 0.5 * (ref_draw(inst, z, s) + ref_draw(inst, z, s))),
-            "exact": (exact_oracle(problem), lambda z, s: problem.operator(z)),
+            "exact": (exact_oracle(problem), lambda z, s: ref_exact_operator(inst, z)),
             "adapter": (per_seed(lambda z, s: eigopt.sample_xi(inst, z, s)),
                         lambda z, s: ref_draw(inst, z, s)),
         }[kind]

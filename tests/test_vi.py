@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import exact_at
 
 from smpx import bench, composite, eigopt
 from smpx.errors import InputError
@@ -149,7 +150,7 @@ class TestOracleStats:
         # so every sample equals the operator value exactly
         inst, y = scalar_instance()
         z = Pair(np.array([1.0, 0.0]), y)
-        f = eigopt.exact_operator(inst, z)
+        f = exact_at(inst, z)
         stream = RandomStream(2)
         for _ in range(20):
             xi = eigopt.sample_xi(inst, z, stream)
