@@ -10,13 +10,18 @@ decimal text.  Version-1 files, which hold the same arrays as nested lists
 of shortest round-trip decimals, are still read.  An eig file whose
 ``meta["a_inf"]`` disagrees with its data is rejected.
 
-An experiment runs horizon by horizon.  Each family builds a plan per
-horizon (problem, sampled oracle, auto-stepsize rule, error map, and the L
-and M of the K0*/K1* rows); eig instances share one plan across horizons,
-sdf systems are rescaled for each.  The configured stepsize, oracle mode
-and bound rows are then decided once for both families.  All seeds of a
-horizon run as one lock-step batch (``solver.run_batch``); a seed's record
-has the bytes it has when run alone.
+An experiment runs as one lock-step batch (``solver.run_batch``) whose
+rows are its (seed, horizon) runs.  Each family builds a plan per horizon
+(problem, auto-stepsize rule, error map, and the L and M of the K0*/K1*
+rows) and one oracle for the whole batch: eig instances share one plan
+and one oracle across horizons; sdf systems are rescaled for each
+horizon, their problems share one geometry, and the batch oracle weights
+each row for its horizon (``composite.batch_problem``).  The configured
+stepsize, oracle mode and bound rows are then decided once for both
+families.  The rows of the longest horizon come first, and each row
+retires from the batch when it reaches its horizon; a row's record has
+the bytes it has when run alone, and records and outputs keep the
+seed-major, horizon-ascending order.
 
 Experiment outputs are a CSV of per-seed, per-checkpoint rows plus a JSON
 sidecar echoing the configuration and the theoretical constants; both are
@@ -49,7 +54,7 @@ from .composite import (
     SDFSystem,
 )
 from .errors import ConfigError, InputError, NumericalError
-from .geometry import SimplexSetup
+from .geometry import ProductSetup, SimplexSetup
 from .rng import RandomStream
 from .symmat import BlockStructure, BlockSymMatrix
 
@@ -454,7 +459,10 @@ class ExperimentConfig:
         if len(self.horizons()) > 1 and self.checkpoints != "final":
             # one row per horizon keeps the output table keyed by t
             raise ConfigError("horizon sweeps require checkpoints='final'")
-        self.seed_list()
+        seeds = self.seed_list()
+        if len(set(seeds)) < len(seeds):
+            # outputs are keyed by seed
+            raise ConfigError(f"seeds must be distinct, got {seeds}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -488,24 +496,23 @@ def _resolve_instance(cfg: ExperimentConfig):
 
 @dataclass(frozen=True)
 class _Plan:
-    """What the runs of one horizon share.
+    """What the rows of one horizon share.
 
-    ``oracle`` is the sampled oracle, (zs, streams) -> estimates of F at
-    the rows of a stack of points.
     ``stepsize`` is the family's auto rule, t -> gamma; an explicit
     configured stepsize replaces it.  The K0*/K1* bound rows take L from
-    ``problem.lip_l`` and M from ``noise``, for the sampled oracle.
+    ``problem.lip_l`` and M from ``noise``, for the sampled oracle.  The
+    oracle is not part of a plan: one oracle serves all rows of the batch.
     """
 
     problem: vi.VIProblem
-    oracle: Callable
     stepsize: Callable
     error_fn: Callable
     noise: float
 
 
-def _eig_plans(cfg: ExperimentConfig, inst: eigopt.EigInstance):
-    """(plan_for, constants): one plan, built once, serves every horizon."""
+def _eig_plans(cfg: ExperimentConfig, inst: eigopt.EigInstance, horizons):
+    """(plans, oracle_for, constants): one plan, built once, serves every
+    horizon, and one oracle every row."""
     problem = eigopt.build_saddle(inst).problem
     setup = problem.setup
     probes = vi.default_probes(problem, cfg.probe_seed, cfg.n_probes)
@@ -529,9 +536,10 @@ def _eig_plans(cfg: ExperimentConfig, inst: eigopt.EigInstance):
         return {"err_nash": gap, "err_vi_probe": probes.lower_bound(z)}
 
     plan = _Plan(
-        problem, eigopt.averaged_oracle(inst, cfg.k), stepsize, error_fn,
-        worst_case.noise if worst_case is not None else pointwise,
+        problem, stepsize, error_fn, worst_case.noise if worst_case is not None else pointwise
     )
+    oracle = (vi.exact_oracle(problem) if cfg.oracle == "exact"
+              else eigopt.averaged_oracle(inst, cfg.k))
     constants = {
         "a_inf": inst.a_inf,
         "lip_effective": lip_eff,
@@ -545,16 +553,25 @@ def _eig_plans(cfg: ExperimentConfig, inst: eigopt.EigInstance):
     if worst_case is not None:
         constants["lip_literal"] = worst_case.lip
         constants["noise_worst_case"] = worst_case.noise
-    return lambda t: plan, constants
+    return dict.fromkeys(horizons, plan), lambda row_ts: oracle, constants
 
 
-def _sdf_plans(cfg: ExperimentConfig, system: SDFSystem):
-    """(plan_for, constants): plan_for(t) rescales the system for a t-step run."""
+def _sdf_plans(cfg: ExperimentConfig, system: SDFSystem, horizons):
+    """(plans, oracle_for, constants): plans[t] holds the system rescaled
+    for a t-step run.
+
+    Every horizon's problem steps with one geometry, and oracle_for(row_ts)
+    is the batch oracle, sampled or exact as configured, that weights row r
+    for horizon row_ts[r].
+    """
     comp_opt = system.meta.get("component_opt")
+    scaled = {t: composite.sdf_scale(system, t) for t in horizons}
+    geometry = ProductSetup(system.x_setup, scaled[horizons[0]].problem.y_setup)
 
-    def plan_for(t):
-        sc = composite.sdf_scale(system, t)
-        problem = composite.build_vi(sc.problem, lip_l=sc.lip_l, var_m=sc.noise_m)
+    def plan(t):
+        sc = scaled[t]
+        problem = composite.build_vi(sc.problem, lip_l=sc.lip_l, var_m=sc.noise_m,
+                                     setup=geometry)
         setup = problem.setup
         probes = vi.default_probes(problem, cfg.probe_seed, cfg.n_probes)
         certified = None if comp_opt is None else float(comp_opt) * float(sc.betas.min())
@@ -576,11 +593,16 @@ def _sdf_plans(cfg: ExperimentConfig, system: SDFSystem):
             out["err_vi_probe"] = probes.lower_bound(z)
             return out
 
-        return _Plan(
-            problem, composite.build_oracle(sc.problem), stepsize, error_fn, sc.noise_m
-        )
+        return _Plan(problem, stepsize, error_fn, sc.noise_m)
 
-    return plan_for, {"A": 1.0, "B": 0.0, "alpha": 1.0, "mu": 0.0}
+    def oracle_for(row_ts):
+        cp = composite.batch_problem([scaled[t].problem for t in row_ts])
+        if cfg.oracle == "exact":
+            return vi.exact_oracle(composite.build_vi(cp))
+        return composite.build_oracle(cp)
+
+    plans = {t: plan(t) for t in horizons}
+    return plans, oracle_for, {"A": 1.0, "B": 0.0, "alpha": 1.0, "mu": 0.0}
 
 
 @dataclass
@@ -635,41 +657,49 @@ def run_experiment(config: Union[ExperimentConfig, dict]):
     )
     cfg.validate()
     family, obj = _resolve_instance(cfg)
-    plan_for, constants = (
-        _eig_plans(cfg, obj) if family == "eig" else _sdf_plans(cfg, obj)
+    horizons = cfg.horizons()
+    plans, oracle_for, constants = (
+        _eig_plans(cfg, obj, horizons) if family == "eig" else _sdf_plans(cfg, obj, horizons)
     )
     seeds = cfg.seed_list()
     run_fn = solver.smp_run if cfg.solver == "smp" else solver.rmsa_run
     calls_per_step = solver.ORACLE_CALLS[cfg.solver]
     exact = cfg.oracle == "exact"
+    gammas = {
+        t: plans[t].stepsize(t) if cfg.stepsize == "auto" else float(cfg.stepsize)
+        for t in horizons
+    }
+    checkpoints = {t: cfg.checkpoint_list(t) for t in horizons}
 
-    # horizon by horizon, so that only one horizon's plan is alive; rows are
-    # horizon-major, checkpoint-minor
-    records = {s: [] for s in seeds}
+    # every (seed, horizon) run is a row of one lock-step batch; the longest
+    # horizon's rows come first, so each horizon's rows retire from the end
+    row_ts = [t for t in reversed(horizons) for _ in seeds]
+    batch = run_fn(
+        [plans[t].problem for t in row_ts], oracle_for(row_ts),
+        [solver.StepsizePolicy(gamma=gammas[t], t=t) for t in row_ts], seeds * len(horizons),
+        [checkpoints[t] for t in row_ts], error_fn=[plans[t].error_fn for t in row_ts],
+    )
+    runs = {(rec.seed, rec.t): rec for rec in batch}
+    records = {s: [runs[s, t] for t in horizons] for s in seeds}
+
+    # rows are horizon-major, checkpoint-minor
     rows = {s: [] for s in seeds}
     bounds = []
-    for t in cfg.horizons():
-        plan = plan_for(t)
-        gamma = plan.stepsize(t) if cfg.stepsize == "auto" else float(cfg.stepsize)
-        oracle = vi.exact_oracle(plan.problem) if exact else plan.oracle
-        noise = 0.0 if exact else plan.noise
-        policy = solver.StepsizePolicy(gamma=gamma, t=t)
-        checkpoints = cfg.checkpoint_list(t)
-        batch = run_fn(plan.problem, oracle, policy, seeds, checkpoints, error_fn=plan.error_fn)
-        for s, record in zip(seeds, batch, strict=True):
-            records[s].append(record)
-        setup = plan.problem.setup
-        for i, cp in enumerate(checkpoints):
+    for t in horizons:
+        problem = plans[t].problem
+        noise = 0.0 if exact else plans[t].noise
+        for i, cp in enumerate(checkpoints[t]):
             k0, k1 = solver.theoretical_bounds(
-                setup.alpha, setup.omega_radius, plan.problem.lip_l, noise, 0.0, cp
+                problem.setup.alpha, problem.setup.omega_radius, problem.lip_l, noise, 0.0, cp
             )
-            bounds.append({"t": cp, "horizon": t, "gamma": gamma, "k0_star": k0, "k1_star": k1})
+            bounds.append(
+                {"t": cp, "horizon": t, "gamma": gammas[t], "k0_star": k0, "k1_star": k1}
+            )
             for s in seeds:
-                row = {name: vals[i] for name, vals in records[s][-1].errors.items()}
-                row["gamma"] = gamma
+                row = {name: vals[i] for name, vals in runs[s, t].errors.items()}
+                row["gamma"] = gammas[t]
                 row["oracle_calls"] = cp * calls_per_step
                 rows[s].append(row)
-        del plan, oracle
     columns = list(records[seeds[0]][0].errors)
     summary = _summarize(seeds, rows, columns, bounds)
 

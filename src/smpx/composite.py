@@ -31,7 +31,7 @@ for a given step budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -226,7 +226,7 @@ class CompositeProblem:
     x_setup: ProxSetup
     y_setup: SpectahedronSetup
     components: tuple
-    betas: tuple
+    betas: tuple  # (m,) weights, or an (R, m) array: one row per batch row
     l_x: float = 0.0
     m_x: float = 0.0
 
@@ -236,24 +236,29 @@ def _saddle_operator(cp: CompositeProblem, zs: Pair, u=None) -> Pair:
 
     zs.x is (R, n) and zs.y a ``BlockStack``.  u is None for the exact
     operator, else an (R, U) array of uniforms, component l taking the next
-    ``uniforms`` columns in index order.  Errors carry the component index
-    and, when known, the row.  F_y is beta_l f_l + pad in block l of one
-    zero stack, negated.  A sum of zero-padded blocks turns -0.0 into +0.0
-    once m >= 2; pad = +0.0 keeps those bytes, and pad = -0.0 (no change)
-    serves m = 1.  The values come back as read-only stacks.
+    ``uniforms`` columns in index order.  Component l is weighted by
+    column l of ``cp.betas``: one weight for all rows, or row r's own when
+    the weights are (R0, m) and the R <= R0 rows are the live rows of a
+    batch.  Errors carry the component index and, when known, the row.
+    F_y is beta_l f_l + pad in block l of one zero stack, negated.  A sum
+    of zero-padded blocks turns -0.0 into +0.0 once m >= 2; pad = +0.0
+    keeps those bytes, and pad = -0.0 (no change) serves m = 1.  The
+    values come back as read-only stacks.
     """
     xs, ys = zs.x, zs.y
     structure = cp.y_setup.structure
     stacks = [np.zeros((len(xs), len(ids), p, p)) for p, ids in structure.groups]
     pad = 0.0 if len(cp.components) > 1 else -0.0
+    betas = np.atleast_2d(cp.betas)[:len(xs)]  # (1, m), or the live rows' (R, m)
     fx = None
     start = 0
-    for idx, (comp, beta) in enumerate(zip(cp.components, cp.betas, strict=True)):
+    for idx, comp in enumerate(cp.components):
         g, r = structure.slots[idx]
         stop = start + comp.uniforms
+        beta = betas[:, idx, None]
         try:
             f_hat, gx = comp.rows(xs, ys.stacks[g][:, r], None if u is None else u[:, start:stop])
-            stacks[g][:, r] = beta * f_hat + pad
+            stacks[g][:, r] = beta[:, :, None] * f_hat + pad
         except Exception as exc:  # noqa: BLE001 - annotate with the component index
             row = exc.row if isinstance(exc, SmpxError) else None
             at = "" if row is None else f" at row {row}"
@@ -290,23 +295,41 @@ def lipschitz_constants(cp: CompositeProblem) -> tuple:
     return lip, noise
 
 
-def build_vi(cp: CompositeProblem, lip_l=None, var_m=None) -> VIProblem:
+def build_vi(cp: CompositeProblem, lip_l=None, var_m=None, setup=None) -> VIProblem:
     """VI problem over the product geometry with declared constants.
 
     Constants default to the composite formulas; pipeline-specific
-    (sharper or rounded) constants can be passed in.
+    (sharper or rounded) constants can be passed in.  ``setup``, when
+    given, is that product geometry built once for several problems: the
+    horizons of an SDF sweep share one, so their rows can step together.
     """
     if lip_l is None or var_m is None:
         lip, noise = lipschitz_constants(cp)
         lip_l = lip if lip_l is None else lip_l
         var_m = noise if var_m is None else var_m
-    setup = ProductSetup(cp.x_setup, cp.y_setup)
+    if setup is None:
+        setup = ProductSetup(cp.x_setup, cp.y_setup)
+    elif not (isinstance(setup, ProductSetup) and setup.sx is cp.x_setup
+              and setup.sy.structure == cp.y_setup.structure):
+        raise ConfigError("setup is not the product geometry of the problem")
     return VIProblem(
         setup=setup,
         operator=lambda zs: _saddle_operator(cp, zs),
         lip_l=float(lip_l),
         var_m=float(var_m),
     )
+
+
+def batch_problem(cps: Sequence[CompositeProblem]) -> CompositeProblem:
+    """One problem whose row r is weighted as cps[r], for the oracle of a
+    batch whose rows run different rescalings of one system (the horizons
+    of an SDF sweep); the problems must share components and geometry."""
+    first = cps[0]
+    for cp in cps:
+        if (cp.components != first.components or cp.x_setup is not first.x_setup
+                or cp.y_setup.structure != first.y_setup.structure):
+            raise ConfigError("batched problems must share components and geometry")
+    return replace(first, betas=np.array([cp.betas for cp in cps]))
 
 
 def build_oracle(cp: CompositeProblem) -> Callable:

@@ -27,7 +27,9 @@ the arithmetic is elementwise or one LAPACK/BLAS call per matrix, and
 the per-row reductions (a simplex total and its ``math.log``, a
 spectahedron shift and trace) add as the one-row step adds.  A row whose
 dual vector is not finite raises InputError with its ``row``.
-``prox_map`` is the step of a stack of one.
+``prox_map`` is the step of a stack of one.  ``take_rows`` cuts a stack
+to its first rows and ``scale_rows`` multiplies each row by its own
+factor, so a solver batch can retire rows and give each its own stepsize.
 
 All setups are immutable and safe to share across concurrent runs; every
 operation is a pure function.
@@ -99,6 +101,26 @@ def unstack(stacked, decomposed: bool = False) -> list:
     if isinstance(stacked, Pair):
         return list(map(Pair, unstack(stacked.x, decomposed), unstack(stacked.y, decomposed)))
     return stacked.rows(decomposed)
+
+
+def take_rows(stacked, n: int):
+    """The first n rows of a ``stack`` result, as views."""
+    if isinstance(stacked, Pair):
+        return Pair(take_rows(stacked.x, n), take_rows(stacked.y, n))
+    if isinstance(stacked, BlockStack):
+        return BlockStack(stacked.structure, [a[:n] for a in stacked.stacks])
+    return stacked[:n]
+
+
+def scale_rows(c: np.ndarray, stacked):
+    """Row r of a ``stack`` result times c[r], an elementwise product that
+    gives each row the bytes of c[r] times the row alone."""
+    if isinstance(stacked, Pair):
+        return Pair(scale_rows(c, stacked.x), scale_rows(c, stacked.y))
+    if isinstance(stacked, BlockStack):
+        c = c[:, None, None, None]  # the stacks are (R, k, p, p)
+        return BlockStack(stacked.structure, [c * a for a in stacked.stacks])
+    return c[(slice(None),) + (None,) * (stacked.ndim - 1)] * stacked
 
 
 def _require_finite(parts) -> None:

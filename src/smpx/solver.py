@@ -11,14 +11,20 @@ iteration and averages the r's.  Runs start at the omega-minimizer, use a
 constant stepsize, and are deterministic given the seed.  The loop carries
 r's logits (``ProxSetup.step``), so it takes log r once, at the start.
 
-There is one loop, ``run_batch``: it runs R seeds of one problem in lock
-step, their logits and iterates stacked along a leading axis
-(``geometry.stack``), so a half-step is one stacked oracle call and one
-stacked ``step``.  Seed s draws from ``RandomStream(s)`` alone, and every
-stacked operation gives each row the bytes it gives a stack of one, so a
-seed's record does not depend on R or on the other seeds.  ``smp_run`` and
-``rmsa_run`` are batches of one.  Each record's ``wall_ms`` is the batch's
-loop time divided by R, so the records of a batch sum to its loop time.
+There is one loop, ``run_batch``: it runs R rows in lock step, their
+logits and iterates stacked along a leading axis (``geometry.stack``), so
+a half-step is one stacked oracle call and one stacked ``step``.  A row is
+a seed with its own stepsize, horizon, checkpoints and error map, so one
+batch can hold every (seed, horizon) run of a horizon sweep.  Rows come
+in non-increasing horizon order, each stepsize multiplies its row alone
+(``geometry.scale_rows``), and after step t the rows whose horizon is t
+retire: they are cut from the end of every stack, so the live rows are
+always a prefix of the batch.  Seed s draws from ``RandomStream(s)``
+alone, and every stacked operation gives each row the bytes it gives a
+stack of one, so a row's record does not depend on R or on the other
+rows.  ``smp_run`` and ``rmsa_run`` are batches of one when given one
+seed.  Each record's ``wall_ms`` is the batch's loop time divided by R,
+so the records of a batch sum to its loop time.
 """
 
 from __future__ import annotations
@@ -29,8 +35,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .errors import ConfigError, InputError, NumericalError
-from .geometry import stack, unstack
+from .geometry import scale_rows, stack, take_rows, unstack
 from .rng import RandomStream
 from .vi import VIProblem
 
@@ -70,7 +78,7 @@ class RunRecord:
 
 
 class RunBatch(list):
-    """The records of one lock-step batch, one per seed, in seed order.
+    """The records of one lock-step batch, one per row, in row order.
 
     ``t`` and ``oracle_calls`` are the batch's totals, its solver
     iterations and its oracle calls, so a sum of ``t`` over what the
@@ -164,71 +172,116 @@ def _check_checkpoints(checkpoints, t: int):
     return cps
 
 
-def run_batch(method: str, problem: VIProblem, oracle: Callable, policy: StepsizePolicy,
-              seeds, checkpoints, error_fn=None, _start=None) -> RunBatch:
-    """Run the seeds of one problem in lock step; one ``RunRecord`` per seed.
+def _per_row(value, n: int, shared: bool, what: str) -> list:
+    """One value for each of n rows: value itself n times when shared, else
+    its n entries."""
+    if shared:
+        return [value] * n
+    rows = list(value)
+    if len(rows) != n:
+        raise ConfigError(f"need one {what} per row: {len(rows)} for {n} rows")
+    return rows
+
+
+def run_batch(method: str, problem, oracle: Callable, policy, seeds, checkpoints,
+              error_fn=None, _start=None) -> RunBatch:
+    """Run the rows of one batch in lock step; one ``RunRecord`` per row.
 
     ``method`` is "smp" (two prox steps per iteration, the w's averaged) or
-    "rmsa" (one, the r's averaged).  ``oracle(zs, streams)`` estimates F at
-    the rows of a stack of points, row r from streams[r] (see ``vi``).
-    ``error_fn``, when given, maps one seed's averaged point to a dict of
-    named error values recorded at each checkpoint.  The start point is the
-    geometry's center (a keyword hook overrides it for tests only).  A step
-    that fails raises NumericalError naming the step and the seed.
+    "rmsa" (one, the r's averaged).  Row i runs seeds[i].  ``problem``,
+    ``policy`` (a ``StepsizePolicy``), ``checkpoints`` (a list of steps)
+    and ``error_fn`` each give one value that serves every row or a
+    sequence with one value per row, so the rows of a horizon sweep can
+    carry their own problem constants, stepsize, horizon, checkpoints and
+    error map.  Rows come in non-increasing horizon order, and all their
+    problems share one geometry (``problem.setup``).  ``oracle(zs,
+    streams)`` estimates F at the rows of a stack of points, row r from
+    streams[r] (see ``vi``); after step t the rows whose horizon is t are
+    cut from the end of every stack, so the oracle sees the live rows, a
+    prefix of the batch.  ``error_fn``, when given, maps one row's averaged
+    point to a dict of named error values recorded at each checkpoint.
+    The start point is the geometry's center (a keyword hook overrides it
+    for tests only).  A step that fails raises NumericalError naming the
+    step, the seed and the horizon.
     """
     if method not in ORACLE_CALLS:
         raise ConfigError(f"unknown method {method!r}")
-    if method == "smp":
-        _check_policy(problem, policy)
-    cps = _check_checkpoints(checkpoints, policy.t)
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ConfigError("need at least one seed")
-    cp_set = set(cps)
-    setup = problem.setup
-    gamma = policy.gamma
+    n = len(seeds)
+    checkpoints = list(checkpoints)
+    problems = _per_row(problem, n, isinstance(problem, VIProblem), "problem")
+    policies = _per_row(policy, n, isinstance(policy, StepsizePolicy), "stepsize policy")
+    cps = _per_row(checkpoints, n, all(isinstance(c, numbers.Integral) for c in checkpoints),
+                   "checkpoint list")
+    error_fns = _per_row(error_fn, n, error_fn is None or callable(error_fn), "error map")
+    ts = [pol.t for pol in policies]
+    if any(a < b for a, b in zip(ts, ts[1:])):
+        raise ConfigError(f"rows must come in non-increasing horizon order, got {ts}")
+    setup = problems[0].setup
+    if any(prob.setup is not setup for prob in problems):
+        raise ConfigError("the rows of a batch must share one geometry")
+    if method == "smp":
+        for prob, pol in zip(problems, policies):
+            _check_policy(prob, pol)
+    cps = [_check_checkpoints(c, t) for c, t in zip(cps, ts)]
+    due = {}  # step -> the rows with a checkpoint there
+    for i, row_cps in enumerate(cps):
+        for cp in row_cps:
+            due.setdefault(cp, []).append(i)
+    gammas = np.array([pol.gamma for pol in policies])
     streams = [RandomStream(seed) for seed in seeds]
     start = setup.center if _start is None else _start
-    s = stack([setup.logits(start)] * len(seeds))
-    r = stack([start] * len(seeds))
+    s = stack([setup.logits(start)] * n)
+    r = stack([start] * n)
     smp = method == "smp"
     averages = [[] for _ in seeds]
     errors = [{} for _ in seeds]
     acc = None
+    live = n
     began = time.perf_counter()
-    for tau in range(1, policy.t + 1):
+    for tau in range(1, ts[0] + 1):
         try:
             if smp:
-                w = setup.step(s, gamma * oracle(r, streams))[1]
-                s, r = setup.step(s, gamma * oracle(w, streams))
+                w = setup.step(s, scale_rows(gammas, oracle(r, streams)))[1]
+                s, r = setup.step(s, scale_rows(gammas, oracle(w, streams)))
             else:
-                s, r = setup.step(s, gamma * oracle(r, streams))
+                s, r = setup.step(s, scale_rows(gammas, oracle(r, streams)))
                 w = r
         except (InputError, NumericalError) as exc:
-            row = 0 if len(seeds) == 1 else exc.row
-            who = f"seed {seeds[row]}" if row is not None else f"seeds {seeds}"
-            raise NumericalError(f"solver failed at step {tau} for {who}: {exc}") from exc
+            row = 0 if live == 1 else exc.row
+            where = (f"at step {tau} for seeds {seeds[:live]}" if row is None
+                     else f"in the {ts[row]}-step run at step {tau} for seed {seeds[row]}")
+            raise NumericalError(f"solver failed {where}: {exc}") from exc
         acc = w if acc is None else acc + w
-        if tau in cp_set:
-            for i, avg in enumerate(unstack((1.0 / tau) * acc)):
-                averages[i].append(avg)
-                if error_fn is not None:
-                    for name, value in error_fn(avg).items():
+        if tau in due:
+            avgs = unstack((1.0 / tau) * acc)
+            for i in due[tau]:
+                averages[i].append(avgs[i])
+                if error_fns[i] is not None:
+                    for name, value in error_fns[i](avgs[i]).items():
                         errors[i].setdefault(name, []).append(float(value))
-    wall_ms = 1000.0 * (time.perf_counter() - began) / len(seeds)
+        if ts[live - 1] == tau:
+            while live and ts[live - 1] == tau:
+                live -= 1
+            s, r, acc = (take_rows(a, live) for a in (s, r, acc))
+            gammas, streams = gammas[:live], streams[:live]
+    wall_ms = 1000.0 * (time.perf_counter() - began) / n
     return RunBatch(
         RunRecord(
             algorithm=method,
             seed=seed,
-            t=policy.t,
-            gamma=gamma,
-            oracle_calls=ORACLE_CALLS[method] * policy.t,
-            checkpoints=list(cps),
-            averages=averages[i],
-            errors=errors[i],
+            t=pol.t,
+            gamma=pol.gamma,
+            oracle_calls=ORACLE_CALLS[method] * pol.t,
+            checkpoints=row_cps,
+            averages=row_avgs,
+            errors=row_errors,
             wall_ms=wall_ms,
         )
-        for i, seed in enumerate(seeds)
+        for seed, pol, row_cps, row_avgs, row_errors in zip(seeds, policies, cps, averages,
+                                                          errors)
     )
 
 
@@ -241,9 +294,9 @@ def _run(method, problem, oracle, policy, seed, checkpoints, error_fn, start):
 
 
 def smp_run(
-    problem: VIProblem,
+    problem,
     oracle: Callable,
-    policy: StepsizePolicy,
+    policy,
     seed,
     checkpoints,
     error_fn=None,
@@ -251,18 +304,18 @@ def smp_run(
 ):
     """Run the two-prox solver and snapshot the averaged solution.
 
-    ``seed`` is one seed, for one ``RunRecord``, or a sequence of seeds run
-    as one lock-step batch, for a ``RunBatch`` (see ``run_batch``).  Two
-    oracle calls are made per step; a record is bit-reproducible for a
-    fixed seed.
+    ``seed`` is one seed, for one ``RunRecord``, or a sequence of seeds,
+    the rows of one lock-step batch, for a ``RunBatch`` (see ``run_batch``,
+    also for the per-row forms of the other arguments).  Two oracle calls
+    are made per step; a record is bit-reproducible for a fixed seed.
     """
     return _run("smp", problem, oracle, policy, seed, checkpoints, error_fn, _start)
 
 
 def rmsa_run(
-    problem: VIProblem,
+    problem,
     oracle: Callable,
-    policy: StepsizePolicy,
+    policy,
     seed,
     checkpoints,
     error_fn=None,

@@ -2,11 +2,13 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The stochastic
 criteria are seeded and deterministic; stated tolerances are asserted
-as written here.  Criteria 5-8 run their seeds as one lock-step batch per
-horizon (``solver.run_batch``), which gives each seed the numbers of its
-run alone.  In one ``--durations`` run of the whole test suite on a 2-core
-machine, this module took about 84 s, 36 s of them in the
-feasibility-pipeline rate check.
+as written here.  Criteria 5 and 7 run each horizon sweep as one
+lock-step batch (``solver.run_batch``) whose rows retire when they reach
+their horizon, and criteria 6 and 8 run the seeds of each run as one
+batch; every row gets the numbers of its run alone.  In one
+``--durations`` run of the whole test suite on a 2-core machine, this
+module took about 66 s, 26 s of them in the feasibility-pipeline rate
+check.
 """
 
 import time
@@ -198,14 +200,16 @@ def test_criterion_5_stochastic_rate(game, tuned_noise):
     oracle = eigopt.averaged_oracle(inst, 1)
     worst_case = eigopt.regularity_constants(inst, 1)
     horizons = [100, 316, 1000, 3162, 10000]
-    means = []
-    for t in horizons:
-        gamma = solver.constant_stepsize(1.0, radius, lip, tuned_noise, t)
-        batch = solver.run_batch(
-            "smp", problem, oracle, solver.StepsizePolicy(gamma, t), range(20), [t],
-            error_fn=gap_error_fn(inst),
-        )
-        means.append(float(np.mean([rec.errors["gap"][0] for rec in batch])))
+    # one batch of 20 seeds per horizon, longest horizon first
+    rows = [t for t in reversed(horizons) for _ in range(20)]
+    batch = solver.run_batch(
+        "smp", problem, oracle,
+        [solver.StepsizePolicy(solver.constant_stepsize(1.0, radius, lip, tuned_noise, t), t)
+         for t in rows],
+        list(range(20)) * len(horizons), [[t] for t in rows], error_fn=gap_error_fn(inst),
+    )
+    means = [float(np.mean([rec.errors["gap"][0] for rec in batch if rec.t == t]))
+             for t in horizons]
     k0, _ = solver.theoretical_bounds(1.0, radius, lip, worst_case.noise, 0.0, 10**4)
     slope = float(np.polyfit(np.log(horizons), np.log(means), 1)[0])
     ok = means[-1] <= k0 and -0.65 <= slope <= -0.35
@@ -252,36 +256,35 @@ def test_criterion_7_sdf_pipeline(sdf_system):
     noisy_idx = [i for i, p in enumerate(system.parts) if p.noise_m > 0.0]
     assert len(smooth_idx) == 1 and len(noisy_idx) == 2
 
-    def run_horizon(t, seeds):
-        scaled = composite.sdf_scale(system, t)
-        problem = composite.build_vi(
-            scaled.problem, lip_l=scaled.lip_l, var_m=scaled.noise_m
-        )
-        oracle = composite.build_oracle(scaled.problem)
-        batch = solver.run_batch(
-            "smp", problem, oracle, solver.StepsizePolicy(scaled.gamma, t), seeds, [t]
-        )
-        viols = np.array(
-            [composite.component_violations(system, rec.averages[0].x) for rec in batch]
-        )
-        return scaled, viols
-
     # rate split: the pipeline stepsize shrinks like 1/sqrt(t), so the
-    # asymptotic regime starts around t=1e3; fit over a decade and a half
+    # asymptotic regime starts around t=1e3; fit over a decade and a half.
+    # One batch, longest horizon first: 12 sweep seeds per horizon, and at
+    # t=1e4 also 8 fresh seeds for the accuracy check.  Every horizon
+    # steps with one geometry, each row weighted for its horizon.
     horizons = [1000, 3162, 10000, 31623]
-    sweep_seeds = list(range(12))
-    means = np.zeros((len(horizons), len(system.parts)))
-    viols_1e4 = None
-    scaled_1e4 = None
-    for k, t in enumerate(horizons):
-        scaled, viols = run_horizon(t, sweep_seeds)
-        means[k] = viols.mean(axis=0)
-        if t == 10**4:
-            viols_1e4, scaled_1e4 = viols, scaled
+    scaled = {t: composite.sdf_scale(system, t) for t in horizons}
+    geometry = composite.build_vi(scaled[horizons[0]].problem).setup
+    problems = {
+        t: composite.build_vi(sc.problem, lip_l=sc.lip_l, var_m=sc.noise_m, setup=geometry)
+        for t, sc in scaled.items()
+    }
+    rows = [(t, seed) for t in reversed(horizons) for seed in range(20 if t == 10**4 else 12)]
+    oracle = composite.build_oracle(composite.batch_problem([scaled[t].problem for t, _ in rows]))
+    batch = solver.run_batch(
+        "smp", [problems[t] for t, _ in rows], oracle,
+        [solver.StepsizePolicy(scaled[t].gamma, t) for t, _ in rows],
+        [seed for _, seed in rows], [[t] for t, _ in rows],
+    )
+    viols = {
+        t: np.array([composite.component_violations(system, rec.averages[0].x)
+                     for rec in batch if rec.t == t])
+        for t in horizons
+    }
+    means = np.array([viols[t][:12].mean(axis=0) for t in horizons])
 
     # accuracy check at t=1e4 over 20 seeds (12 from the sweep + 8 fresh)
-    _, extra = run_horizon(10**4, list(range(12, 20)))
-    all_viol = np.vstack([viols_1e4, extra])
+    all_viol = viols[10**4]
+    scaled_1e4 = scaled[10**4]
     per_comp_bound = scaled_1e4.predicted_bound / scaled_1e4.betas
     mean_1e4 = all_viol.mean(axis=0)
     bound_ok = bool(np.all(mean_1e4 <= per_comp_bound))

@@ -180,6 +180,14 @@ class TestBadInputExits2:
                                    **entry}))
         exits_2_with_one_line(capsys, ["run", "--config", str(cfg)])
 
+    def test_duplicate_seeds(self, tmp_path, capsys, no_instance):
+        # outputs are keyed by seed: a repeated seed would mix up the rows
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instance": {"kind": "eig_min", "params": {"n": 4}},
+                                   "seeds": [0, 0]}))
+        exits_2_with_one_line(capsys, ["run", "--config", str(cfg)])
+        exits_2_with_one_line(capsys, RUN[:-1] + ["3,3"])
+
 
     @pytest.mark.parametrize("kind, name, value", [
         ("eig_min", "n", "x"), ("eig_min", "blocks", [2, "x"]), ("eig_min", "blocks", "2,2"),

@@ -441,6 +441,25 @@ class TestStackedOperator:
                       [10, 11, 12, 13], [3])
 
 
+    def test_shared_geometry_and_batch_weights_are_checked(self):
+        stream = RandomStream(31)
+        comps = [random_component("affine", 3, 2, stream) for _ in range(2)]
+        x_setup = SimplexSetup(3)
+        cp = matrix_minimax_problem(x_setup, comps, [1.0, 2.0])
+        rescaled = matrix_minimax_problem(x_setup, comps, [3.0, 0.5])
+        shared = composite.build_vi(cp).setup
+        assert composite.build_vi(rescaled, setup=shared).setup is shared
+        assert np.array_equal(composite.batch_problem([cp, rescaled, cp]).betas,
+                              [[1.0, 2.0], [3.0, 0.5], [1.0, 2.0]])
+        other = matrix_minimax_problem(SimplexSetup(3), comps)
+        with pytest.raises(ConfigError, match="product geometry"):
+            composite.build_vi(other, setup=shared)
+        with pytest.raises(ConfigError, match="share components and geometry"):
+            composite.batch_problem([cp, other])
+        with pytest.raises(ConfigError, match="share components and geometry"):
+            composite.batch_problem([cp, matrix_minimax_problem(x_setup, comps[::-1])])
+
+
 class TestPhiRepresentation:
     def test_max_lambda_equals_support_maximum(self):
         # the outer function agrees with its conjugate representation

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from smpx import bench, composite, eigopt
 from smpx.errors import ConfigError, NumericalError
-from smpx.geometry import EuclideanBallSetup, Pair, SimplexSetup, stack, unstack
+from smpx.geometry import EuclideanBallSetup, Pair, SimplexSetup, scale_rows, stack, unstack
 from smpx.rng import RandomStream
 from smpx.solver import (
+    ORACLE_CALLS,
     RunBatch,
     StepsizePolicy,
     constant_stepsize,
@@ -312,10 +313,30 @@ def ref_draw(inst, z, stream):
     return Pair(xi_x, BlockSymMatrix(inst.structure, xi_y, _validate=False))
 
 
+def assert_rows_equal_per_horizon_runs(batch, seeds, horizons, alone):
+    """Row (h, seed) of a batch whose rows are horizon-major, in the order
+    of horizons, has the bytes of that seed's record in alone(h), the batch
+    of horizon h by itself."""
+    assert len(batch) == len(horizons) * len(seeds)
+    for h in range(len(horizons)):
+        rows = batch[h * len(seeds):(h + 1) * len(seeds)]
+        for rec, ref in zip(rows, alone(h), strict=True):
+            assert (rec.seed, rec.t, rec.gamma, rec.checkpoints, rec.oracle_calls) == (
+                ref.seed, ref.t, ref.gamma, ref.checkpoints, ref.oracle_calls)
+            for a, b in zip(rec.averages, ref.averages, strict=True):
+                assert_same_point(a, b)
+            assert list(rec.errors) == list(ref.errors)
+            for name, values in ref.errors.items():
+                assert_same_bytes(np.array(rec.errors[name]), np.array(values))
+
+
 # block structures with 1 x 1 blocks and mixed sizes, so that the sampled
 # block of different seeds falls in different size groups
 SIZES = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda s: sum(s) >= 2)
 SEEDS = st.lists(st.integers(0, 3), min_size=1, max_size=5)  # duplicates included
+# the horizons of a sweep, longest first; repeats included
+HORIZONS = st.lists(st.integers(1, 8), min_size=1, max_size=3).map(
+    lambda ts: sorted(ts, reverse=True))
 
 
 class TestRunBatch:
@@ -371,6 +392,91 @@ class TestRunBatch:
         assert_records_equal_reference(batch, seeds, lambda seed: ref_run(
             method, problem, ref_oracle, scaled.gamma, t, seed, [t], error_fn))
 
+    @given(sizes=SIZES, n=st.integers(2, 5), method=st.sampled_from(["smp", "rmsa"]),
+           kind=st.sampled_from(["sampled", "exact"]), seeds=SEEDS, horizons=HORIZONS,
+           step=st.floats(0.05, 1.0), data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_eig_mixed_horizon_rows_equal_per_horizon_runs(self, sizes, n, method, kind, seeds,
+                                                           horizons, step, data):
+        inst, saddle = eig_problem(n=n, blocks=sizes, seed=len(sizes) + n)
+        problem = saddle.problem
+        oracle = eigopt.averaged_oracle(inst, 1) if kind == "sampled" else exact_oracle(problem)
+        gammas = [step / (math.sqrt(3.0) * problem.lip_l * (h + 1)) for h in range(len(horizons))]
+        cps = [sorted(data.draw(st.sets(st.integers(1, t), min_size=1))) for t in horizons]
+        error_fn = lambda z: {"gap": eigopt.objective_and_gap(inst, z)[1]}  # noqa: E731
+        live = []
+
+        def spy(zs, streams):
+            live.append(len(streams))
+            return oracle(zs, streams)
+
+        rows = [h for h in range(len(horizons)) for _ in seeds]
+        batch = run_batch(method, problem, spy,
+                          [StepsizePolicy(gammas[h], horizons[h]) for h in rows],
+                          seeds * len(horizons), [cps[h] for h in rows], error_fn)
+        assert_rows_equal_per_horizon_runs(batch, seeds, horizons, lambda h: run_batch(
+            method, problem, oracle, StepsizePolicy(gammas[h], horizons[h]), seeds, cps[h],
+            error_fn))
+        # each oracle call sees the rows that have not yet reached their horizon
+        assert live == [sum(horizons[h] >= tau for h in rows)
+                        for tau in range(1, horizons[0] + 1) for _ in range(ORACLE_CALLS[method])]
+
+    @given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(
+               lambda s: sum(s) >= 2),
+           method=st.sampled_from(["smp", "rmsa"]), kind=st.sampled_from(["sampled", "exact"]),
+           seeds=SEEDS, horizons=st.lists(st.integers(1, 5), min_size=1, max_size=3).map(
+               lambda ts: sorted(ts, reverse=True)))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_sdf_mixed_horizon_rows_equal_per_horizon_runs(self, sizes, method, kind, seeds,
+                                                           horizons):
+        payload = bench.build_instance_payload(
+            "sdf_system",
+            {"n": 3, "blocks": sizes, "delta": 0.0, "noise_m": 0.5, "n_smooth": 1}, 11)
+        _, system = bench.payload_to_instance(payload)
+        scaled = [composite.sdf_scale(system, t) for t in horizons]
+        exact = kind == "exact"
+
+        def error_fn(z):
+            viols = composite.component_violations(system, z.x)
+            return {f"viol_{i}": v for i, v in enumerate(viols)}
+
+        # one geometry and one oracle for all rows, row r weighted for its horizon
+        shared = composite.build_vi(scaled[0].problem).setup
+        problems = [composite.build_vi(sc.problem, lip_l=sc.lip_l, var_m=sc.noise_m,
+                                       setup=shared) for sc in scaled]
+        rows = [h for h in range(len(horizons)) for _ in seeds]
+        cp = composite.batch_problem([scaled[h].problem for h in rows])
+        oracle = exact_oracle(composite.build_vi(cp)) if exact else composite.build_oracle(cp)
+        batch = run_batch(method, [problems[h] for h in rows], oracle,
+                          [StepsizePolicy(scaled[h].gamma, horizons[h]) for h in rows],
+                          seeds * len(horizons), [[horizons[h]] for h in rows], error_fn)
+
+        def alone(h):
+            sc = scaled[h]
+            problem = composite.build_vi(sc.problem, lip_l=sc.lip_l, var_m=sc.noise_m)
+            orc = exact_oracle(problem) if exact else composite.build_oracle(sc.problem)
+            return run_batch(method, problem, orc, StepsizePolicy(sc.gamma, horizons[h]), seeds,
+                             [horizons[h]], error_fn)
+
+        assert_rows_equal_per_horizon_runs(batch, seeds, horizons, alone)
+
+    def test_batch_rows_are_checked(self):
+        prob = one_dim()
+        steep = VIProblem(prob.setup, prob.operator, lip_l=4.0)
+        oracle = exact_oracle(prob)
+        policies = [StepsizePolicy(0.3, 3), StepsizePolicy(0.3, 5)]
+        with pytest.raises(ConfigError, match="non-increasing horizon order"):
+            run_batch("smp", prob, oracle, policies, [0, 1], [3])
+        # each row's stepsize is checked against its own L
+        policies.reverse()
+        run_batch("smp", [prob, prob], oracle, policies, [0, 1], [3])
+        with pytest.raises(ConfigError, match="feasibility limit"):
+            run_batch("smp", [prob, steep], oracle, policies, [0, 1], [3])
+        with pytest.raises(ConfigError, match="one geometry"):
+            run_batch("rmsa", [prob, one_dim()], oracle, policies, [0, 1], [3])
+        with pytest.raises(ConfigError, match="one checkpoint list per row"):
+            run_batch("smp", prob, oracle, policies, [0, 1], [[5], [3], [1]])
+
     def test_simplex_step_rows_equal_per_point_steps(self):
         # enough rows that some totals are values whose numpy vector log
         # differs from math.log
@@ -399,6 +505,22 @@ class TestRunBatch:
         with pytest.raises(NumericalError, match="step 2 for seed 5"):
             run_batch("smp", saddle.problem, per_seed(broken), StepsizePolicy(0.01, 4),
                       [3, 5, 8], [4])
+
+    def test_failure_names_the_seed_and_horizon_of_its_row(self):
+        inst, saddle = eig_problem()
+        oracle = eigopt.averaged_oracle(inst, 1)
+        calls = []
+
+        def broken(zs, streams):
+            calls.append(len(streams))
+            xi = oracle(zs, streams)
+            if len(calls) == 3:  # step 2's first half; row 2 is seed 5's 2-step run
+                return scale_rows(np.array([1.0, 1.0, float("nan")]), xi)
+            return xi
+
+        policies = [StepsizePolicy(0.01, 4), StepsizePolicy(0.01, 4), StepsizePolicy(0.01, 2)]
+        with pytest.raises(NumericalError, match="in the 2-step run at step 2 for seed 5:"):
+            run_batch("smp", saddle.problem, broken, policies, [5, 3, 5], [[4], [4], [2]])
 
     def test_runners_take_one_seed_or_a_batch(self):
         inst, saddle = eig_problem()
