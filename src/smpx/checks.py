@@ -122,9 +122,10 @@ def large_dual_step_margin(spread: float = 800.0) -> float:
     spect = SpectahedronSetup(BlockStructure((2, 2)))
     big = symmat.BlockSymMatrix(spect.structure, [np.zeros((2, 2)), np.diag([0.0, spread])])
     total = 0.0
+    one = np.ones(1)  # the rate of the stack of one
     for setup, xi in ((SimplexSetup(3), np.array([0.0, spread, 0.0])), (spect, big)):
-        s = setup.step(stack([setup.logits(setup.center)]), stack([xi]))[0]
-        back = unstack(setup.step(s, stack([-xi]))[1])[0]
+        s = setup.step(stack([setup.logits(setup.center)]), stack([xi]), one)[0]
+        back = unstack(setup.step(s, stack([-xi]), one)[1])[0]
         total += setup.norm(back - setup.center)
     return total
 

@@ -18,18 +18,21 @@ The solver steps in logit coordinates (``logits``, ``step``), where the
 entropy proxes are linear; steps have no limit on the spread of the dual
 vector, and ``prox_map`` from a boundary point raises DomainError.
 
-``step`` works on stacks: the logits and the dual vectors of R points
-along a leading axis (``stack``, ``unstack``), one row per seed of a
-lock-step solver batch, with an (R, n) array for a vector, a
+``step(s, xi, rates)`` works on stacks: the logits and the dual vectors
+of R points along a leading axis (``stack``, ``unstack``), one row per
+seed of a lock-step solver batch, with an (R, n) array for a vector, a
 ``BlockStack`` of (R, k, p, p) arrays for a block matrix and a pair of
-stacks for a pair.  Each row gets the bytes it gets in a stack of one:
-the arithmetic is elementwise or one LAPACK/BLAS call per matrix, and
-the per-row reductions (a simplex total and its ``math.log``, a
-spectahedron shift and trace) add as the one-row step adds.  A row whose
-dual vector is not finite raises InputError with its ``row``.
-``prox_map`` is the step of a stack of one.  ``take_rows`` cuts a stack
-to its first rows and ``scale_rows`` multiplies each row by its own
-factor, so a solver batch can retire rows and give each its own stepsize.
+stacks for a pair.  Row r steps by rates[r] times its dual vector, its
+own stepsize, so the step takes the raw oracle values; it forms the
+products in a temporary of its own, which the geometry's arithmetic then
+overwrites, and writes neither s nor xi.  Each row gets the bytes it gets
+in a stack of one: the arithmetic is elementwise or one LAPACK/BLAS call
+per matrix, and the per-row reductions (a simplex total and its
+``math.log``, a spectahedron shift and trace) add as the one-row step
+adds.  A row whose dual vector is not finite raises InputError with its
+``row``.  ``prox_map`` is the step of a stack of one at rate 1.0, which
+leaves every dual value as it is.  ``take_rows`` cuts a stack to its
+first rows, so a solver batch can retire rows.
 
 All setups are immutable and safe to share across concurrent runs; every
 operation is a pure function.
@@ -69,6 +72,14 @@ class Pair:
         return Pair(c * self.x, c * self.y)
 
     __rmul__ = __mul__
+
+    def __iadd__(self, other):
+        self.x += other.x
+        self.y += other.y
+        return self
+
+    def copy(self):
+        return Pair(self.x.copy(), self.y.copy())
 
     def __iter__(self):
         yield self.x
@@ -112,22 +123,11 @@ def take_rows(stacked, n: int):
     return stacked[:n]
 
 
-def scale_rows(c: np.ndarray, stacked):
-    """Row r of a ``stack`` result times c[r], an elementwise product that
-    gives each row the bytes of c[r] times the row alone."""
-    if isinstance(stacked, Pair):
-        return Pair(scale_rows(c, stacked.x), scale_rows(c, stacked.y))
-    if isinstance(stacked, BlockStack):
-        c = c[:, None, None, None]  # the stacks are (R, k, p, p)
-        return BlockStack(stacked.structure, [c * a for a in stacked.stacks])
-    return c[(slice(None),) + (None,) * (stacked.ndim - 1)] * stacked
-
-
 def _require_finite(parts) -> None:
     """InputError naming the first row with a non-finite entry in any of the
     (R, ...) arrays."""
     for a in parts:
-        if not np.isfinite(a).all():
+        if np.count_nonzero(np.isfinite(a)) != a.size:  # cheaper than .all()
             ok = np.logical_and.reduce(
                 [np.isfinite(b).reshape(len(b), -1).all(axis=1) for b in parts])
             raise InputError("non-finite dual vector", row=int(np.argmin(ok)))
@@ -162,6 +162,10 @@ class ProxSetup:
     def dual_norm(self, xi) -> float:
         raise NotImplementedError
 
+    def dual_norms(self, xi) -> np.ndarray:
+        """(R,) ``dual_norm`` of each row of a stack, with its bytes."""
+        return np.array([self.dual_norm(row) for row in unstack(xi)])
+
     def omega(self, z) -> float:
         raise NotImplementedError
 
@@ -174,13 +178,27 @@ class ProxSetup:
         """Coordinates of the point z in which the prox is linear."""
         raise NotImplementedError
 
-    def step(self, s, xi):
-        """(logits, points) of prox(z, xi) for each row of a stack, given
-        the stacked s = logits(z) and xi."""
+    def step(self, s, xi, rates):
+        """(logits, points) of prox(z, rates[r] * xi) for each row r of a
+        stack, given the stacked s = logits(z), xi and the (R,) rates;
+        writes neither s nor xi."""
+        return self._step(s, self._times(rates, xi))
+
+    def _times(self, rates, xi):
+        """Row r of the stacked xi times rates[r], in fresh arrays: an
+        elementwise product that gives each row the bytes of rates[r] times
+        the row alone.  This form is for (R, n) vector stacks."""
+        return rates[:, None] * xi
+
+    def _step(self, s, t):
+        """``step`` given t = ``_times(rates, xi)``, which the step may
+        overwrite and hand back."""
         raise NotImplementedError
 
     def prox_map(self, z, xi):
-        return unstack(self.step(stack([self.logits(z)]), stack([xi]))[1], decomposed=True)[0]
+        s = stack([self.logits(z)])
+        # rate 1.0: 1.0 * xi is xi, bit for bit
+        return unstack(self.step(s, stack([xi]), np.ones(1))[1], decomposed=True)[0]
 
     def bregman(self, z, u) -> float:
         """omega(u) - omega(z) - <omega'(z), u - z>."""
@@ -244,9 +262,9 @@ class EuclideanBallSetup(ProxSetup):
     def logits(self, z):
         return np.asarray(z, dtype=float)
 
-    def step(self, s, xi):
-        _require_finite([xi])
-        v = s - xi
+    def _step(self, s, t):
+        _require_finite([t])
+        v = np.subtract(s, t, out=t)
         for r, row in enumerate(v):
             n = float(np.linalg.norm(row))
             if n > self.radius:
@@ -307,6 +325,9 @@ class SimplexSetup(ProxSetup):
     def dual_norm(self, xi):
         return float(np.abs(xi).max())
 
+    def dual_norms(self, xi):
+        return np.maximum.reduce(np.abs(xi), axis=1)
+
     def omega(self, z):
         z = np.asarray(z, dtype=float)
         pos = z[z > 0]
@@ -328,16 +349,15 @@ class SimplexSetup(ProxSetup):
             raise DomainError("simplex point has a coordinate that is not positive")
         return np.log(z)
 
-    def step(self, s, xi):
-        s = s - xi
-        if not np.isfinite(s).all():
-            _require_finite([s])
-        s -= s.max(axis=1, keepdims=True)
+    def _step(self, s, t):
+        s = np.subtract(s, t, out=t)
+        _require_finite([s])
+        s -= np.maximum.reduce(s, axis=1, keepdims=True)
         w = np.exp(s)
-        total = w.sum(axis=1, keepdims=True)
+        total = np.add.reduce(w, axis=1, keepdims=True)
         # math.log per row: numpy's vector log rounds some values differently
-        s -= np.array([[math.log(v)] for (v,) in total.tolist()])
-        return s, w / total
+        s -= np.array([math.log(v) for (v,) in total.tolist()])[:, None]
+        return s, np.divide(w, total, out=w)
 
     def contains(self, z, tol=1e-9):
         z = np.asarray(z, dtype=float)
@@ -391,6 +411,14 @@ class SpectahedronSetup(ProxSetup):
     def dual_norm(self, xi):
         return symmat.spectral_norm(xi)
 
+    def dual_norms(self, xi):
+        # one eigvalsh per size group: the per-matrix LAPACK calls of the rows
+        out = None
+        for a in xi.stacks:
+            top = np.maximum.reduce(np.abs(np.linalg.eigvalsh(a)).reshape(len(a), -1), axis=1)
+            out = top if out is None else np.maximum(out, top)
+        return out
+
     def omega(self, z):
         lam = symmat.eigenvalues(z)
         pos = lam[lam > 0]
@@ -403,15 +431,25 @@ class SpectahedronSetup(ProxSetup):
             raise DomainError("matrix has a nonpositive eigenvalue")
         return symmat.matrix_log(z)
 
-    def step(self, s, xi):
-        b = s - xi  # InputError on a mismatched xi
-        _require_finite(b.stacks)
+    def _times(self, rates, xi):
         structure = self.structure
-        vals, vecs = zip(*(symmat.descending_eigh(a) for a in b.stacks))
+        if not isinstance(xi, BlockStack) or (xi.structure is not structure
+                                              and xi.structure != structure):
+            raise InputError("block structure mismatch")
+        c = rates[:, None, None, None]  # the stacks are (R, k, p, p)
+        return BlockStack(structure, [c * a for a in xi.stacks])
+
+    def _step(self, s, t):
+        structure = self.structure
+        b = t.stacks
+        for a, c in zip(s.stacks, b):
+            np.subtract(a, c, out=c)
+        _require_finite(b)
+        vals, vecs = zip(*map(symmat.descending_eigh, b))
         points, lams, log_trace = symmat.entropy_rows(structure, vals, vecs)
-        for a, (p, _) in zip(b.stacks, structure.groups):
+        for a, (p, _) in zip(b, structure.groups):
             a.reshape(len(a), -1, p * p)[:, :, ::p + 1] -= log_trace  # the diagonals
-        return b, BlockStack(structure, points, (lams, vecs))
+        return t, BlockStack(structure, points, (lams, vecs))
 
     def contains(self, z, tol=1e-9):
         if not isinstance(z, BlockSymMatrix) or z.structure != self.structure:
@@ -514,6 +552,13 @@ class ProductSetup(ProxSetup):
             + self.sy.omega_radius**2 * self.sy.dual_norm(xi.y) ** 2
         )
 
+    def dual_norms(self, xi):
+        wx, wy = self.sx.omega_radius**2, self.sy.omega_radius**2
+        return np.array([
+            math.sqrt(wx * a**2 + wy * b**2)
+            for a, b in zip(self.sx.dual_norms(xi.x).tolist(), self.sy.dual_norms(xi.y).tolist())
+        ])
+
     def omega(self, z):
         return self.sx.omega(z.x) / self.scale_x + self.sy.omega(z.y) / self.scale_y
 
@@ -532,9 +577,17 @@ class ProductSetup(ProxSetup):
     def logits(self, z):
         return Pair(self.sx.logits(z.x), self.sy.logits(z.y))
 
-    def step(self, s, xi):
-        sx, x = self.sx.step(s.x, self.scale_x * xi.x)
-        sy, y = self.sy.step(s.y, self.scale_y * xi.y)
+    def _times(self, rates, xi):
+        return Pair(self.sx._times(rates, xi.x), self.sy._times(rates, xi.y))
+
+    def _step(self, s, t):
+        # scale_x * (rate * xi), two products: one by rate * scale_x would
+        # round differently
+        tx, ty = t.x, t.y
+        tx *= self.scale_x
+        ty *= self.scale_y
+        sx, x = self.sx._step(s.x, tx)
+        sy, y = self.sy._step(s.y, ty)
         return Pair(sx, sy), Pair(x, y)
 
     def contains(self, z, tol=1e-9):

@@ -17,12 +17,13 @@ a half-step is one stacked oracle call and one stacked ``step``.  A row is
 a seed with its own stepsize, horizon, checkpoints and error map, so one
 batch can hold every (seed, horizon) run of a horizon sweep.  Rows come
 in non-increasing horizon order, each stepsize multiplies its row alone
-(``geometry.scale_rows``), and after step t the rows whose horizon is t
-retire: they are cut from the end of every stack, so the live rows are
-always a prefix of the batch.  Seed s draws from ``RandomStream(s)``
-alone, and every stacked operation gives each row the bytes it gives a
-stack of one, so a row's record does not depend on R or on the other
-rows.  ``smp_run`` and ``rmsa_run`` are batches of one when given one
+(the rates of ``ProxSetup.step``), and after step t the rows whose horizon
+is t retire: they are cut from the end of every stack, so the live rows
+are always a prefix of the batch.  The sum of the averaged iterates is a
+copy of the first, added to in place.  Seed s draws from
+``RandomStream(s)`` alone, and every stacked operation gives each row the
+bytes it gives a stack of one, so a row's record does not depend on R or
+on the other rows.  ``smp_run`` and ``rmsa_run`` are batches of one when given one
 seed.  Each record's ``wall_ms`` is the batch's loop time divided by R,
 so the records of a batch sum to its loop time.
 """
@@ -38,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericalError
-from .geometry import scale_rows, stack, take_rows, unstack
+from .geometry import stack, take_rows, unstack
 from .rng import RandomStream
 from .vi import VIProblem
 
@@ -244,17 +245,20 @@ def run_batch(method: str, problem, oracle: Callable, policy, seeds, checkpoints
     for tau in range(1, ts[0] + 1):
         try:
             if smp:
-                w = setup.step(s, scale_rows(gammas, oracle(r, streams)))[1]
-                s, r = setup.step(s, scale_rows(gammas, oracle(w, streams)))
+                w = setup.step(s, oracle(r, streams), gammas)[1]
+                s, r = setup.step(s, oracle(w, streams), gammas)
             else:
-                s, r = setup.step(s, scale_rows(gammas, oracle(r, streams)))
+                s, r = setup.step(s, oracle(r, streams), gammas)
                 w = r
         except (InputError, NumericalError) as exc:
             row = 0 if live == 1 else exc.row
             where = (f"at step {tau} for seeds {seeds[:live]}" if row is None
                      else f"in the {ts[row]}-step run at step {tau} for seed {seeds[row]}")
             raise NumericalError(f"solver failed {where}: {exc}") from exc
-        acc = w if acc is None else acc + w
+        if acc is None:
+            acc = w.copy()  # the oracle was handed w and may keep it
+        else:
+            acc += w
         if tau in due:
             avgs = unstack((1.0 / tau) * acc)
             for i in due[tau]:

@@ -256,7 +256,8 @@ class BlockStack:
 
     The stacked form of ``BlockSymMatrix`` for the rows of a batch (the
     seeds of a lock-step solver run, the probes of a probe-set chunk).
-    Arithmetic is elementwise, so each row gets the bytes it gets alone;
+    Arithmetic is elementwise, in place for ``+=`` and ``*=``, so each row
+    gets the bytes it gets alone;
     ``rows`` gives the row matrices as views.  ``eig``, when set, holds the
     rows' decompositions as per-group (R, k, p) eigenvalue and (R, k, p, p)
     eigenvector stacks, which ``rows(decomposed=True)`` makes read-only and
@@ -298,6 +299,22 @@ class BlockStack:
 
     __rmul__ = __mul__
 
+    def __iadd__(self, other):
+        self._check(other)
+        for a, b in zip(self.stacks, other.stacks):
+            a += b
+        return self
+
+    def __imul__(self, c):
+        c = float(c)
+        for a in self.stacks:
+            a *= c
+        return self
+
+    def copy(self) -> "BlockStack":
+        """The matrices in fresh arrays, without their decompositions."""
+        return BlockStack(self.structure, [a.copy() for a in self.stacks])
+
 
 def descending_eigh(s: np.ndarray):
     """(eigenvalues, eigenvectors) of each matrix of a finite float64 stack
@@ -311,7 +328,7 @@ def descending_eigh(s: np.ndarray):
     NumericalError.
     """
     lam, q = _umath_linalg.eigh_lo(s, signature="d->dd")
-    if not np.isfinite(lam).all():
+    if np.count_nonzero(np.isfinite(lam)) != lam.size:  # cheaper than .all()
         raise NumericalError("eigendecomposition did not converge")
     return lam[..., ::-1].copy(), q[..., ::-1].copy()
 
@@ -365,16 +382,20 @@ def entropy_rows(structure: BlockStructure, vals, vecs):
     adds the per-block sums in block order, so a row gets the bytes it gets
     in a stack of one.
     """
-    shift = vals[0][:, :, :1].max(axis=1, keepdims=True)
+    shift = np.maximum.reduce(vals[0][:, :, :1], axis=1, keepdims=True)
     for v in vals[1:]:
-        top = v[:, :, :1].max(axis=1, keepdims=True)
+        top = np.maximum.reduce(v[:, :, :1], axis=1, keepdims=True)
         shift = np.where(top > shift, top, shift)
-    ws = [np.exp(v - shift) for v in vals]
-    sums = structure.in_block_order([w.sum(axis=2) for w in ws])
-    total = np.array([sum(row) for row in sums.tolist()])[:, None, None]
-    lams = [w / total for w in ws]
-    points = [(q * lam[:, :, None, :]) @ q.swapaxes(2, 3) for q, lam in zip(vecs, lams)]
-    return points, lams, shift + np.log(total)
+    ws = [np.subtract(v, shift) for v in vals]
+    sums = []
+    for w in ws:
+        np.exp(w, out=w)
+        sums.append(np.add.reduce(w, axis=2))
+    total = np.array([sum(row) for row in structure.in_block_order(sums).tolist()])[:, None, None]
+    for w in ws:
+        np.divide(w, total, out=w)
+    points = [np.matmul(q * w[:, :, None, :], q.swapaxes(2, 3)) for q, w in zip(vecs, ws)]
+    return points, ws, shift + np.log(total)
 
 
 def matrix_log(a: BlockSymMatrix) -> BlockSymMatrix:

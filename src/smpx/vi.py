@@ -233,8 +233,9 @@ def estimate_noise_level(
     and seeded random points, inflated by the safety factor.  Deterministic
     for a fixed seed; used when the worst-case noise constants are too
     conservative to give informative stepsizes.  The points are the rows of
-    one stack, point i drawing from stream seed + 1 + i, so each gets the
-    second moment that ``oracle_stats`` gives it.
+    one stack, point i drawing from stream seed + 1 + i, and one
+    ``dual_norms`` call per draw gives each row the norm ``dual_norm`` gives
+    it, so each gets the second moment that ``oracle_stats`` gives it.
     """
     if n_samples < 1:
         raise InputError("need at least one sample")
@@ -245,11 +246,11 @@ def estimate_noise_level(
     streams = [RandomStream(seed + 1 + i) for i in range(len(points))]
     zs = stack(points)
     fz = problem.operator(zs)
-    dual_norm = problem.setup.dual_norm
+    dual_norms = problem.setup.dual_norms
     m2 = [0.0] * len(points)
     for _ in range(n_samples):
-        for i, d in enumerate(unstack(oracle(zs, streams) - fz)):
-            m2[i] += dual_norm(d) ** 2
+        for i, v in enumerate(dual_norms(oracle(zs, streams) - fz).tolist()):
+            m2[i] += v**2
     return safety * max(0.0, *(math.sqrt(v / n_samples) for v in m2))
 
 

@@ -44,10 +44,11 @@ def mild_simplex_point(setup, stream) -> np.ndarray:
 
 
 def step_one(setup, s, xi):
-    """``setup.step`` on a stack of one: the (logits, point) of one point."""
+    """``setup.step`` on a stack of one at rate 1.0: the (logits, point) of
+    one point."""
     from smpx.geometry import stack, unstack
 
-    s, z = setup.step(stack([s]), stack([xi]))
+    s, z = setup.step(stack([s]), stack([xi]), np.ones(1))
     return unstack(s)[0], unstack(z)[0]
 
 
@@ -83,6 +84,16 @@ def exact_at(inst, z):
     from smpx import eigopt
 
     return operator_at(lambda zs: eigopt.exact_operator(inst, zs), z)
+
+
+def parts(z) -> list:
+    """The arrays of a point, dual vector or stack of them, x before y for a
+    pair, one per size group for block matrices."""
+    if hasattr(z, "x"):
+        return parts(z.x) + parts(z.y)
+    if hasattr(z, "stacks"):
+        return list(z.stacks)
+    return [np.asarray(z)]
 
 
 def assert_same_bytes(a, b) -> None:
@@ -303,17 +314,24 @@ def ref_entropy_map_and_log_trace(b):
 
 def ref_step(setup, s, xi):
     """One point's (logits, point) of prox(z, xi), step by step as the
-    per-point solver took it: ``math.log`` of the simplex total, and the
-    spectahedron through ``ref_entropy_map_and_log_trace``."""
+    per-point solver took it: the ball's projection, ``math.log`` of the
+    simplex total, and the spectahedron through
+    ``ref_entropy_map_and_log_trace``."""
     import math
 
-    from smpx.geometry import Pair, ProductSetup, SimplexSetup
+    from smpx.geometry import EuclideanBallSetup, Pair, ProductSetup, SimplexSetup
     from smpx.symmat import BlockSymMatrix
 
     if isinstance(setup, ProductSetup):
         sx, x = ref_step(setup.sx, s.x, setup.scale_x * xi.x)
         sy, y = ref_step(setup.sy, s.y, setup.scale_y * xi.y)
         return Pair(sx, sy), Pair(x, y)
+    if isinstance(setup, EuclideanBallSetup):
+        v = s - xi
+        n = float(np.linalg.norm(v))
+        if n > setup.radius:
+            v = v * (setup.radius / n)
+        return v, v
     if isinstance(setup, SimplexSetup):
         s = s - xi
         s -= s.max()

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from helpers import (
     assert_same_bytes,
     mild_simplex_point,
+    parts,
+    ref_step,
     ref_spectahedron_extreme_points,
     ref_spectahedron_random_point,
     simplex_prox_argmin,
@@ -22,6 +24,8 @@ from smpx.geometry import (
     SimplexSetup,
     SpectahedronSetup,
     inner,
+    stack,
+    unstack,
 )
 from smpx.rng import RandomStream
 from smpx.solver import StepsizePolicy, smp_run
@@ -358,6 +362,52 @@ class TestLogitSteps:
                 setup.prox_map(z, xi)
         with pytest.raises(InputError):
             setup.prox_map(SpectahedronSetup(BlockStructure((3,))).center, xi)
+
+
+def stack_setups():
+    """One setup per geometry; the block sizes mix groups, 1 x 1 blocks
+    among them, so block order differs from group order."""
+    return [
+        EuclideanBallSetup(4, radius=1.5),
+        SimplexSetup(6),
+        SpectahedronSetup(BlockStructure((2, 1, 3, 1))),
+        ProductSetup(SimplexSetup(4), SpectahedronSetup(BlockStructure((1, 2, 2)))),
+    ]
+
+
+_SETUP_IDS = ["ball", "simplex", "spectahedron", "product"]
+
+
+class TestStackedStep:
+    """Row r of ``step(s, xi, rates)`` is the per-point step by rates[r] *
+    xi_r, bit for bit, and the step writes neither s nor xi."""
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("setup", stack_setups(), ids=_SETUP_IDS)
+    def test_rows_equal_per_point_steps(self, setup, n_rows):
+        stream = RandomStream(20 + n_rows)
+        s = stack([setup.logits(setup.random_point(stream)) for _ in range(n_rows)])
+        xi = stack([setup.random_dual(stream, 3.0) for _ in range(n_rows)])
+        for a in parts(xi):
+            a.setflags(write=False)
+        rates = np.array([0.37, 1.0, 2.9, 0.011, 1.3])[:n_rows]
+        s_before = [a.copy() for a in parts(s)]
+        got_s, got_z = setup.step(s, xi, rates)
+        for a, b in zip(parts(s), s_before, strict=True):
+            assert_same_bytes(a, b)
+        rows = zip(unstack(s), unstack(xi), unstack(got_s), unstack(got_z), strict=True)
+        for rate, (s_r, xi_r, got_s_r, got_z_r) in zip(rates, rows):
+            ref_s, ref_z = ref_step(setup, s_r, rate * xi_r)
+            for a, b in zip(parts(got_s_r) + parts(got_z_r), parts(ref_s) + parts(ref_z),
+                            strict=True):
+                assert_same_bytes(a, b)
+
+    @pytest.mark.parametrize("setup", stack_setups(), ids=_SETUP_IDS)
+    def test_dual_norms_equal_per_row_dual_norms(self, setup):
+        stream = RandomStream(6)
+        xi = stack([setup.random_dual(stream, 2.0) for _ in range(5)])
+        ref = np.array([setup.dual_norm(row) for row in unstack(xi)])
+        assert_same_bytes(setup.dual_norms(xi), ref)
 
 
 class TestExtremePoints:

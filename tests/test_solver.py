@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     assert_same_bytes,
     operator_at,
+    parts,
     per_seed,
     ref_composite_oracle,
     ref_exact_operator,
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from smpx import bench, composite, eigopt
 from smpx.errors import ConfigError, NumericalError
-from smpx.geometry import EuclideanBallSetup, Pair, SimplexSetup, scale_rows, stack, unstack
+from smpx.geometry import EuclideanBallSetup, Pair, SimplexSetup, stack, unstack
 from smpx.rng import RandomStream
 from smpx.solver import (
     ORACLE_CALLS,
@@ -460,6 +461,25 @@ class TestRunBatch:
 
         assert_rows_equal_per_horizon_runs(batch, seeds, horizons, alone)
 
+    @pytest.mark.parametrize("method", ["smp", "rmsa"])
+    def test_points_handed_to_the_oracle_are_not_written(self, method):
+        # the running sum of the averaged iterates is the loop's own copy,
+        # so an oracle may keep the stacks it is given
+        inst, saddle = eig_problem(blocks=(2, 1, 2))
+        oracle = exact_oracle(saddle.problem)
+        seen = []
+
+        def keeper(zs, streams):
+            seen.append((zs, [a.copy() for a in parts(zs)]))
+            return oracle(zs, streams)
+
+        policies = [StepsizePolicy(0.01, 6), StepsizePolicy(0.01, 3)]
+        run_batch(method, saddle.problem, keeper, policies, [1, 2], [[3, 6], [1, 3]])
+        assert len(seen) == ORACLE_CALLS[method] * 6
+        for zs, copies in seen:
+            for a, b in zip(parts(zs), copies, strict=True):
+                assert_same_bytes(a, b)
+
     def test_batch_rows_are_checked(self):
         prob = one_dim()
         steep = VIProblem(prob.setup, prob.operator, lip_l=4.0)
@@ -485,7 +505,7 @@ class TestRunBatch:
         s = np.log(stream.uniforms((20_000, 5)) + 0.01)
         s -= np.log(np.exp(s).sum(axis=1, keepdims=True))
         xi = 3.0 * stream.normals((20_000, 5))
-        got_s, got_z = setup.step(s, xi)
+        got_s, got_z = setup.step(s, xi, np.ones(len(s)))
         for row in range(len(s)):
             ref_s, ref_z = ref_step(setup, s[row], xi[row])
             assert_same_bytes(got_s[row], ref_s)
@@ -515,7 +535,9 @@ class TestRunBatch:
             calls.append(len(streams))
             xi = oracle(zs, streams)
             if len(calls) == 3:  # step 2's first half; row 2 is seed 5's 2-step run
-                return scale_rows(np.array([1.0, 1.0, float("nan")]), xi)
+                bad = xi.x.copy()
+                bad[2] = float("nan")
+                return Pair(bad, xi.y)
             return xi
 
         policies = [StepsizePolicy(0.01, 4), StepsizePolicy(0.01, 4), StepsizePolicy(0.01, 2)]
