@@ -115,27 +115,58 @@ def _encode_array(*parts) -> str:
     return base64.b64encode(flat.tobytes()).decode("ascii")
 
 
-def _decode_array(value, shape) -> np.ndarray:
+def _decode_array(value, shape, what="array") -> np.ndarray:
     """The float64 array of `shape` that `_encode_array` stored as `value`.
 
     A version-1 value, a (nested) list of decimals, is read too.  A value
-    that does not hold exactly prod(shape) floats raises InputError.
+    that is neither, or does not hold exactly prod(shape) floats, raises an
+    InputError that names it as `what`.  The base64 text is decoded from
+    the str itself, without an ASCII copy of it.
     """
     count = math.prod(shape)
     if isinstance(value, str):
         try:
-            raw = base64.b64decode(value, validate=True)
-        except binascii.Error as exc:
-            raise InputError(f"array is not valid base64: {exc}") from None
+            raw = binascii.a2b_base64(value, strict_mode=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII character
+            raise InputError(f"{what} is not valid base64: {exc}") from None
         if len(raw) != 8 * count:
-            raise InputError(f"array holds {len(raw)} bytes, expected {8 * count}")
+            raise InputError(f"{what} holds {len(raw)} bytes, expected {8 * count}")
         return np.frombuffer(raw, "<f8").reshape(shape)
-    while isinstance(value, list) and value and isinstance(value[0], list):
-        value = [x for row in value for x in row]
-    flat = np.asarray(value, dtype=float)
+    if not isinstance(value, list):
+        raise InputError(f"{what} is neither a base64 string nor a list of numbers")
+    try:
+        while value and isinstance(value[0], list):
+            value = [x for row in value for x in row]
+        flat = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} is not a list of numbers: {exc}") from None
     if flat.size != count:
-        raise InputError(f"array holds {flat.size} floats, expected {count}")
+        raise InputError(f"{what} holds {flat.size} floats, expected {count}")
     return flat.reshape(shape)
+
+
+def _field(obj, name: str, where: str = ""):
+    """obj[name] of an instance payload; InputError naming `where + name`
+    if obj is not an object or lacks it."""
+    if not isinstance(obj, dict):
+        raise InputError(f"instance field {where.rstrip('.') or 'root'!r} is not an object")
+    try:
+        return obj[name]
+    except KeyError:
+        raise InputError(f"instance field {where + name!r} is missing") from None
+
+
+def _number_field(obj, name: str, kind, where: str = ""):
+    """obj[name] of an instance payload as an int (kind Integral) or a float."""
+    value = _field(obj, name, where)
+    if not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise InputError(f"instance field {where + name!r} must be {what}, got {value!r}")
+    return int(value) if kind is numbers.Integral else float(value)
+
+
+def _array_field(obj, name: str, shape, where: str = "") -> np.ndarray:
+    return _decode_array(_field(obj, name, where), shape, f"instance field {where + name!r}")
 
 
 def _blocks(row: np.ndarray, sizes) -> list:
@@ -330,44 +361,57 @@ def generate_instance(kind: str, params: dict, seed: int, path: str) -> str:
 def payload_to_instance(payload: dict):
     """Decode a payload into ('eig', EigInstance) or ('sdf', SDFSystem)."""
     kind = payload.get("kind")
-    sizes = tuple(int(p) for p in payload["block_sizes"])
+    sizes = _field(payload, "block_sizes")
+    if not (isinstance(sizes, list) and all(isinstance(p, numbers.Integral) for p in sizes)):
+        raise InputError(f"instance field 'block_sizes' must be a list of integers, got {sizes!r}")
+    sizes = tuple(int(p) for p in sizes)
     structure = BlockStructure(sizes)
+    meta = payload.get("meta", {})
+    if not isinstance(meta, dict):
+        raise InputError(f"instance field 'meta' must be an object, got {meta!r}")
     if kind in ("eig_min", "bilinear_simplex_spectahedron", "scalar_minimax"):
         sq = structure.sum_sq
-        a0 = BlockSymMatrix(structure, _blocks(_decode_array(payload["a0"], (sq,)), sizes))
+        n = _number_field(payload, "n", numbers.Integral)
+        a0 = BlockSymMatrix(structure, _blocks(_array_field(payload, "a0", (sq,)), sizes))
         mats = tuple(
             BlockSymMatrix(structure, _blocks(row, sizes))
-            for row in _decode_array(payload["a"], (int(payload["n"]), sq))
+            for row in _array_field(payload, "a", (n, sq))
         )
         inst = eigopt.EigInstance(structure, a0, mats)
         # the file is outside input: a_inf is recomputed, and a declared value
         # that disagrees with the data is an error
-        declared = payload.get("meta", {}).get("a_inf")
-        tol = 1e-9 * max(1.0, inst.a_inf)
-        if declared is not None and abs(float(declared) - inst.a_inf) > tol:
-            raise InputError(f"meta a_inf {declared!r} disagrees with the data's {inst.a_inf!r}")
+        declared = meta.get("a_inf")
+        if declared is not None:
+            declared = _number_field(meta, "a_inf", numbers.Real, "meta.")
+            if abs(declared - inst.a_inf) > 1e-9 * max(1.0, inst.a_inf):
+                raise InputError(f"meta a_inf {declared!r} disagrees with the data's {inst.a_inf!r}")
         return "eig", inst
     if kind == "sdf_system":
-        n = int(payload["n"])
+        n = _number_field(payload, "n", numbers.Integral)
         x_setup = SimplexSetup(n)
         parts = []
-        for comp in payload["components"]:
-            p = int(comp["p"])
-            if comp["type"] == "quadratic":
-                rows = int(comp["rows"])
-                b0 = _decode_array(comp["b0"], (rows, p))
-                bs = _decode_array(comp["bs"], (n, rows, p))
-                c0 = _decode_array(comp["c0"], (p, p))
+        comps = _field(payload, "components")
+        if not isinstance(comps, list):
+            raise InputError(f"instance field 'components' must be a list, got {comps!r}")
+        for i, comp in enumerate(comps):
+            at = f"components[{i}]."
+            p = _number_field(comp, "p", numbers.Integral, at)
+            ctype = _field(comp, "type", at)
+            if ctype == "quadratic":
+                rows = _number_field(comp, "rows", numbers.Integral, at)
+                b0 = _array_field(comp, "b0", (rows, p), at)
+                bs = _array_field(comp, "bs", (n, rows, p), at)
+                c0 = _array_field(comp, "c0", (p, p), at)
                 q = QuadraticMatrixComponent(b0, bs, c0)
                 parts.append(
                     SdfComponent(q, lip_l=q.lipschitz_bounds(x_setup.omega_radius),
                                  noise_m=0.0)
                 )
-            elif comp["type"] == "affine_noisy":
-                c0 = _decode_array(comp["c0"], (p, p))
-                cs = _decode_array(comp["cs"], (n, p, p))
+            elif ctype == "affine_noisy":
+                c0 = _array_field(comp, "c0", (p, p), at)
+                cs = _array_field(comp, "cs", (n, p, p), at)
                 base = AffineMatrixComponent(c0, cs)
-                m_l = float(comp["noise_m"])
+                m_l = _number_field(comp, "noise_m", numbers.Real, at)
                 if base.grad_sup_norm() > m_l + 1e-9:
                     raise InputError("affine gradients exceed the declared noise level")
                 noisy = NoisyAffineComponent(
@@ -375,8 +419,8 @@ def payload_to_instance(payload: dict):
                 )
                 parts.append(SdfComponent(noisy, lip_l=0.0, noise_m=m_l))
             else:
-                raise InputError(f"unknown component type {comp['type']!r}")
-        meta = dict(payload.get("meta", {}))
+                raise InputError(f"unknown component type {ctype!r}")
+        meta = dict(meta)
         return "sdf", SDFSystem(x_setup=x_setup, parts=tuple(parts), meta=meta)
     raise InputError(f"unknown instance kind {kind!r}")
 

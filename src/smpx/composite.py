@@ -13,14 +13,20 @@ matrix-minimax one, Phi(u) = max_l lambda_max(u_l), where A_l selects the
 l-th diagonal block of a spectahedron variable y, b_l = 0, Phi_* = 0 and
 component l has a weight beta_l: F(x, y) = [ sum_l beta_l [phi_l'(x)]^* y_l ;
 -blockdiag(beta_l phi_l(x)) ].  The operator works on a stack of R points
-(the seeds of a lock-step run, the probes of a probe-set chunk): each
-component evaluates its values and adjoint gradients at all rows in one
-call, exact or drawn from a row's uniforms, and the operator weights both
-and writes the values into block l of one y stack.  The oracle of F takes
-each row's uniforms in one call on that row's stream and hands each
-component its columns in index order.  Every operation is a product or an
-elementwise step per row, never one matrix product across the rows, so a
-row gets the bytes it gets in a stack of one.
+(the seeds of a lock-step run, the probes of a probe-set chunk) and goes
+by runs: maximal sequences of consecutive components of one class and one
+block size.  A run's blocks are consecutive rows of one size group of the
+y stack and its uniforms consecutive columns, so a run evaluates the values
+and adjoint gradients of all its components at all rows in one call, exact
+or drawn from a row's uniforms; noisy affine components draw a whole run
+in one stacked pass, other classes go one component at a time.  The
+operator weights the values of a run into its rows of one y stack and adds
+the weighted gradients one component at a time in index order.  The oracle
+of F fills each row's uniforms in one call on that row's stream and hands
+each run its columns in index order.  Every operation is a product or an
+elementwise step per row and component, never one matrix product or sum
+across the rows or the components of a run, so a row gets the bytes it
+gets in a stack of one.
 
 The semidefinite-feasibility pipeline rebalances a system psi_l <= 0 so
 every component contributes the same regularity scale, builds the induced
@@ -32,13 +38,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InputError, SmpxError
 from .geometry import Pair, ProductSetup, ProxSetup, SpectahedronSetup
-from .rng import RandomStream, box_muller
+from .rng import RandomStream, box_muller, uniform_rows
 from .symmat import BlockStack, BlockStructure
 from .vi import VIProblem, draw
 
@@ -56,6 +63,16 @@ class Component:
     and gradient estimates drawn from the (R, uniforms) array u.  The
     default draws nothing and evaluates ``value`` and ``grad_adjoint`` row
     by row; an error is tagged with its row.
+
+    ``run_rows(comps, first)`` builds the evaluator of a run: m consecutive
+    components of this class and one block size, comps[0] being component
+    ``first`` of the problem.  The evaluator maps the (R, n) points, the
+    run's (R, m, p, p) blocks and its (R, m * uniforms) uniforms (or None)
+    to (R, m, p, p) values and (R, m, n) gradients.  The default calls
+    ``rows`` one component at a time, so any component works; a subclass
+    may evaluate the run in one pass if each row and component keeps its
+    bytes.  ``first`` names the failing component in an error raised one
+    component at a time; an error of a stacked pass names comps[0].
     """
 
     p: int = 1
@@ -77,6 +94,35 @@ class Component:
             except Exception as exc:  # noqa: BLE001 - annotate with the row
                 raise InputError(str(exc), row=row) from exc
         return np.array(vals, dtype=float), np.array(grads, dtype=float)
+
+    @classmethod
+    def run_rows(cls, comps, first: int) -> Callable:
+        k = comps[0].uniforms
+
+        def rows(xs, ys, u):
+            vals = np.empty(ys.shape)
+            grads = np.empty((len(xs), len(comps), xs.shape[1]))
+            for j, comp in enumerate(comps):
+                try:
+                    vals[:, j], grads[:, j] = comp.rows(
+                        xs, ys[:, j], None if u is None else u[:, j * k:(j + 1) * k]
+                    )
+                except Exception as exc:  # noqa: BLE001 - annotate with the component index
+                    raise _component_error(first + j, exc) from exc
+            return vals, grads
+
+        return rows
+
+
+class _ComponentError(InputError):
+    """An error that names its component, and its row if known."""
+
+
+def _component_error(idx: int, exc: Exception) -> _ComponentError:
+    """The error of component idx, at the row that ``exc`` names if any."""
+    row = exc.row if isinstance(exc, SmpxError) else None
+    at = "" if row is None else f" at row {row}"
+    return _ComponentError(f"component {idx} failed{at}: {exc}", row=row)
 
 
 class AffineMatrixComponent(Component):
@@ -169,6 +215,8 @@ class NoisyAffineComponent(Component):
     symmetric matrix; the gradient estimate adds a rank-style perturbation
     h -> (d^T h) * rho_g * U with Rademacher d.  Both perturbations are
     mean-zero and almost surely bounded, hence subgaussian at their scale.
+    A run of these components draws in one stacked pass (``_noisy_run``),
+    and ``rows`` is its run of one.
     """
 
     def __init__(self, base: AffineMatrixComponent, rho_f: float, rho_g: float):
@@ -187,27 +235,58 @@ class NoisyAffineComponent(Component):
         return self.base.grad_adjoint(x, u)
 
     def rows(self, xs, ys, u=None):
+        f_hat, grads = _noisy_run((self,))(xs, ys[:, None], u)
+        return f_hat[:, 0], grads[:, 0]
+
+    @classmethod
+    def run_rows(cls, comps, first: int) -> Callable:
+        return _noisy_run(comps)
+
+
+def _noisy_run(comps) -> Callable:
+    """The stacked draw of a run of m noisy components of one size p and one
+    dimension n: (xs, ys, u) -> (R, m, p, p) values and (R, m, n) gradients
+    for (R, m, p, p) blocks ys and (R, m * uniforms) uniforms u, exact when
+    u is None.  The coefficients are stacked once, here.
+    """
+    p, n, m = comps[0].p, comps[0].n, len(comps)
+    if any(c.p != p or c.n != n for c in comps):
+        raise InputError("the components of a run differ in size")
+    flat = np.stack([c.base._flat for c in comps])  # (m, n, p * p)
+    c0 = np.stack([c.base.c0 for c in comps])
+    rho_f = np.array([c.rho_f for c in comps])[:, None, None]
+    rho_g = np.array([c.rho_g for c in comps])
+    h = (p + 1) // 2  # Box-Muller pairs per matrix
+
+    def draw(xs, ys, u):
         # U_f and U_g are signed normalized rank-one outer products
         # +-qq^T / q^T q: spectral norm exactly one, mean zero, no eigensolve.
-        # A row's uniforms hold, per matrix, the m Box-Muller pairs (the m
-        # first members, then the m second ones) and the sign, then the n
+        # A component's uniforms hold, per matrix, the h Box-Muller pairs (the
+        # h first members, then the h second ones) and the sign, then the n
         # Rademacher signs: the order of one stream call per variate.
-        vals, grads = self.base.rows(xs, ys)
+        n_rows = len(xs)
+        vals = (xs[:, None, None, :] @ flat).reshape(n_rows, m, p, p)
+        vals += c0
+        grads = (flat @ ys.reshape(n_rows, m, -1, 1))[..., 0]
         if u is None:
             return vals, grads
-        n_rows, p, m = len(u), self.p, (self.p + 1) // 2
-        pairs = u[:, :2 * (2 * m + 1)].reshape(n_rows, 2, 2 * m + 1)
-        q = box_muller(pairs[..., :m], pairs[..., m:2 * m], p)
+        u = u.reshape(n_rows, m, -1)
+        pairs = u[..., :2 * (2 * h + 1)].reshape(n_rows, m, 2, 2 * h + 1)
+        signs = np.where(u < 0.5, 1.0, -1.0)  # one call; only the sign columns are read
+        q = box_muller(pairs[..., :h], pairs[..., h:2 * h], p)
         nsq = np.vecdot(q, q)
-        zero = nsq == 0.0
-        if zero.any():
+        if not np.logical_and.reduce(nsq, axis=None):  # some q is zero
+            zero = nsq == 0.0
             q[zero] = 1.0
             nsq[zero] = float(p)
-        scale = np.where(pairs[..., 2 * m] < 0.5, 1.0, -1.0) / nsq
+        scale = signs[..., 2 * h:2 * (2 * h + 1):2 * h + 1] / nsq  # columns 2h, 4h + 1
         mats = scale[..., None, None] * (q[..., :, None] * q[..., None, :])
-        signs = np.where(u[:, 2 * (2 * m + 1):] < 0.5, 1.0, -1.0)
-        bump = self.rho_g * (mats[:, 1] * ys).reshape(n_rows, -1).sum(axis=1)
-        return vals + self.rho_f * mats[:, 0], grads + bump[:, None] * signs
+        bump = rho_g * np.add.reduce((mats[:, :, 1] * ys).reshape(n_rows, m, -1), axis=2)
+        vals += rho_f * mats[:, :, 0]
+        grads += bump[..., None] * signs[..., 2 * (2 * h + 1):]
+        return vals, grads
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +300,8 @@ class CompositeProblem:
     min_x max_l lambda_max(beta_l phi_l(x)).  Component l owns block l of
     the spectahedron y_setup, whose selector is A_l; the offsets b_l and the
     outer conjugate Phi_* are zero.  l_x, m_x bound the weighted derivatives.
+    ``runs`` splits the components into runs of one class and one block
+    size, each with its evaluator, once per problem.
     """
 
     x_setup: ProxSetup
@@ -229,10 +310,38 @@ class CompositeProblem:
     betas: tuple  # (m,) weights, or an (R, m) array: one row per batch row
     l_x: float = 0.0
     m_x: float = 0.0
+    runs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        comps, structure = self.components, self.y_setup.structure
+        sizes = structure.block_sizes
+        if len(comps) != len(sizes):
+            raise ConfigError(f"{len(comps)} components for {len(sizes)} blocks")
+        runs, col = [], 0
+        for (cls, _), ids in groupby(range(len(comps)), lambda i: (type(comps[i]), sizes[i])):
+            ids = list(ids)
+            first, stop = ids[0], ids[-1] + 1
+            g, r = structure.slots[first]
+            width = sum(c.uniforms for c in comps[first:stop])
+            runs.append(_Run(slice(first, stop), g, slice(r, r + len(ids)),
+                             slice(col, col + width), cls.run_rows(comps[first:stop], first)))
+            col += width
+        object.__setattr__(self, "runs", tuple(runs))
+
+
+class _Run(NamedTuple):
+    """Components ``comps`` of one class and block size: rows ``blocks`` of
+    y size group ``group``, uniform columns ``cols``, and their evaluator."""
+
+    comps: slice
+    group: int
+    blocks: slice
+    cols: slice
+    rows: Callable
 
 
 def _saddle_operator(cp: CompositeProblem, zs: Pair, u=None) -> Pair:
-    """F at the rows of a stack of points, in one pass over the components.
+    """F at the rows of a stack of points, in one pass over the runs.
 
     zs.x is (R, n) and zs.y a ``BlockStack``.  u is None for the exact
     operator, else an (R, U) array of uniforms, component l taking the next
@@ -240,32 +349,33 @@ def _saddle_operator(cp: CompositeProblem, zs: Pair, u=None) -> Pair:
     column l of ``cp.betas``: one weight for all rows, or row r's own when
     the weights are (R0, m) and the R <= R0 rows are the live rows of a
     batch.  Errors carry the component index and, when known, the row.
-    F_y is beta_l f_l + pad in block l of one zero stack, negated.  A sum
+    F_y is beta_l f_l + pad in block l of one stack, negated.  A sum
     of zero-padded blocks turns -0.0 into +0.0 once m >= 2; pad = +0.0
-    keeps those bytes, and pad = -0.0 (no change) serves m = 1.  The
-    values come back as read-only stacks.
+    keeps those bytes, and pad = -0.0 (no change) serves m = 1.  F_x adds
+    beta_l g_l one component at a time in index order.  The values come
+    back as read-only stacks.
     """
     xs, ys = zs.x, zs.y
     structure = cp.y_setup.structure
-    stacks = [np.zeros((len(xs), len(ids), p, p)) for p, ids in structure.groups]
+    stacks = [np.empty((len(xs), len(ids), p, p)) for p, ids in structure.groups]
     pad = 0.0 if len(cp.components) > 1 else -0.0
     betas = np.atleast_2d(cp.betas)[:len(xs)]  # (1, m), or the live rows' (R, m)
     fx = None
-    start = 0
-    for idx, comp in enumerate(cp.components):
-        g, r = structure.slots[idx]
-        stop = start + comp.uniforms
-        beta = betas[:, idx, None]
+    for run in cp.runs:
+        beta = betas[:, run.comps]
         try:
-            f_hat, gx = comp.rows(xs, ys.stacks[g][:, r], None if u is None else u[:, start:stop])
-            stacks[g][:, r] = beta[:, :, None] * f_hat + pad
-        except Exception as exc:  # noqa: BLE001 - annotate with the component index
-            row = exc.row if isinstance(exc, SmpxError) else None
-            at = "" if row is None else f" at row {row}"
-            raise InputError(f"component {idx} failed{at}: {exc}", row=row) from exc
-        start = stop
-        fx = beta * gx if fx is None else fx + beta * gx
-    for s in stacks:
+            f_hat, gx = run.rows(xs, ys.stacks[run.group][:, run.blocks],
+                                 None if u is None else u[:, run.cols])
+            np.multiply(beta[:, :, None, None], f_hat, out=stacks[run.group][:, run.blocks])
+        except _ComponentError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - a stacked pass names its first component
+            raise _component_error(run.comps.start, exc) from exc
+        for j in range(beta.shape[1]):
+            term = beta[:, j, None] * gx[:, j]
+            fx = term if fx is None else np.add(fx, term, out=fx)
+    for s in stacks:  # every entry is one component's: pad the whole stack
+        s += pad
         np.negative(s, out=s)
     for a in (fx, *stacks):
         a.setflags(write=False)
@@ -338,8 +448,7 @@ def build_oracle(cp: CompositeProblem) -> Callable:
     total = sum(c.uniforms for c in cp.components)
 
     def oracle(zs, streams):
-        u = np.array([stream.uniforms(total) for stream in streams]) if total else None
-        return _saddle_operator(cp, zs, u)
+        return _saddle_operator(cp, zs, uniform_rows(streams, total) if total else None)
 
     return oracle
 

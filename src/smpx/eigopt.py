@@ -31,7 +31,7 @@ import numpy as np
 from . import symmat
 from .errors import ConfigError, InputError, NumericalError
 from .geometry import Pair, ProductSetup, SimplexSetup, SpectahedronSetup, stack, unstack
-from .rng import inverse_cdf_index
+from .rng import inverse_cdf_index, uniform_rows
 from .symmat import BlockStack, BlockStructure, BlockSymMatrix
 from .vi import SaddleInstance, VIProblem, draw
 
@@ -312,7 +312,7 @@ def averaged_oracle(inst: EigInstance, k: int) -> Callable:
         raise ConfigError("averaging width k must be >= 1")
 
     def oracle(zs, streams):
-        u = np.array([stream.uniforms(2 * k) for stream in streams])
+        u = uniform_rows(streams, 2 * k)
         acc = _sample(inst, zs, u[:, :2])
         for d in range(1, k):
             acc = acc + _sample(inst, zs, u[:, 2 * d:2 * d + 2])

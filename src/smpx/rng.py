@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 
+from .errors import InputError
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -37,8 +39,16 @@ class RandomStream:
         """One double in [0, 1)."""
         return float(self._gen.random())
 
-    def uniforms(self, n: int) -> np.ndarray:
-        return self._gen.random(n)
+    def uniforms(self, n, out=None) -> np.ndarray:
+        """n doubles in [0, 1); n may be a shape.  With ``out``, a float64
+        array of shape (n,), the same n doubles are written into it and it
+        is returned, which spares a stacked caller a copy.
+        """
+        if out is None:
+            return self._gen.random(n)
+        if out.shape != (n,):
+            raise InputError(f"out has shape {out.shape}, expected ({n},)")
+        return self._gen.random(out=out)  # a size next to out costs a second check
 
     def normals(self, shape) -> np.ndarray:
         """Standard normals via Box-Muller on uniform pairs."""
@@ -52,6 +62,15 @@ class RandomStream:
         """Random symmetric p x p matrix with N(0, scale^2) entries, symmetrized."""
         g = self.normals((p, p))
         return scale * 0.5 * (g + g.T)
+
+
+def uniform_rows(streams, n: int) -> np.ndarray:
+    """(R, n) array whose row r is ``streams[r].uniforms(n)``: one call per
+    stream, in row order, each writing into its row."""
+    out = np.empty((len(streams), n))
+    for stream, row in zip(streams, out):
+        stream.uniforms(n, out=row)
+    return out
 
 
 def box_muller(u1: np.ndarray, u2: np.ndarray, n: int) -> np.ndarray:

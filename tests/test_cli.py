@@ -189,6 +189,38 @@ class TestBadInputExits2:
         exits_2_with_one_line(capsys, RUN[:-1] + ["3,3"])
 
 
+    @pytest.mark.parametrize("kind, field, value", [
+        pytest.param("eig_min", "a", "\u00e9", id="non-ascii-base64"),
+        pytest.param("eig_min", "a0", {"x": 1.0}, id="array-as-object"),
+        pytest.param("eig_min", "a0", [0.5, "x", 0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
+                     id="version-1-non-numeric"),
+        pytest.param("eig_min", "a0", None, id="missing-a0"),
+        pytest.param("eig_min", "n", "five", id="n-five"),
+        pytest.param("eig_min", "block_sizes", "x", id="block-sizes-x"),
+        pytest.param("sdf_system", "components", [{"type": "affine_noisy", "p": 2}],
+                     id="component-missing-c0"),
+        pytest.param("sdf_system", "components", [{"type": "quadratic", "p": 2, "rows": "2"}],
+                     id="component-rows-text"),
+    ])
+    def test_malformed_instance_field(self, tmp_path, capsys, kind, field, value):
+        # None deletes the field; "a" prefixes the valid base64 with the value
+        inst = tmp_path / "inst.json"
+        assert main(["generate", "--kind", kind, "--n", "4", "--blocks", "2,2",
+                     "--out", str(inst)]) == 0
+        payload = json.loads(inst.read_text())
+        if field == "a0" and isinstance(value, list):
+            payload["version"] = 1
+        if value is None:
+            del payload[field]
+        elif field == "a":
+            payload[field] = value + payload[field][1:]
+        else:
+            payload[field] = value
+        inst.write_text(json.dumps(payload))
+        capsys.readouterr()
+        exits_2_with_one_line(capsys, ["run", "--instance", str(inst), "--t", "5",
+                                       "--seeds", "1", "--checkpoints", "final"])
+
     @pytest.mark.parametrize("kind, name, value", [
         ("eig_min", "n", "x"), ("eig_min", "blocks", [2, "x"]), ("eig_min", "blocks", "2,2"),
         ("eig_min", "scale", "big"), ("sdf_system", "delta", "x"), ("sdf_system", "noise_m", "x"),

@@ -44,7 +44,10 @@ def assert_same_pair(a, b):
 
 
 class ZeroGen:  # every uniform is 0, so every normal is 0
-    def random(self, n=None):
+    def random(self, n=None, out=None):
+        if out is not None:
+            out[...] = 0.0
+            return out
         return 0.0 if n is None else np.zeros(n)
 
 
@@ -406,6 +409,53 @@ class TestStackedOperator:
         exact = unstack(composite.build_vi(cp).operator(stack(points)))
         for a, z in zip(exact, points, strict=True):
             assert_same_pair(a, ref_composite_oracle(cp, z, None, exact=True))
+
+    @staticmethod
+    def _assert_rows_equal_reference(cp, row_problems, points, streams):
+        """Two oracle draws and the exact operator at the stacked points: row
+        r has the bytes of the reference on row_problems[r] at points[r]."""
+        ours, refs = streams(), streams()
+        oracle = composite.build_oracle(cp)
+        for _ in range(2):
+            got = unstack(oracle(stack(points), ours))
+            for a, rp, z, ref in zip(got, row_problems, points, refs, strict=True):
+                assert_same_pair(a, ref_composite_oracle(rp, z, ref))
+        for a, b in zip(ours, refs, strict=True):
+            assert a.uniform() == b.uniform()  # the streams stand at one position
+        exact = unstack(composite.build_vi(cp).operator(stack(points)))
+        for a, rp, z in zip(exact, row_problems, points, strict=True):
+            assert_same_pair(a, ref_composite_oracle(rp, z, None, exact=True))
+
+    def test_sdf_workload_rows_equal_per_point_draws(self):
+        # the sdf benchmark's system (one quadratic, then a run of two noisy
+        # 3 x 3 components) at 12 rows: 4 seeds of 3 horizons' weights
+        sys_ = bench.payload_to_instance(bench.build_instance_payload(
+            "sdf_system",
+            {"n": 6, "blocks": [3, 3, 3], "delta": 0.0, "noise_m": 0.5, "n_smooth": 1}, 11,
+        ))[1]
+        cps = [sdf_scale(sys_, t).problem for t in (100, 200, 400)]
+        row_problems = [cps[r // 4] for r in range(12)]
+        cp = composite.batch_problem(row_problems)
+        assert [(run.comps.start, run.comps.stop) for run in cp.runs] == [(0, 1), (1, 3)]
+        setup = composite.build_vi(cps[0]).setup
+        points = [setup.random_point(RandomStream(40 + r)) for r in range(12)]
+        self._assert_rows_equal_reference(
+            cp, row_problems, points, lambda: [RandomStream(r) for r in range(12)])
+
+    def test_runs_break_at_size_and_class(self):
+        # three noisy components in a row, a run broken by a size change and
+        # one broken by a quadratic; one row's uniforms are all zero
+        kinds = [(2, "noisy")] * 3 + [(3, "noisy")] * 2 + [(3, "quadratic")] + [(3, "noisy")] * 2
+        stream = RandomStream(41)
+        comps = [random_component(kind, 5, p, stream) for p, kind in kinds]
+        cp = matrix_minimax_problem(SimplexSetup(5), comps, [0.5 + stream.uniform() for _ in comps])
+        assert [(run.comps.start, run.comps.stop) for run in cp.runs] == [
+            (0, 3), (3, 5), (5, 6), (6, 8)]
+        setup = composite.build_vi(cp).setup
+        points = [setup.random_point(stream) for _ in range(5)]
+        self._assert_rows_equal_reference(
+            cp, [cp] * 5, points,
+            lambda: [RandomStream(r) for r in range(4)] + [zero_stream()])
 
     def test_probe_chunks_equal_per_probe_operator(self):
         cp = sdf_scale(sdf_system(sizes=(3, 1, 2), delta=0.1), 50).problem

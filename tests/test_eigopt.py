@@ -48,9 +48,9 @@ class CountingStream:
         self.uniform_draws += 1
         return self._s.uniform()
 
-    def uniforms(self, n):
+    def uniforms(self, n, out=None):
         self.uniform_draws += n
-        return self._s.uniforms(n)
+        return self._s.uniforms(n, out=out)
 
     def normals(self, shape):
         return self._s.normals(shape)

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from smpx.rng import RandomStream, inverse_cdf_index
+from smpx.errors import InputError
+from smpx.rng import RandomStream, inverse_cdf_index, uniform_rows
 
 
 class TestStream:
@@ -25,6 +27,29 @@ class TestStream:
         assert abs(z.mean()) < 0.03
         assert abs(z.std() - 1.0) < 0.03
         assert RandomStream(2).normals((3, 5)).shape == (3, 5)
+
+    @pytest.mark.parametrize("n", [1, 7, 35])
+    def test_rows_equal_separate_calls(self, n):
+        # three calls each: the rows, one call into a row, one plain call
+        streams = [RandomStream(5, i) for i in range(4)]
+        refs = [RandomStream(5, i) for i in range(4)]
+        for _ in range(3):
+            rows = uniform_rows(streams, n)
+            assert rows.shape == (4, n)
+            for row, ref in zip(rows, refs, strict=True):
+                assert row.tobytes() == ref.uniforms(n).tobytes()
+        out = np.empty((4, n))
+        for stream, ref, row in zip(streams, refs, out, strict=True):
+            assert stream.uniforms(n, out=row) is row
+            assert row.tobytes() == ref.uniforms(n).tobytes()
+        for stream, ref in zip(streams, refs, strict=True):
+            assert stream.uniform() == ref.uniform()  # one position per stream
+
+    def test_out_of_the_wrong_shape_rejected(self):
+        stream, ref = RandomStream(6), RandomStream(6)
+        with pytest.raises(InputError, match="expected"):
+            stream.uniforms(3, out=np.empty(4))
+        assert stream.uniform() == ref.uniform()  # nothing was drawn
 
     def test_symmetric_matrix(self):
         s = RandomStream(3).symmetric(4, scale=2.0)
