@@ -63,6 +63,18 @@ CONFIGS = {
         "instance": _SDF, "solver": "rmsa", "oracle": "exact", "t": 64, "seeds": [0],
         "checkpoints": "geometric", "n_probes": 5,
     },
+    # the instance of the benchmark's sdf workload: one smooth component,
+    # then a run of two noisy ones; a horizon sweep whose probe family spans
+    # two probe-set chunks
+    "sdf_noisy_sweep": {
+        "instance": {
+            "kind": "sdf_system",
+            "params": {"n": 6, "blocks": [3, 3, 3], "delta": 0.0, "noise_m": 0.5,
+                       "n_smooth": 1},
+            "seed": 11,
+        },
+        "t": [16, 64], "seeds": [0, 1], "checkpoints": "final", "n_probes": 40,
+    },
 }
 
 
