@@ -484,14 +484,19 @@ class ExperimentConfig:
             raise ConfigError(f"unknown oracle mode {self.oracle!r}")
         if not (self.stepsize == "auto" or isinstance(self.stepsize, numbers.Real)):
             raise ConfigError(f"stepsize must be 'auto' or a number, got {self.stepsize!r}")
-        for name in ("t", "k", "seeds", "seed_count", "seed_base", "checkpoints", "n_probes",
-                     "probe_seed"):
+        for name in ("t", "k", "seeds", "seed_count", "seed_base", "checkpoints"):
             value = getattr(self, name)
             ints = value if isinstance(value, (list, tuple)) else [value]
             if value not in (None, "geometric", "final") and not all(
                 isinstance(v, numbers.Integral) for v in ints
             ):
                 raise ConfigError(f"{name} must be an integer or a list of them, got {value!r}")
+        for name in ("n_probes", "probe_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.n_probes < 0:
+            raise ConfigError(f"n_probes must be >= 0, got {self.n_probes}")
         if not isinstance(self.instance, dict):
             raise ConfigError(f"instance must be an object, got {self.instance!r}")
         if "path" not in self.instance:
@@ -611,13 +616,16 @@ def _sdf_plans(cfg: ExperimentConfig, system: SDFSystem, horizons):
     comp_opt = system.meta.get("component_opt")
     scaled = {t: composite.sdf_scale(system, t) for t in horizons}
     geometry = ProductSetup(system.x_setup, scaled[horizons[0]].problem.y_setup)
+    # the probe points depend on the geometry alone: one family, drawn once,
+    # serves every horizon's probe set (vi.default_probes of each problem)
+    probe_points = list(geometry.probe_points(RandomStream(cfg.probe_seed), cfg.n_probes))
 
     def plan(t):
         sc = scaled[t]
         problem = composite.build_vi(sc.problem, lip_l=sc.lip_l, var_m=sc.noise_m,
                                      setup=geometry)
         setup = problem.setup
-        probes = vi.default_probes(problem, cfg.probe_seed, cfg.n_probes)
+        probes = vi.ProbeSet(problem, probe_points)
         certified = None if comp_opt is None else float(comp_opt) * float(sc.betas.min())
 
         def stepsize(t):

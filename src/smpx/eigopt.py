@@ -255,25 +255,35 @@ def _xi_from_indices(inst: EigInstance, ys: BlockStack, js, blocks) -> Pair:
     """Oracle values at the rows of ys for sampled matrix indices js and
     block indices ``blocks``, one of each per row.
 
-    The x-part of the rows that sampled block i is one (n, p^2) x
-    (rows, p^2, 1) product: a matrix-vector product per row, with no copy
-    of the data.
+    Per size group, the sampled blocks of the rows come in one gather and
+    one trace normalization, the rows ordered by sampled block.  The x-part
+    of the rows that sampled block i is then one (n, p^2) x (rows, p^2, 1)
+    product over their contiguous rows: a matrix-vector product per row,
+    with no copy of the data.
     """
     structure = inst.structure
-    rows_of = {}
-    for row, i in enumerate(blocks.tolist()):
-        rows_of.setdefault(i, []).append(row)
+    slots = [structure.slots[i] for i in blocks.tolist()]
+    order = sorted(range(len(slots)), key=slots.__getitem__)  # stable: by block, then row
+    by_group = {}
+    for row in order:
+        by_group.setdefault(slots[row][0], []).append(row)
     # with one block sampled, its product is the whole x-part
-    fx = None if len(rows_of) == 1 else np.empty((len(js), inst.n))
-    for i, rows in rows_of.items():
-        g, r = structure.slots[i]
-        yb = ys.stacks[g][rows, r]
+    fx = None if len(set(slots)) == 1 else np.empty((len(js), inst.n))
+    for g, rows in by_group.items():
+        rs = [slots[row][1] for row in rows]
+        yb = ys.stacks[g][rows, rs]
         ybar = yb / np.maximum(yb.trace(axis1=1, axis2=2), 1e-300)[:, None, None]
-        part = (inst._flats[g][r] @ ybar.reshape(len(rows), -1, 1))[:, :, 0]
-        if fx is None:
-            fx = part
-        else:
-            fx[rows] = part
+        ybar = ybar.reshape(len(rows), -1, 1)
+        first = 0
+        for last in range(1, len(rows) + 1):
+            if last < len(rows) and rs[last] == rs[first]:
+                continue
+            part = (inst._flats[g][rs[first]] @ ybar[first:last])[:, :, 0]
+            if fx is None:
+                fx = part
+            else:
+                fx[rows[first:last]] = part
+            first = last
     fy = []
     for a0, s in zip(inst.a0.stacks, inst._stacks):
         v = s[js]
@@ -282,18 +292,19 @@ def _xi_from_indices(inst: EigInstance, ys: BlockStack, js, blocks) -> Pair:
     return Pair(fx, BlockStack(structure, fy))
 
 
-def _sample(inst: EigInstance, zs: Pair, u: np.ndarray) -> Pair:
+def _sample(inst: EigInstance, ys: BlockStack, cum_x, cum_blocks, u: np.ndarray) -> Pair:
     """One oracle draw per row, with the (R, 2) uniforms u.
 
     The matrix index follows the x-coordinates read as a probability vector
-    (from u[:, 0]), the block index the block traces of y, clamped at zero
-    and renormalized against round-off (from u[:, 1]).  Cost is one pass
-    over the data restricted to the sampled blocks plus one copy of the
-    sampled matrices.
+    (from u[:, 0]), through their (R, n) cumulative sums ``cum_x``; the
+    block index the block traces of y, clamped at zero and renormalized
+    against round-off (from u[:, 1]), through their (R, m) cumulative sums
+    ``cum_blocks``.  Cost is one pass over the data restricted to the
+    sampled blocks plus one copy of the sampled matrices.
     """
-    js = inverse_cdf_index(np.cumsum(zs.x, axis=1), u[:, 0])
-    blocks = inverse_cdf_index(np.cumsum(_block_probabilities(zs.y), axis=1), u[:, 1])
-    return _xi_from_indices(inst, zs.y, js, blocks)
+    js = inverse_cdf_index(cum_x, u[:, 0])
+    blocks = inverse_cdf_index(cum_blocks, u[:, 1])
+    return _xi_from_indices(inst, ys, js, blocks)
 
 
 def sample_xi(inst: EigInstance, z: Pair, stream) -> Pair:
@@ -306,16 +317,19 @@ def averaged_oracle(inst: EigInstance, k: int) -> Callable:
     """Stacked oracle averaging k independent draws; noise shrinks by sqrt(k).
 
     Each row takes its 2k uniforms in one call on its stream, two per draw
-    in draw order.
+    in draw order.  The index distributions depend on the point alone, so
+    their cumulative sums are formed once per call, not once per draw.
     """
     if k < 1:
         raise ConfigError("averaging width k must be >= 1")
 
     def oracle(zs, streams):
         u = uniform_rows(streams, 2 * k)
-        acc = _sample(inst, zs, u[:, :2])
+        cum_x = np.cumsum(zs.x, axis=1)
+        cum_blocks = np.cumsum(_block_probabilities(zs.y), axis=1)
+        acc = _sample(inst, zs.y, cum_x, cum_blocks, u[:, :2])
         for d in range(1, k):
-            acc = acc + _sample(inst, zs, u[:, 2 * d:2 * d + 2])
+            acc = acc + _sample(inst, zs.y, cum_x, cum_blocks, u[:, 2 * d:2 * d + 2])
         return acc if k == 1 else (1.0 / k) * acc
 
     return oracle

@@ -34,6 +34,12 @@ adds.  A row whose dual vector is not finite raises InputError with its
 leaves every dual value as it is.  ``take_rows`` cuts a stack to its
 first rows, so a solver batch can retire rows.
 
+``random_points(stream, count)`` stacks the points of ``count``
+successive ``random_point(stream, interior=False)`` calls, bit for bit:
+the simplex, the spectahedron and their products map one (count, width)
+uniform draw row by row, and a non-interior ``random_point`` is its stack
+of one.  ``probe_points`` draws its random probes so, a chunk at a time.
+
 All setups are immutable and safe to share across concurrent runs; every
 operation is a pure function.
 """
@@ -48,6 +54,12 @@ from . import symmat
 from .errors import ConfigError, DomainError, InputError
 from .rng import box_muller
 from .symmat import BlockStack, BlockStructure, BlockSymMatrix
+
+# Uniforms per stacked draw of ``ProxSetup.probe_points``: 256 KB, all 100
+# random probes of a small instance in one draw, or 7 points of an eig
+# instance with 200 matrices of blocks 4 x 32 (4296 uniforms a point), so
+# a chunk's temporaries stay small next to the instance.
+_DRAW_BUDGET = 1 << 15
 
 
 class Pair:
@@ -214,6 +226,29 @@ class ProxSetup:
         """Seeded feasible point; interior=True keeps it strictly inside."""
         raise NotImplementedError
 
+    # Uniforms per point of a stacked ``random_points`` draw, for a
+    # geometry whose random_point(interior=False) maps a fixed number of
+    # uniforms through ``_from_uniforms``; None keeps the per-point loop.
+    _draw_width = None
+
+    def random_points(self, stream, count: int):
+        """The stack of the points of ``count`` successive
+        ``random_point(stream, interior=False)`` calls, bit for bit, leaving
+        the stream where they leave it.
+
+        With a ``_draw_width``, one (count, width) uniform draw: Philox gives
+        the same doubles for one draw as for the per-point draws in turn.
+        """
+        if self._draw_width is not None:
+            return self._from_uniforms(stream.uniforms((count, self._draw_width)))
+        points = [self.random_point(stream, interior=False) for _ in range(count)]
+        return stack(points) if points else take_rows(stack([self.center]), 0)
+
+    def _from_uniforms(self, u):
+        """The stacked points of the (count, ``_draw_width``) uniforms u,
+        row r from row r alone."""
+        raise NotImplementedError
+
     def random_dual(self, stream, scale: float = 1.0):
         raise NotImplementedError
 
@@ -223,11 +258,20 @@ class ProxSetup:
         return []
 
     def probe_points(self, stream, n_random: int = 100):
-        """Default probe set, yielded: center, extreme points, seeded random points."""
+        """Default probe set, yielded: center, extreme points, seeded random points.
+
+        The random points are those of n_random ``random_point(stream,
+        interior=False)`` calls, drawn by ``random_points`` a chunk at a
+        time, each chunk at most ``_DRAW_BUDGET`` uniforms (one point per
+        chunk without a ``_draw_width``).  A generator stopped early may
+        already have drawn the rest of its chunk from the stream.
+        """
         yield self.center
         yield from self.extreme_points()
-        for _ in range(n_random):
-            yield self.random_point(stream, interior=False)
+        width = self._draw_width
+        chunk = 1 if width is None else max(1, _DRAW_BUDGET // width)
+        for start in range(0, n_random, chunk):
+            yield from unstack(self.random_points(stream, min(chunk, n_random - start)))
 
 
 class EuclideanBallSetup(ProxSetup):
@@ -314,6 +358,7 @@ class SimplexSetup(ProxSetup):
         self.dim = int(dim)
         self.alpha = 1.0
         self.theta = math.log(self.dim)
+        self._draw_width = self.dim
 
     @property
     def center(self):
@@ -368,10 +413,16 @@ class SimplexSetup(ProxSetup):
         return bool(np.all(z > 0.0) and abs(float(z.sum()) - 1.0) <= 1e-9)
 
     def random_point(self, stream, interior=True):
+        if not interior:
+            return self.random_points(stream, 1)[0]
         # exponential spacings give a flat Dirichlet draw
-        g = -np.log1p(-stream.uniforms(self.dim))
-        g = np.maximum(g, 1e-12) if interior else g
+        g = np.maximum(-np.log1p(-stream.uniforms(self.dim)), 1e-12)
         return g / g.sum()
+
+    def _from_uniforms(self, u):
+        g = -np.log1p(-u)
+        # a row's sum adds as the sum of the row alone
+        return np.divide(g, np.add.reduce(g, axis=1, keepdims=True), out=g)
 
     def random_dual(self, stream, scale=1.0):
         return scale * stream.normals(self.dim)
@@ -400,6 +451,12 @@ class SpectahedronSetup(ProxSetup):
         self.structure = structure
         self.alpha = 1.0
         self.theta = math.log(structure.total_dim)
+        # the columns of each block's uniforms in a point's draw, per group
+        widths = [2 * ((p * p + 1) // 2) for p in structure.block_sizes]
+        starts = np.cumsum([0, *widths])
+        self._draw_width = int(starts[-1])
+        self._draw_cols = tuple(starts[list(idx), None] + np.arange(2 * ((p * p + 1) // 2))
+                                for p, idx in structure.groups)
 
     @property
     def center(self):
@@ -469,21 +526,27 @@ class SpectahedronSetup(ProxSetup):
                 _validate=False,
             )
             return symmat.entropy_map(b)
-        # one draw holds, per block in block order, the Box-Muller pairs of a
-        # p x p normal matrix (the m first members, then the m second ones):
-        # the uniforms of one stream.normals((p, p)) call per block
+        return self.random_points(stream, 1).rows()[0]
+
+    def _from_uniforms(self, u):
+        # a point's uniforms hold, per block in block order, the Box-Muller
+        # pairs of a p x p normal matrix (the m first members, then the m
+        # second ones): the uniforms of one stream.normals((p, p)) call per
+        # block.  One gather, one transform and one g g^T per size group.
         structure = self.structure
-        widths = [2 * ((p * p + 1) // 2) for p in structure.block_sizes]
-        starts = np.cumsum([0, *widths])
-        u = stream.uniforms(int(starts[-1]))
         stacks = []
-        for p, idx in structure.groups:
+        for (p, idx), cols in zip(structure.groups, self._draw_cols):
             m = (p * p + 1) // 2
-            rows = np.stack([u[starts[i]:starts[i] + 2 * m] for i in idx])
-            g = box_muller(rows[:, :m], rows[:, m:], p * p).reshape(len(idx), p, p)
-            stacks.append(g @ g.transpose(0, 2, 1))
-        w = BlockSymMatrix.from_stacks(structure, stacks)
-        return w * (1.0 / w.trace())
+            # (count, k, 2m) in C order: a fancy index u[:, cols] would lay the
+            # rows innermost, and g g^T of such strides rounds differently
+            rows = np.take(u, cols, axis=1)
+            g = box_muller(rows[..., :m], rows[..., m:], p * p).reshape(len(u), len(idx), p, p)
+            stacks.append(g @ g.swapaxes(2, 3))
+        # each row's trace adds its block traces in block order, as
+        # BlockSymMatrix.trace adds them
+        traces = structure.in_block_order([s.trace(axis1=2, axis2=3) for s in stacks])
+        scale = np.array([1.0 / sum(row) for row in traces.tolist()])[:, None, None, None]
+        return BlockStack(structure, [scale * s for s in stacks])
 
     def random_dual(self, stream, scale=1.0):
         return BlockSymMatrix(
@@ -535,6 +598,8 @@ class ProductSetup(ProxSetup):
         self.scale_y = sy.alpha * sy.omega_radius**2
         self.alpha = 1.0
         self.theta = 1.0
+        if sx._draw_width is not None and sy._draw_width is not None:
+            self._draw_width = sx._draw_width + sy._draw_width
 
     @property
     def center(self):
@@ -601,6 +666,11 @@ class ProductSetup(ProxSetup):
             self.sx.random_point(stream, interior),
             self.sy.random_point(stream, interior),
         )
+
+    def _from_uniforms(self, u):
+        # a point draws x, then y
+        wx = self.sx._draw_width
+        return Pair(self.sx._from_uniforms(u[:, :wx]), self.sy._from_uniforms(u[:, wx:]))
 
     def random_dual(self, stream, scale=1.0):
         return Pair(self.sx.random_dual(stream, scale), self.sy.random_dual(stream, scale))

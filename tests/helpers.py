@@ -166,6 +166,24 @@ def ref_spectahedron_random_point(structure, stream):
     return w * (1.0 / w.trace())
 
 
+def ref_random_point(setup, stream):
+    """random_point(stream, interior=False) one part at a time: x then y for
+    a product, normalized exponential spacings on the simplex, the per-block
+    draws of ``ref_spectahedron_random_point`` on the spectahedron; a ball
+    point is the ball's own."""
+    from smpx.geometry import Pair, ProductSetup, SimplexSetup, SpectahedronSetup
+
+    if isinstance(setup, ProductSetup):
+        x = ref_random_point(setup.sx, stream)
+        return Pair(x, ref_random_point(setup.sy, stream))
+    if isinstance(setup, SimplexSetup):
+        g = -np.log1p(-stream.uniforms(setup.dim))
+        return g / g.sum()
+    if isinstance(setup, SpectahedronSetup):
+        return ref_spectahedron_random_point(setup.structure, stream)
+    return setup.random_point(stream, interior=False)
+
+
 def ref_frob_inner(xs, ys):
     return float(sum(np.sum(x * y) for x, y in zip(xs, ys)))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from helpers import assert_same_bytes
 
-from smpx import checks, composite, solver
+from smpx import bench, checks, composite, solver, vi
 from smpx.bench import (
     ExperimentConfig,
     SummaryTable,
@@ -218,6 +218,34 @@ def tiny_config(**over):
     }
     cfg.update(over)
     return cfg
+
+
+def test_sdf_sweep_probe_sets_equal_default_probes(monkeypatch):
+    # the sweep draws one probe family for all horizons; each horizon's
+    # probe set holds the bytes of the problem's own default probe set
+    payload = build_instance_payload(
+        "sdf_system", {"n": 5, "blocks": [3, 1, 3], "n_smooth": 1}, 4)
+    _, system = payload_to_instance(payload)
+    cfg = ExperimentConfig(instance={}, t=[16, 64, 256], checkpoints="final",
+                           n_probes=70, probe_seed=3)
+    built = []
+
+    class RecordedProbeSet(vi.ProbeSet):
+        def __init__(self, problem, probes):
+            super().__init__(problem, probes)
+            built.append((problem, self))
+
+    monkeypatch.setattr(vi, "ProbeSet", RecordedProbeSet)
+    plans, _, _ = bench._sdf_plans(cfg, system, cfg.horizons())
+    monkeypatch.undo()
+    assert [problem for problem, _ in built] == [plans[t].problem for t in cfg.horizons()]
+    for problem, probes in built:
+        ref = vi.default_probes(problem, 3, 70)
+        assert len(probes) == len(ref)
+        for (rows, c), (ref_rows, ref_c) in zip(probes.chunks, ref.chunks, strict=True):
+            for a, b in zip(rows, ref_rows, strict=True):
+                assert_same_bytes(a, b)
+            assert_same_bytes(c, ref_c)
 
 
 class TestRunExperiment:

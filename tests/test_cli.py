@@ -14,6 +14,7 @@ def exits_2_with_one_line(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    return err
 
 
 @pytest.fixture
@@ -173,12 +174,17 @@ class TestBadInputExits2:
     @pytest.mark.parametrize("entry", [
         {"stepsize": "fast"}, {"t": "abc"}, {"k": "3"}, {"n_probes": "x"}, {"t": 2.5},
         {"seeds": ["x"]}, {"seed_count": "x"}, {"checkpoints": ["a"]}, {"probe_seed": "x"},
+        pytest.param({"n_probes": None}, id="n_probes-null"),
+        pytest.param({"n_probes": -1}, id="n_probes-negative"),
+        pytest.param({"probe_seed": None}, id="probe_seed-null"),
     ], ids=lambda entry: "-".join(entry))
     def test_non_numeric_config_value(self, tmp_path, capsys, no_instance, entry):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"instance": {"kind": "eig_min", "params": {"n": 4}},
                                    **entry}))
-        exits_2_with_one_line(capsys, ["run", "--config", str(cfg)])
+        err = exits_2_with_one_line(capsys, ["run", "--config", str(cfg)])
+        (field,) = entry
+        assert field in err
 
     def test_duplicate_seeds(self, tmp_path, capsys, no_instance):
         # outputs are keyed by seed: a repeated seed would mix up the rows

@@ -11,11 +11,12 @@ from helpers import (
     parts,
     ref_step,
     ref_spectahedron_extreme_points,
+    ref_random_point,
     ref_spectahedron_random_point,
     simplex_prox_argmin,
     step_one,
 )
-from smpx import bench, checks, eigopt, symmat
+from smpx import bench, checks, eigopt, geometry, symmat
 from smpx.errors import ConfigError, DomainError, InputError
 from smpx.geometry import (
     EuclideanBallSetup,
@@ -458,3 +459,66 @@ def test_spectahedron_boundary_point_equals_per_block_draws(sizes):
         for s, t in zip(got.stacks, ref.stacks, strict=True):
             assert_same_bytes(s, t)
         assert_same_bytes(got_stream.uniform(), ref_stream.uniform())
+
+
+def _draw_chunk(setup):
+    """Random points per ``random_points`` call of ``probe_points``."""
+    width = setup._draw_width
+    return 1 if width is None else max(1, geometry._DRAW_BUDGET // width)
+
+
+@st.composite
+def drawing_setups(draw):
+    """Every geometry kind; spectahedra with a 1 x 1 and a 12 x 12 block among
+    others, so the size groups are mixed and a chunk is at most 226 points."""
+    kind = draw(st.sampled_from(["simplex", "spectahedron", "product", "ball"]))
+    if kind == "ball":
+        return EuclideanBallSetup(draw(st.integers(1, 6)), 2.0)
+    if kind == "simplex":
+        return SimplexSetup(draw(st.integers(150, 600)))
+    sizes = draw(st.permutations(draw(st.lists(st.integers(1, 9), max_size=3)) + [1, 12]))
+    spect = SpectahedronSetup(BlockStructure(sizes))
+    if kind == "spectahedron":
+        return spect
+    return ProductSetup(SimplexSetup(draw(st.integers(2, 40))), spect)
+
+
+@given(setup=drawing_setups(), seed=st.integers(0, 2**16))
+@settings(max_examples=16, deadline=None, derandomize=True)
+def test_random_points_equal_successive_draws(setup, seed):
+    # one stacked draw gives the points of the per-point calls bit for bit
+    # and leaves the stream where they leave it, at and around a chunk; the
+    # per-point calls agree with a reference that draws part by part
+    chunk = _draw_chunk(setup)
+    for count in sorted({0, 1, chunk - 1, chunk, chunk + 1}):
+        streams = [RandomStream(seed) for _ in range(3)]
+        got = setup.random_points(streams[0], count)
+        per_point = [setup.random_point(streams[1], interior=False) for _ in range(count)]
+        ref = [ref_random_point(setup, streams[2]) for _ in range(count)]
+        rows = unstack(got)
+        assert len(rows) == count
+        for z, q, r in zip(rows, per_point, ref):
+            for s, t, w in zip(parts(z), parts(q), parts(r), strict=True):
+                assert_same_bytes(s, t)
+                assert_same_bytes(s, w)
+        after = [stream.uniform() for stream in streams]
+        assert_same_bytes(after[0], after[1])
+        assert_same_bytes(after[0], after[2])
+
+
+@pytest.mark.parametrize("setup", [
+    ProductSetup(SimplexSetup(200), SpectahedronSetup(BlockStructure([32] * 4))),
+    SpectahedronSetup(BlockStructure([32, 1, 32])),
+    EuclideanBallSetup(3),
+], ids=["eig_mid", "spectahedron", "ball"])
+def test_probe_points_draw_in_chunks_as_per_point_calls(setup):
+    # chunks of a few eig-sized points: the random probes span three chunks
+    n_random = 2 * _draw_chunk(setup) + 1
+    got = list(setup.probe_points(RandomStream(4), n_random))
+    head = [setup.center, *setup.extreme_points()]
+    ref_stream = RandomStream(4)
+    ref = head + [setup.random_point(ref_stream, interior=False) for _ in range(n_random)]
+    assert len(got) == len(ref)
+    for z, r in zip(got, ref):
+        for s, t in zip(parts(z), parts(r), strict=True):
+            assert_same_bytes(s, t)
