@@ -22,6 +22,7 @@ and operator part across the rows, which rounds differently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -263,27 +264,25 @@ def _xi_from_indices(inst: EigInstance, ys: BlockStack, js, blocks) -> Pair:
     """
     structure = inst.structure
     slots = [structure.slots[i] for i in blocks.tolist()]
-    order = sorted(range(len(slots)), key=slots.__getitem__)  # stable: by block, then row
-    by_group = {}
-    for row in order:
-        by_group.setdefault(slots[row][0], []).append(row)
+    # the rows by sampled (group, block), and by row within a block
+    order = sorted(range(len(slots)), key=slots.__getitem__)
     # with one block sampled, its product is the whole x-part
     fx = None if len(set(slots)) == 1 else np.empty((len(js), inst.n))
-    for g, rows in by_group.items():
+    for g, rows in itertools.groupby(order, key=lambda row: slots[row][0]):
+        rows = list(rows)
         rs = [slots[row][1] for row in rows]
         yb = ys.stacks[g][rows, rs]
         ybar = yb / np.maximum(yb.trace(axis1=1, axis2=2), 1e-300)[:, None, None]
         ybar = ybar.reshape(len(rows), -1, 1)
-        first = 0
-        for last in range(1, len(rows) + 1):
-            if last < len(rows) and rs[last] == rs[first]:
-                continue
-            part = (inst._flats[g][rs[first]] @ ybar[first:last])[:, :, 0]
+        start = 0
+        for r, run in itertools.groupby(rs):
+            stop = start + len(list(run))
+            part = (inst._flats[g][r] @ ybar[start:stop])[:, :, 0]
             if fx is None:
                 fx = part
             else:
-                fx[rows[first:last]] = part
-            first = last
+                fx[rows[start:stop]] = part
+            start = stop
     fy = []
     for a0, s in zip(inst.a0.stacks, inst._stacks):
         v = s[js]
