@@ -75,6 +75,13 @@ CONFIGS = {
         },
         "t": [16, 64], "seeds": [0, 1], "checkpoints": "final", "n_probes": 40,
     },
+    # three block-size groups, one of them 1 x 1, and a probe family that
+    # spans two probe-set chunks
+    "eig_mixed": {
+        "instance": {"kind": "eig_min", "params": {"n": 5, "blocks": [2, 3, 2, 1]}, "seed": 7},
+        "solver": "smp", "t": 64, "oracle": "sampled", "seeds": [0, 1, 2],
+        "checkpoints": "geometric", "n_probes": 40,
+    },
 }
 
 
