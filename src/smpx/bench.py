@@ -35,6 +35,7 @@ from __future__ import annotations
 import base64
 import binascii
 import dataclasses
+import itertools
 import json
 import math
 import numbers
@@ -44,8 +45,16 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+# numpy loads these on first use (np.median, RandomStream).  Loaded during
+# an experiment's first run, their module objects land among its freed
+# arrays and keep the heap from reusing or trimming them, so the next run's
+# instance file read grows the heap: eig_mid's perfbench peak RSS read
+# 68-75 MB, depending on the command line, and 63.3 MB with the imports here.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from . import __version__ as _version
-from . import composite, eigopt, solver, vi
+from . import composite, eigopt, solver, symmat, vi
 from .composite import (
     AffineMatrixComponent,
     NoisyAffineComponent,
@@ -169,13 +178,71 @@ def _array_field(obj, name: str, shape, where: str = "") -> np.ndarray:
     return _decode_array(_field(obj, name, where), shape, f"instance field {where + name!r}")
 
 
-def _blocks(row: np.ndarray, sizes) -> list:
-    """p x p views of the consecutive blocks in a flat row."""
-    out, k = [], 0
-    for p in sizes:
-        out.append(row[k:k + p * p].reshape(p, p))
-        k += p * p
-    return out
+# Doubles per slice of the base64 decode and of the symmetry check and
+# symmetrization in ``_symmetric_stacks``: 512 KB, 16 matrices of blocks
+# 4 x 32, so a slice's temporaries stay small next to the stacks.
+_SLICE_BUDGET = 1 << 16
+
+
+def _decoded_rows(value, shape, what):
+    """(first row, rows) pieces that cover, in order, the (n, m) array
+    ``_decode_array(value, shape, what)``.
+
+    Base64 text of the array's length is decoded a slice of rows at a time,
+    a multiple of 3 rows (whole base64 quads) of about ``_SLICE_BUDGET``
+    doubles, so the bytes of the whole array are never held at once.  Any
+    other value, a version-1 list or text of another length, is decoded
+    whole by ``_decode_array`` (which raises its InputError) before the first
+    piece is given, and so is text whose slices do not decode to exactly
+    their rows; that whole piece comes after the slices already given and
+    replaces them.
+    """
+    n, m = shape
+    chars = 4 * -(-8 * n * m // 3) if n > 0 and m > 0 else -1
+    if isinstance(value, str) and len(value) == chars:
+        step = 3 * max(1, _SLICE_BUDGET // (3 * m))
+        try:
+            for start in range(0, n, step):
+                stop = min(start + step, n)
+                # 8 m bytes a row, so 32 m / 3 base64 characters a row
+                text = value[start * m * 32 // 3:stop * m * 32 // 3 if stop < n else None]
+                raw = binascii.a2b_base64(text, strict_mode=True)
+                if len(raw) != 8 * m * (stop - start):
+                    break
+                yield start, np.frombuffer(raw, "<f8").reshape(stop - start, m)
+            else:
+                return
+        except ValueError:  # binascii.Error, or a non-ASCII character
+            pass
+    yield 0, _decode_array(value, shape, what)
+
+
+def _symmetric_stacks(payload: dict, name: str, n: int, structure: BlockStructure) -> list:
+    """Per size group, the read-only (n, k, p, p) stack of the blocks of the
+    n matrices that the instance field `name` stores as the rows of an
+    (n, sum p^2) array (``flat_columns`` layout).
+
+    The rows are decoded into the stacks a slice at a time
+    (``_decoded_rows``).  The blocks are then checked and symmetrized by
+    ``symmat.symmetrize``, as ``BlockSymMatrix`` checks its blocks, a slice
+    of matrices at a time in the stack itself.
+    """
+    pieces = _decoded_rows(_field(payload, name), (n, structure.sum_sq), f"instance field {name!r}")
+    first = next(pieces)  # the field's size is checked before the stacks exist
+    stacks = [np.empty((n, len(idx), p, p)) for p, idx in structure.groups]
+    columns = structure.flat_columns()
+    for start, rows in itertools.chain([first], pieces):
+        for s, cols in zip(stacks, columns):
+            # the columns are in range; mode "clip" writes to out without
+            # the buffer copy that the default mode makes
+            out = s[start:start + len(rows)].reshape(len(rows), *cols.shape)
+            np.take(rows, cols, axis=1, out=out, mode="clip")
+    for s in stacks:
+        step = max(1, _SLICE_BUDGET // math.prod(s.shape[1:]))
+        for start in range(0, n, step):
+            symmat.symmetrize(s[start:start + step])
+        s.setflags(write=False)
+    return stacks
 
 
 # ---------------------------------------------------------------------------
@@ -189,28 +256,24 @@ def _gen_eig(params: dict, seed: int, kind: str) -> dict:
     if n < 2:
         raise ConfigError("eigenvalue instances need n >= 2")
     structure = BlockStructure(sizes)
-    stream = RandomStream(seed)
-
-    def sym_block(p):
-        g = scale * (2.0 * stream.uniforms((p, p)).reshape(p, p) - 1.0)
-        return 0.5 * (g + g.T)
-
-    a0 = [sym_block(p) for p in sizes]
-    mats = [[sym_block(p) for p in sizes] for _ in range(n)]
-    a_inf = max(
-        float(np.abs(np.linalg.eigvalsh(b)).max())
-        for m in mats
-        for b in m
-    )
+    # A_0..A_n in one draw, matrix-major with the blocks of a matrix in
+    # order: Philox gives the doubles of one uniforms((p, p)) call per block
+    g = scale * (2.0 * RandomStream(seed).uniforms((n + 1, structure.sum_sq)) - 1.0)
+    a_inf = 0.0
+    for (p, idx), cols in zip(structure.groups, structure.flat_columns()):
+        s = np.take(g, cols, axis=1).reshape(n + 1, len(idx), p, p)
+        s = 0.5 * (s + s.swapaxes(2, 3))
+        g[:, cols] = s.reshape(n + 1, len(idx), p * p)
+        a_inf = max(a_inf, float(np.abs(np.linalg.eigvalsh(s[1:])).max()))
     return {
         "format": "smpx-instance",
         "version": _VERSION,
         "kind": kind,
         "n": n,
         "block_sizes": list(sizes),
-        "a0": _encode_array(*a0),
-        "a": _encode_array(*(b for m in mats for b in m)),
-        "meta": {"seed": int(seed), "scale": scale, "a_inf": float(a_inf)},
+        "a0": _encode_array(g[0]),
+        "a": _encode_array(g[1:]),
+        "meta": {"seed": int(seed), "scale": scale, "a_inf": a_inf},
     }
 
 
@@ -370,14 +433,11 @@ def payload_to_instance(payload: dict):
     if not isinstance(meta, dict):
         raise InputError(f"instance field 'meta' must be an object, got {meta!r}")
     if kind in ("eig_min", "bilinear_simplex_spectahedron", "scalar_minimax"):
-        sq = structure.sum_sq
         n = _number_field(payload, "n", numbers.Integral)
-        a0 = BlockSymMatrix(structure, _blocks(_array_field(payload, "a0", (sq,)), sizes))
-        mats = tuple(
-            BlockSymMatrix(structure, _blocks(row, sizes))
-            for row in _array_field(payload, "a", (n, sq))
-        )
-        inst = eigopt.EigInstance(structure, a0, mats)
+        a0 = _symmetric_stacks(payload, "a0", 1, structure)
+        stacks = _symmetric_stacks(payload, "a", n, structure)
+        inst = eigopt.EigInstance(
+            structure, BlockSymMatrix.from_stacks(structure, [s[0] for s in a0]), tuple(stacks))
         # the file is outside input: a_inf is recomputed, and a declared value
         # that disagrees with the data is an error
         declared = meta.get("a_inf")
@@ -388,6 +448,8 @@ def payload_to_instance(payload: dict):
         return "eig", inst
     if kind == "sdf_system":
         n = _number_field(payload, "n", numbers.Integral)
+        if meta.get("component_opt") is not None:
+            _number_field(meta, "component_opt", numbers.Real, "meta.")
         x_setup = SimplexSetup(n)
         parts = []
         comps = _field(payload, "components")
@@ -486,10 +548,10 @@ class ExperimentConfig:
             raise ConfigError(f"stepsize must be 'auto' or a number, got {self.stepsize!r}")
         for name in ("t", "k", "seeds", "seed_count", "seed_base", "checkpoints"):
             value = getattr(self, name)
+            if value is None or (name == "checkpoints" and value in ("geometric", "final")):
+                continue
             ints = value if isinstance(value, (list, tuple)) else [value]
-            if value not in (None, "geometric", "final") and not all(
-                isinstance(v, numbers.Integral) for v in ints
-            ):
+            if not all(isinstance(v, numbers.Integral) for v in ints):
                 raise ConfigError(f"{name} must be an integer or a list of them, got {value!r}")
         for name in ("n_probes", "probe_seed"):
             value = getattr(self, name)
@@ -616,16 +678,17 @@ def _sdf_plans(cfg: ExperimentConfig, system: SDFSystem, horizons):
     comp_opt = system.meta.get("component_opt")
     scaled = {t: composite.sdf_scale(system, t) for t in horizons}
     geometry = ProductSetup(system.x_setup, scaled[horizons[0]].problem.y_setup)
-    # the probe points depend on the geometry alone: one family, drawn once,
-    # serves every horizon's probe set (vi.default_probes of each problem)
-    probe_points = list(geometry.probe_points(RandomStream(cfg.probe_seed), cfg.n_probes))
+    # the probe points depend on the geometry alone: one family, drawn and
+    # stacked once, serves every horizon's probe set (vi.default_probes of
+    # each problem)
+    probe_chunks = list(geometry.probe_chunks(RandomStream(cfg.probe_seed), cfg.n_probes))
 
     def plan(t):
         sc = scaled[t]
         problem = composite.build_vi(sc.problem, lip_l=sc.lip_l, var_m=sc.noise_m,
                                      setup=geometry)
         setup = problem.setup
-        probes = vi.ProbeSet(problem, probe_points)
+        probes = vi.ProbeSet(problem, probe_chunks)
         certified = None if comp_opt is None else float(comp_opt) * float(sc.betas.min())
 
         def stepsize(t):
@@ -672,7 +735,20 @@ class SummaryTable:
 
 
 def _column_stats(mat: np.ndarray) -> dict:
-    """NaN-ignoring mean, median, q10 and q90 over seeds, per row."""
+    """NaN-ignoring mean, median, q10 and q90 over seeds, per row.
+
+    A matrix without NaN takes the plain functions over the whole matrix,
+    which give the bytes of the nan-functions (those go column by column);
+    one ``np.quantile`` call per q, since a call with both partitions at
+    both indices at once and can flip the sign of a zero.
+    """
+    if not np.isnan(mat).any():
+        return {
+            "mean": np.mean(mat, axis=0).tolist(),
+            "median": np.median(mat, axis=0).tolist(),
+            "q10": np.quantile(mat, 0.1, axis=0).tolist(),
+            "q90": np.quantile(mat, 0.9, axis=0).tolist(),
+        }
     return {
         "mean": np.nanmean(mat, axis=0).tolist(),
         "median": np.nanmedian(mat, axis=0).tolist(),

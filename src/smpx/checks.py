@@ -177,7 +177,7 @@ def reproducibility_ok(tmpdir: str | None = None, config: dict | None = None) ->
 def instance_arrays(obj) -> list:
     """The data arrays of a decoded EigInstance or SDFSystem, in a fixed order."""
     if isinstance(obj, eigopt.EigInstance):
-        return [*obj.a0.stacks, *(s for m in obj.mats for s in m.stacks)]
+        return [*obj.a0.stacks, *obj.stacks]
     out = []
     for part in obj.parts:
         comp = part.component

@@ -36,8 +36,10 @@ for a given step budget.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from typing import Callable, NamedTuple, Sequence
 
@@ -301,7 +303,8 @@ class CompositeProblem:
     the spectahedron y_setup, whose selector is A_l; the offsets b_l and the
     outer conjugate Phi_* are zero.  l_x, m_x bound the weighted derivatives.
     ``runs`` splits the components into runs of one class and one block
-    size, each with its evaluator, once per problem.
+    size, each with its evaluator, once per problem; ``with_betas`` carries
+    them to a reweighted problem.
     """
 
     x_setup: ProxSetup
@@ -327,6 +330,16 @@ class CompositeProblem:
                              slice(col, col + width), cls.run_rows(comps[first:stop], first)))
             col += width
         object.__setattr__(self, "runs", tuple(runs))
+
+    def with_betas(self, betas, l_x=None, m_x=None) -> "CompositeProblem":
+        """The problem with the weights ``betas`` (and l_x, m_x when given),
+        sharing this one's geometries, components and runs, which do not
+        depend on the weights."""
+        out = copy.copy(self)
+        for name, value in (("betas", betas), ("l_x", l_x), ("m_x", m_x)):
+            if value is not None:
+                object.__setattr__(out, name, value)
+        return out
 
 
 class _Run(NamedTuple):
@@ -439,7 +452,7 @@ def batch_problem(cps: Sequence[CompositeProblem]) -> CompositeProblem:
         if (cp.components != first.components or cp.x_setup is not first.x_setup
                 or cp.y_setup.structure != first.y_setup.structure):
             raise ConfigError("batched problems must share components and geometry")
-    return replace(first, betas=np.array([cp.betas for cp in cps]))
+    return first.with_betas(np.array([cp.betas for cp in cps]))
 
 
 def build_oracle(cp: CompositeProblem) -> Callable:
@@ -496,6 +509,12 @@ class SDFSystem:
     def block_sizes(self) -> tuple:
         return tuple(p.component.p for p in self.parts)
 
+    @cached_property
+    def problem(self) -> CompositeProblem:
+        """The unweighted minimax problem of the components, built once:
+        ``sdf_scale`` reweights it for each horizon."""
+        return matrix_minimax_problem(self.x_setup, [p.component for p in self.parts])
+
 
 class ScaledSdf(NamedTuple):
     problem: CompositeProblem
@@ -526,9 +545,7 @@ def sdf_scale(sys: SDFSystem, t: int) -> ScaledSdf:
         raise ConfigError("a component has zero scale and cannot be rebalanced")
     mu = float(mus.max())
     betas = mu / mus
-    cp = matrix_minimax_problem(
-        sys.x_setup, [p.component for p in sys.parts], betas, l_x=mu * rt / ox, m_x=mu
-    )
+    cp = sys.problem.with_betas(tuple(float(b) for b in betas), l_x=mu * rt / ox, m_x=mu)
     logp = math.log(sum(sys.block_sizes))
     lip = 10.0 * math.sqrt(logp) * ox * mu * (rt + 1.0)
     noise = 4.0 * math.sqrt(logp) * ox * mu

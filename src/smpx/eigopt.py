@@ -44,39 +44,33 @@ class EigInstance:
     """Data matrices A_0..A_n on a common block structure.
 
     a_inf is the largest spectral norm among A_1..A_n (A_0 excluded).
-    A_1..A_n are held once, as one read-only (n, k, p, p) stack per
-    block-size group (a 1 x 1 group also as a (k, n, 1) copy); ``mats[j]``
-    are views into it, and operator and oracle calls index the stack with
-    one vectorized pass per group.
+    A_1..A_n are held once, as ``stacks``: one read-only (n, k, p, p) array
+    per block-size group, taken as given (a 1 x 1 group also as a (k, n, 1)
+    copy).  ``mats[j]`` gives A_j as views into them, made on each read;
+    operator and oracle calls index the stacks with one vectorized pass per
+    group.
     """
 
     structure: BlockStructure
     a0: BlockSymMatrix
-    mats: tuple  # A_1..A_n as BlockSymMatrix views of _stacks
+    stacks: tuple  # per group: A_1..A_n as one (n, k, p, p) array
     a_inf: float = field(init=False)
-    _stacks: tuple = field(init=False, repr=False)  # per group: (n, k, p, p)
     _flats: tuple = field(init=False, repr=False)  # per group: (k, n, p * p)
 
     def __post_init__(self):
-        if len(self.mats) < 2:
+        stacks = self.stacks
+        if len(stacks) != len(self.structure.groups) or any(
+            s.shape[1:] != (len(idx), p, p) or len(s) != len(stacks[0])
+            for s, (p, idx) in zip(stacks, self.structure.groups)
+        ):
+            raise InputError("matrix stacks do not match the instance structure")
+        n = len(stacks[0])
+        if n < 2:
             raise ConfigError("need n >= 2 data matrices")
-        for m in self.mats:
-            if m.structure != self.structure:
-                raise InputError("matrix does not match the instance structure")
         if self.a0.structure != self.structure:
             raise InputError("offset matrix does not match the instance structure")
-        n = len(self.mats)
-        stacks = tuple(
-            np.stack([m.stacks[g] for m in self.mats])
-            for g in range(len(self.structure.groups))
-        )
         for s in stacks:
             s.setflags(write=False)
-        object.__setattr__(self, "_stacks", stacks)
-        object.__setattr__(self, "mats", tuple(
-            BlockSymMatrix.from_stacks(self.structure, [s[j] for s in stacks])
-            for j in range(n)
-        ))
         flats = [s.reshape(n, s.shape[1], -1).transpose(1, 0, 2) for s in stacks]
         # x @ flat[r] of a 1 x 1 group is a dot product, which rounds one way
         # on a unit-stride column and another on a strided one; a copy (n k
@@ -90,8 +84,14 @@ class EigInstance:
         ))
 
     @property
+    def mats(self) -> tuple:
+        """A_1..A_n as ``BlockSymMatrix`` views of the stacks."""
+        return tuple(BlockSymMatrix.from_stacks(self.structure, [s[j] for s in self.stacks])
+                     for j in range(self.n))
+
+    @property
     def n(self) -> int:
-        return len(self.mats)
+        return len(self.stacks[0])
 
     @property
     def p_total(self) -> int:
@@ -230,7 +230,7 @@ def probe_operator(inst: EigInstance, points: Pair) -> Pair:
         fx += per_group[g][r]
     fx = fx.T.copy()
     fy = []
-    for a0, s in zip(inst.a0.stacks, inst._stacks):
+    for a0, s in zip(inst.a0.stacks, inst.stacks):
         v = (xs @ s.reshape(inst.n, -1)).reshape(n_points, *a0.shape)
         v += a0
         fy.append(np.negative(v, out=v))
@@ -284,7 +284,7 @@ def _xi_from_indices(inst: EigInstance, ys: BlockStack, js, blocks) -> Pair:
                 fx[rows[start:stop]] = part
             start = stop
     fy = []
-    for a0, s in zip(inst.a0.stacks, inst._stacks):
+    for a0, s in zip(inst.a0.stacks, inst.stacks):
         v = s[js]
         v += a0
         fy.append(np.negative(v, out=v))

@@ -38,7 +38,11 @@ first rows, so a solver batch can retire rows.
 successive ``random_point(stream, interior=False)`` calls, bit for bit:
 the simplex, the spectahedron and their products map one (count, width)
 uniform draw row by row, and a non-interior ``random_point`` is its stack
-of one.  ``probe_points`` draws its random probes so, a chunk at a time.
+of one.  ``extreme_stack(idx)`` stacks extreme points by index, from
+closed forms.  ``probe_chunks`` gives the probe family (center, extreme
+points, random points) as stacks of ``PROBE_CHUNK`` probes built so, one
+chunk at a time, and ``extreme_points`` and ``probe_points`` are their
+unstacked views.
 
 All setups are immutable and safe to share across concurrent runs; every
 operation is a pure function.
@@ -55,10 +59,15 @@ from .errors import ConfigError, DomainError, InputError
 from .rng import box_muller
 from .symmat import BlockStack, BlockStructure, BlockSymMatrix
 
-# Uniforms per stacked draw of ``ProxSetup.probe_points``: 256 KB, all 100
-# random probes of a small instance in one draw, or 7 points of an eig
-# instance with 200 matrices of blocks 4 x 32 (4296 uniforms a point), so
-# a chunk's temporaries stay small next to the instance.
+# Probes per stack of ``ProxSetup.probe_chunks``, so per operator call of
+# a probe-set build: a chunk of points of an eig instance with 200 matrices
+# of blocks 4 x 32 is 1.1 MB, against 12.3 MB for all 357 of its probes.
+PROBE_CHUNK = 32
+
+# Uniforms per stacked draw of the random probes: 256 KB, every random
+# probe of a small instance's chunk in one draw, or 7 points of the eig
+# instance above (4296 uniforms a point), so a draw's temporaries stay
+# small next to the instance.
 _DRAW_BUDGET = 1 << 15
 
 
@@ -124,6 +133,20 @@ def unstack(stacked, decomposed: bool = False) -> list:
     if isinstance(stacked, Pair):
         return list(map(Pair, unstack(stacked.x, decomposed), unstack(stacked.y, decomposed)))
     return stacked.rows(decomposed)
+
+
+def concat(stacks):
+    """The rows of several ``stack`` results of one kind, stacked in order;
+    a single stack is returned as it is."""
+    first = stacks[0]
+    if len(stacks) == 1:
+        return first
+    if isinstance(first, Pair):
+        return Pair(concat([z.x for z in stacks]), concat([z.y for z in stacks]))
+    if isinstance(first, BlockStack):
+        return BlockStack(first.structure,
+                          [np.concatenate(g) for g in zip(*(z.stacks for z in stacks))])
+    return np.concatenate(stacks)
 
 
 def take_rows(stacked, n: int):
@@ -252,26 +275,51 @@ class ProxSetup:
     def random_dual(self, stream, scale: float = 1.0):
         raise NotImplementedError
 
-    def extreme_points(self):
-        """Small deterministic family of extreme-ish points, used for probes;
-        an iterable, which may be a generator."""
-        return []
+    # size of the small deterministic family of extreme-ish points used
+    # for probes, which ``extreme_stack`` indexes
+    n_extreme = 0
 
-    def probe_points(self, stream, n_random: int = 100):
-        """Default probe set, yielded: center, extreme points, seeded random points.
+    def extreme_stack(self, idx):
+        """The stack of the extreme points with the indices idx, an integer
+        array of values below ``n_extreme``."""
+        raise NotImplementedError
+
+    def extreme_points(self):
+        """The extreme points in index order, yielded, ``PROBE_CHUNK`` of
+        them stacked at a time."""
+        for start in range(0, self.n_extreme, PROBE_CHUNK):
+            yield from unstack(self.extreme_stack(
+                np.arange(start, min(start + PROBE_CHUNK, self.n_extreme))))
+
+    def probe_chunks(self, stream, n_random: int = 100):
+        """Default probe set as stacks of ``PROBE_CHUNK`` probes (the last
+        one may be shorter), yielded: center, extreme points, seeded random
+        points.
 
         The random points are those of n_random ``random_point(stream,
-        interior=False)`` calls, drawn by ``random_points`` a chunk at a
-        time, each chunk at most ``_DRAW_BUDGET`` uniforms (one point per
-        chunk without a ``_draw_width``).  A generator stopped early may
-        already have drawn the rest of its chunk from the stream.
+        interior=False)`` calls, drawn by ``random_points`` at most
+        ``_DRAW_BUDGET`` uniforms at a time (one point at a time without a
+        ``_draw_width``).  A chunk's pieces are concatenated, so only one
+        chunk is held at a time; a generator stopped early leaves the
+        stream after its last chunk's draws.
         """
-        yield self.center
-        yield from self.extreme_points()
+        n_head = 1 + self.n_extreme
+        total = n_head + n_random
         width = self._draw_width
-        chunk = 1 if width is None else max(1, _DRAW_BUDGET // width)
-        for start in range(0, n_random, chunk):
-            yield from unstack(self.random_points(stream, min(chunk, n_random - start)))
+        per_draw = 1 if width is None else max(1, _DRAW_BUDGET // width)
+        for start in range(0, total, PROBE_CHUNK):
+            stop = min(start + PROBE_CHUNK, total)
+            pieces = [stack([self.center])] if start == 0 else []
+            if max(start, 1) < min(stop, n_head):
+                pieces.append(self.extreme_stack(np.arange(max(start, 1), min(stop, n_head)) - 1))
+            for a in range(max(start, n_head), stop, per_draw):
+                pieces.append(self.random_points(stream, min(per_draw, stop - a)))
+            yield concat(pieces)
+
+    def probe_points(self, stream, n_random: int = 100):
+        """The probes of ``probe_chunks``, yielded one at a time."""
+        for chunk in self.probe_chunks(stream, n_random):
+            yield from unstack(chunk)
 
 
 class EuclideanBallSetup(ProxSetup):
@@ -286,6 +334,7 @@ class EuclideanBallSetup(ProxSetup):
         self.radius = float(radius)
         self.alpha = 1.0
         self.theta = 0.5 * self.radius**2
+        self.n_extreme = 2 * self.dim
 
     @property
     def center(self):
@@ -334,13 +383,12 @@ class EuclideanBallSetup(ProxSetup):
     def random_dual(self, stream, scale=1.0):
         return scale * stream.normals(self.dim)
 
-    def extreme_points(self):
-        out = []
-        for j in range(self.dim):
-            e = np.zeros(self.dim)
-            e[j] = self.radius
-            out.append(e.copy())
-            out.append(-e)
+    def extreme_stack(self, idx):
+        # +-R e_j, the sign alternating: the negated e_j holds -0.0 off j
+        out = np.zeros((len(idx), self.dim))
+        out[np.arange(len(idx)), idx // 2] = self.radius
+        odd = idx % 2 == 1
+        out[odd] = -out[odd]
         return out
 
 
@@ -359,6 +407,7 @@ class SimplexSetup(ProxSetup):
         self.alpha = 1.0
         self.theta = math.log(self.dim)
         self._draw_width = self.dim
+        self.n_extreme = self.dim
 
     @property
     def center(self):
@@ -427,8 +476,8 @@ class SimplexSetup(ProxSetup):
     def random_dual(self, stream, scale=1.0):
         return scale * stream.normals(self.dim)
 
-    def extreme_points(self):
-        return [row.copy() for row in np.eye(self.dim)]
+    def extreme_stack(self, idx):
+        return np.eye(self.dim)[idx]
 
 
 class SpectahedronSetup(ProxSetup):
@@ -451,6 +500,7 @@ class SpectahedronSetup(ProxSetup):
         self.structure = structure
         self.alpha = 1.0
         self.theta = math.log(structure.total_dim)
+        self.n_extreme = 2 * structure.total_dim
         # the columns of each block's uniforms in a point's draw, per group
         widths = [2 * ((p * p + 1) // 2) for p in structure.block_sizes]
         starts = np.cumsum([0, *widths])
@@ -555,31 +605,52 @@ class SpectahedronSetup(ProxSetup):
             _validate=False,
         )
 
-    def extreme_points(self):
-        """Entropy-map images of +-6 e_d e_d^T, one per diagonal position, yielded.
+    def extreme_stack(self, idx):
+        """Entropy-map images of +-6 e_d e_d^T: index 2 i is the one of +6 at
+        diagonal position i of the whole matrix, index 2 i + 1 that of -6.
 
         The image of a diagonal matrix is the diagonal exp(diag - shift) /
         total, so no decomposition is computed.  The total adds as
         ``symmat.entropy_map`` adds it (each block's values in descending
         order, the per-block sums in block order), so the points equal its
-        results bit for bit.
+        results bit for bit; it depends on the block and the sign alone.
         """
         structure = self.structure
-        for (g, r), p in zip(structure.slots, structure.block_sizes):
-            for d in range(p):
-                for sign in (6.0, -6.0):
-                    shift = max(sign, 0.0)
-                    diags = [np.zeros((len(idx), q)) for q, idx in structure.groups]
-                    diags[g][r, d] = sign
-                    total = sum(structure.in_block_order([
-                        np.exp(np.sort(v, axis=1)[:, ::-1] - shift).sum(axis=1) for v in diags
-                    ]).tolist())
-                    stacks = []
-                    for (q, idx), v in zip(structure.groups, diags):
-                        s = np.zeros((len(idx), q, q))
-                        s[:, range(q), range(q)] = np.exp(v - shift) / total
-                        stacks.append(s)
-                    yield BlockSymMatrix.from_stacks(structure, stacks)
+        sizes = structure.block_sizes
+        pos = idx // 2
+        block = np.repeat(np.arange(len(sizes)), sizes)[pos]
+        offset = pos - np.cumsum([0, *sizes])[block]
+        group, row = np.array(structure.slots).T[:, block]
+        sign = np.where(idx % 2 == 0, 6.0, -6.0)
+        shift = np.maximum(sign, 0.0)[:, None, None]
+        total = self._extreme_totals()[idx % 2, block][:, None, None]
+        stacks = []
+        for g, (q, ids) in enumerate(structure.groups):
+            mine = np.flatnonzero(group == g)
+            v = np.zeros((len(idx), len(ids), q))
+            v[mine, row[mine], offset[mine]] = sign[mine]
+            s = np.zeros((len(idx), len(ids), q, q))
+            s[:, :, range(q), range(q)] = np.exp(v - shift) / total
+            stacks.append(s)
+        return BlockStack(structure, stacks)
+
+    def _extreme_totals(self):
+        """(2, m) normalizers of the extreme points: [0, b] for +6 in block
+        b, [1, b] for -6."""
+        sizes = self.structure.block_sizes
+        out = np.empty((2, len(sizes)))
+        for k, sign in enumerate((6.0, -6.0)):
+            # per block size, the sum of a block without and with the signed
+            # entry; the values of every other block are all exp(-shift)
+            v = {q: np.zeros((2, q)) for q, _ in self.structure.groups}
+            sums = {}
+            for q, a in v.items():
+                a[1, 0] = sign
+                sums[q] = np.exp(np.sort(a, axis=1)[:, ::-1] - max(sign, 0.0)).sum(axis=1).tolist()
+            plain = [sums[p][0] for p in sizes]
+            for b, p in enumerate(sizes):
+                out[k, b] = sum([*plain[:b], sums[p][1], *plain[b + 1:]])
+        return out
 
 
 class ProductSetup(ProxSetup):
@@ -600,6 +671,8 @@ class ProductSetup(ProxSetup):
         self.theta = 1.0
         if sx._draw_width is not None and sy._draw_width is not None:
             self._draw_width = sx._draw_width + sy._draw_width
+        if sx.n_extreme and sy.n_extreme:
+            self.n_extreme = max(sx.n_extreme, sy.n_extreme)
 
     @property
     def center(self):
@@ -675,25 +748,9 @@ class ProductSetup(ProxSetup):
     def random_dual(self, stream, scale=1.0):
         return Pair(self.sx.random_dual(stream, scale), self.sy.random_dual(stream, scale))
 
-    def extreme_points(self):
-        """Pairs (ex[i % len ex], ey[i % len ey]) for i < max(len ex, len ey), yielded.
-
-        Nothing is yielded when either side has no extreme points.  A side
-        that runs out before the other is generated again, not held.
-        """
-        sides = (self.sx, self.sy)
-        its = [iter(s.extreme_points()) for s in sides]
-        ended = [False, False]
-        while True:
-            pair = []
-            for i, side in enumerate(sides):
-                item = next(its[i], None)
-                if item is None:
-                    ended[i] = True
-                    its[i] = iter(side.extreme_points())
-                    item = next(its[i], None)
-                pair.append(item)
-            if all(ended) or any(item is None for item in pair):
-                return
-            yield Pair(*pair)
-
+    def extreme_stack(self, idx):
+        """Pairs of extreme points i % n_x of x and i % n_y of y: a side
+        that runs out before the other starts again.  There are none when
+        either side has none."""
+        return Pair(self.sx.extreme_stack(idx % self.sx.n_extreme),
+                    self.sy.extreme_stack(idx % self.sy.n_extreme))

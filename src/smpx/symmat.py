@@ -70,6 +70,12 @@ class BlockStructure:
             return per_group[0]
         return np.concatenate(per_group, axis=-1)[..., self._order]
 
+    def flat_columns(self) -> list:
+        """Per size group, the (k, p * p) positions of its blocks' entries in
+        a matrix stored flat: its blocks in block order, each in C order."""
+        starts = np.cumsum([0, *(p * p for p in self.block_sizes)])
+        return [starts[list(idx), None] + np.arange(p * p) for p, idx in self.groups]
+
     def __eq__(self, other):
         return other is self or (
             isinstance(other, BlockStructure) and self.block_sizes == other.block_sizes
@@ -149,13 +155,7 @@ class BlockSymMatrix:
                         )
             s = np.stack([blocks[i] for i in idx])
             if _validate:
-                if not np.all(np.isfinite(s)):
-                    raise InputError("non-finite entries in block")
-                st = s.transpose(0, 2, 1)
-                scale = np.abs(s).max(axis=(1, 2))
-                if np.any(np.abs(s - st).max(axis=(1, 2)) > _SYM_RTOL * (1.0 + scale)):
-                    raise InputError("block is not symmetric within tolerance")
-                s = 0.5 * (s + st)
+                symmetrize(s)
             stacks.append(s)
         self._set(structure, stacks, None)
 
@@ -248,6 +248,19 @@ class BlockSymMatrix:
 
     def __repr__(self):
         return f"BlockSymMatrix(sizes={self.structure.block_sizes})"
+
+
+def symmetrize(s: np.ndarray) -> None:
+    """Make the p x p matrices of a writable float64 stack exactly symmetric,
+    (s + s^T) / 2 in place, after checking that they are finite and
+    symmetric to within 1e-12 relative tolerance (InputError otherwise)."""
+    if not np.isfinite(s).all():
+        raise InputError("non-finite entries in block")
+    st = s.swapaxes(-1, -2)
+    scale = np.abs(s).max(axis=(-2, -1))
+    if np.any(np.abs(s - st).max(axis=(-2, -1)) > _SYM_RTOL * (1.0 + scale)):
+        raise InputError("block is not symmetric within tolerance")
+    s[...] = 0.5 * (s + st)  # s + st is a fresh array, so st is read whole first
 
 
 class BlockStack:

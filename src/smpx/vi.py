@@ -14,10 +14,10 @@ maximum is intractable in general, ``err_vi_lower`` reports the certified
 lower bound over a finite probe set.  Written as <F(u), z> - <F(u), u>,
 the bound needs of a probe only its operator value and one number, both
 computed once, so the probe set keeps those and not the points.  The
-values come a chunk of probes at a time, from the problem's
-``probe_operator``.  For saddle-point instances the functional (Nash)
-error is the exact duality gap and is computed from the instance's closed
-forms.
+probes come as stacked chunks (``ProxSetup.probe_chunks``), and each
+chunk's values from one call of the problem's ``probe_operator``.  For
+saddle-point instances the functional (Nash) error is the exact duality
+gap and is computed from the instance's closed forms.
 """
 
 from __future__ import annotations
@@ -30,15 +30,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .geometry import Pair, ProxSetup, inner, stack, unstack
+from .geometry import PROBE_CHUNK, Pair, ProxSetup, inner, stack, unstack
 from .rng import RandomStream
 from .symmat import BlockStack, BlockSymMatrix
-
-# Probes per stored chunk of a ProbeSet, so per probe_operator call in the
-# build and per matrix-vector product in lower_bound.  The chunk bounds the
-# build's temporaries: a chunk's stacked points, about 1 MB for 4 blocks of
-# 32 x 32, against 11.7 MB for all 357 probes of such an instance.
-_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -88,7 +82,7 @@ def err_vi_lower(problem: VIProblem, z, probes: Sequence) -> float:
     Any weak solution scores <= 0 against every probe set; the bound is
     reported alongside the probe count by the harness.
     """
-    return ProbeSet(problem, probes).lower_bound(z)
+    return ProbeSet.from_points(problem, probes).lower_bound(z)
 
 
 def _stack(items, first):
@@ -96,7 +90,7 @@ def _stack(items, first):
     array for arrays, ``BlockStack`` for block matrices, a Pair for pairs.
 
     Every item must have the type, shape and block structure of ``first``,
-    the first probe's item, or InputError is raised.
+    or InputError is raised.
     """
     if isinstance(first, Pair):
         if not all(isinstance(u, Pair) for u in items):
@@ -113,9 +107,22 @@ def _stack(items, first):
     if any(isinstance(u, (Pair, BlockSymMatrix)) or np.shape(u) != np.shape(first)
            for u in items):
         raise InputError("probe items differ in type or shape")
-    out = np.array(items, dtype=float)
+    try:
+        out = np.array(items, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError("probe items are not arrays of numbers") from None
     out.setflags(write=False)
     return out
+
+
+def _kind(stack):
+    """The type of a stack of probes, with its probes' shape or block
+    structure: what the stacks of one probe set have in common."""
+    if isinstance(stack, Pair):
+        return ("pair", _kind(stack.x), _kind(stack.y))
+    if isinstance(stack, BlockStack):
+        return ("blocks", stack.structure)
+    return ("array", np.shape(stack)[1:])
 
 
 def _rows(stack) -> list:
@@ -133,33 +140,47 @@ class ProbeSet:
 
     A probe u enters max_u <F(u), z> - <F(u), u> through its operator value
     and c = <F(u), u>, both computed once, so the points are held only
-    while their chunk is built.  The probes are taken ``_CHUNK`` at a time,
-    so a generator of points is never held whole.  ``chunks`` lists, per
-    chunk, the values as read-only (P, d) views of their stacks (one per
-    part, as ``_rows`` gives them) and c as a read-only (P,) array.  The
-    values of a chunk come from one ``problem.probe_operator`` call, or one
+    while their chunk is built.  The probes come as stacked chunks, as
+    ``ProxSetup.probe_chunks`` yields them (``from_points`` stacks a
+    sequence of points), and the chunks are taken one at a time, so a
+    generator of chunks is never held whole.  ``chunks`` lists, per chunk,
+    the values as read-only (P, d) views of their stacks (one per part, as
+    ``_rows`` gives them) and c as a read-only (P,) array.  The values of a
+    chunk come from one ``problem.probe_operator`` call, or one
     ``problem.operator`` call when the problem has no probe operator.
     """
 
-    def __init__(self, problem: VIProblem, probes: Iterable):
+    def __init__(self, problem: VIProblem, chunks: Iterable):
         self.chunks = []
         self._n = 0
-        first = None
+        self._kind = None  # what a bound's point is checked against
         operator = problem.probe_operator or problem.operator
-        probes = iter(probes)
-        while chunk := list(itertools.islice(probes, _CHUNK)):
-            if first is None:
-                first = chunk[0]
+        for points in chunks:
             # the points are checked before F sees them
-            points = _stack(chunk, first)
+            kind = _kind(points)
+            if self._kind is None:
+                self._kind = kind
+            elif kind != self._kind:
+                raise InputError("probe chunks differ in type, shape or block structure")
             rows = _rows(operator(points))
             c = sum(np.vecdot(v, u) for v, u in zip(rows, _rows(points), strict=True))
             c.setflags(write=False)
             self.chunks.append((rows, c))
-            self._n += len(chunk)
+            self._n += len(c)
         if not self.chunks:
             raise InputError("probe set is empty")
-        self._first = first  # the template a bound's point is checked against
+
+    @classmethod
+    def from_points(cls, problem: VIProblem, points: Iterable) -> "ProbeSet":
+        """The probe set of a sequence of points, stacked ``PROBE_CHUNK`` at a
+        time; InputError unless the points agree in type, shape and block
+        structure."""
+        def chunks():
+            it = iter(points)
+            while chunk := list(itertools.islice(it, PROBE_CHUNK)):
+                yield _stack(chunk, chunk[0])
+
+        return cls(problem, chunks())
 
     def __len__(self):
         return self._n
@@ -172,7 +193,10 @@ class ProbeSet:
         that a NaN is neither skipped nor returned depending on where it
         falls.
         """
-        zs = [r[0] for r in _rows(_stack([z], self._first))]
+        zs = _stack([z], z)
+        if _kind(zs) != self._kind:
+            raise InputError("point differs from the probes in type, shape or block structure")
+        zs = [r[0] for r in _rows(zs)]
         terms = np.concatenate(
             [sum(v @ x for v, x in zip(rows, zs)) - c for rows, c in self.chunks]
         )
@@ -183,8 +207,7 @@ class ProbeSet:
 
 def default_probes(problem: VIProblem, seed: int = 0, n_random: int = 100) -> ProbeSet:
     """Center, extreme points and seeded random feasible points."""
-    stream = RandomStream(seed)
-    return ProbeSet(problem, problem.setup.probe_points(stream, n_random))
+    return ProbeSet(problem, problem.setup.probe_chunks(RandomStream(seed), n_random))
 
 
 def err_nash_saddle(inst: SaddleInstance, z) -> float:

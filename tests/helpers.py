@@ -184,6 +184,56 @@ def ref_random_point(setup, stream):
     return setup.random_point(stream, interior=False)
 
 
+def ref_extreme_points(setup):
+    """The extreme points one at a time: +-R e_j on the ball (the negated
+    one with -0.0 off j), e_j on the simplex, the entropy-map images of
+    ``ref_spectahedron_extreme_points`` on the spectahedron, and on a
+    product the pairs (ex[i % len ex], ey[i % len ey]) up to the longer side."""
+    from smpx.geometry import EuclideanBallSetup, Pair, ProductSetup, SimplexSetup
+
+    if isinstance(setup, ProductSetup):
+        ex, ey = ref_extreme_points(setup.sx), ref_extreme_points(setup.sy)
+        if not ex or not ey:
+            return []
+        return [Pair(ex[i % len(ex)], ey[i % len(ey)]) for i in range(max(len(ex), len(ey)))]
+    if isinstance(setup, SimplexSetup):
+        return [row.copy() for row in np.eye(setup.dim)]
+    if isinstance(setup, EuclideanBallSetup):
+        out = []
+        for j in range(setup.dim):
+            e = np.zeros(setup.dim)
+            e[j] = setup.radius
+            out += [e.copy(), -e]
+        return out
+    return ref_spectahedron_extreme_points(setup.structure)
+
+
+def ref_eig_payload(kind, params, seed):
+    """The eig instance payload as the per-block generator builds it: one
+    uniforms((p, p)) draw and one symmetrization per block, A_0 first, and
+    a_inf from one eigvalsh per block of A_1..A_n."""
+    from smpx.bench import _encode_array
+    from smpx.rng import RandomStream
+
+    n, sizes = params["n"], params["blocks"]
+    scale = float(params.get("scale", 1.0))
+    stream = RandomStream(seed)
+
+    def sym_block(p):
+        g = scale * (2.0 * stream.uniforms((p, p)).reshape(p, p) - 1.0)
+        return 0.5 * (g + g.T)
+
+    a0 = [sym_block(p) for p in sizes]
+    mats = [[sym_block(p) for p in sizes] for _ in range(n)]
+    a_inf = max(float(np.abs(np.linalg.eigvalsh(b)).max()) for m in mats for b in m)
+    return {
+        "format": "smpx-instance", "version": 2, "kind": kind, "n": n,
+        "block_sizes": list(sizes), "a0": _encode_array(*a0),
+        "a": _encode_array(*(b for m in mats for b in m)),
+        "meta": {"seed": seed, "scale": scale, "a_inf": a_inf},
+    }
+
+
 def ref_frob_inner(xs, ys):
     return float(sum(np.sum(x * y) for x, y in zip(xs, ys)))
 

@@ -1,15 +1,17 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
-from helpers import assert_same_bytes
+from helpers import assert_same_bytes, ref_eig_payload
 
 from smpx import bench, checks, composite, solver, vi
 from smpx.bench import (
     ExperimentConfig,
     SummaryTable,
+    _column_stats,
     _decode_array,
     _encode_array,
     build_instance_payload,
@@ -23,11 +25,25 @@ from smpx.bench import (
     summary_from_csv,
 )
 from smpx.errors import ConfigError, InputError, NumericalError
+from smpx.symmat import BlockStructure, BlockSymMatrix
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 class TestGenerate:
+    @pytest.mark.parametrize("kind, params", [
+        ("eig_min", {"n": 5, "blocks": [2, 3, 2, 1]}),
+        ("eig_min", {"n": 3, "blocks": [1, 1], "scale": 2.5}),
+        ("eig_min", {"n": 2, "blocks": [32, 32, 32, 32]}),
+        ("bilinear_simplex_spectahedron", {"n": 20, "blocks": [4, 4, 4]}),
+        ("bilinear_simplex_spectahedron", {"n": 4, "blocks": [3, 1, 5, 1, 3], "scale": 0.5}),
+    ], ids=lambda v: str(v).replace(" ", ""))
+    def test_eig_payload_equals_per_block_generator(self, kind, params):
+        # one draw and one pass per size group give the per-block bytes
+        for seed in (0, 9):
+            got = canonical_json(build_instance_payload(kind, params, seed))
+            assert got == canonical_json(ref_eig_payload(kind, params, seed))
+
     def test_deterministic_bytes(self, tmp_path):
         a = generate_instance("eig_min", {"n": 3, "blocks": [2, 2]}, 7, str(tmp_path / "a.json"))
         b = generate_instance("eig_min", {"n": 3, "blocks": [2, 2]}, 7, str(tmp_path / "b.json"))
@@ -180,6 +196,136 @@ class TestInstanceFormat:
         path = save_payload(str(tmp_path / "v.json"), payload)
         with pytest.raises(InputError):
             load_payload(path)
+
+
+def perturbed_eig_payload(sizes, n, seed, delta):
+    """An eig payload whose data matrices carry `delta` times a random
+    asymmetric perturbation, and the perturbed (n, sum p^2) rows."""
+    payload = build_instance_payload("eig_min", {"n": n, "blocks": sizes}, seed)
+    flat = _decode_array(payload["a"], (n, sum(p * p for p in sizes))).copy()
+    flat += delta * np.random.default_rng(seed).standard_normal(flat.shape)
+    payload["a"] = _encode_array(flat)
+    payload["meta"].pop("a_inf")
+    return payload, flat
+
+
+class TestStackedDecode:
+    """The data matrices decode into one checked, symmetrized stack per size
+    group, as the per-matrix ``BlockSymMatrix`` construction makes them."""
+
+    @pytest.mark.parametrize("budget", [1, 40, bench._SLICE_BUDGET])
+    def test_stacks_equal_per_matrix_construction(self, budget, monkeypatch):
+        # the blocks are symmetric to within the tolerance, not exactly, so
+        # the symmetrization changes bytes; a small budget decodes 3 rows and
+        # checks one or a few matrices per slice
+        monkeypatch.setattr(bench, "_SLICE_BUDGET", budget)
+        sizes = [3, 1, 2, 3, 1]
+        structure = BlockStructure(sizes)
+        payload, flat = perturbed_eig_payload(sizes, 9, 3, 1e-14)
+        _, inst = payload_to_instance(payload)
+        for j, row in enumerate(flat):
+            blocks, k = [], 0
+            for p in sizes:
+                blocks.append(row[k:k + p * p].reshape(p, p))
+                k += p * p
+            ref = BlockSymMatrix(structure, blocks)
+            for s, t in zip(inst.mats[j].stacks, ref.stacks, strict=True):
+                assert_same_bytes(s, t)
+        for s in inst.stacks:
+            assert not s.flags.writeable
+
+    @pytest.mark.parametrize("budget", [1, bench._SLICE_BUDGET])
+    @pytest.mark.parametrize("defect, message", [
+        ("nan", "non-finite entries in block"), ("inf", "non-finite entries in block"),
+        ("asymmetric", "not symmetric within tolerance"),
+    ])
+    def test_defective_matrix_rejected(self, budget, defect, message, monkeypatch):
+        monkeypatch.setattr(bench, "_SLICE_BUDGET", budget)
+        payload, flat = perturbed_eig_payload([2, 3, 2], 6, 4, 0.0)
+        # an off-diagonal entry of the 3 x 3 block of the last matrix
+        flat[-1, 4 + 1] = {"nan": np.nan, "inf": -np.inf, "asymmetric": flat[-1, 4 + 1] + 1e-6}[
+            defect]
+        payload["a"] = _encode_array(flat)
+        with pytest.raises(InputError, match=message):
+            payload_to_instance(payload)
+
+
+    @pytest.mark.parametrize("budget", [1, bench._SLICE_BUDGET])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_decoded_rows_cover_the_array(self, n, budget, monkeypatch):
+        # slices of 3 rows, the last one shorter, or one slice, and no whole
+        # decode after them; a version-1 list whole: the rows of
+        # _decode_array, bit for bit
+        monkeypatch.setattr(bench, "_SLICE_BUDGET", budget)
+        flat = np.random.default_rng(n).standard_normal((n, 5))
+        flat[0, :2] = [-0.0, 5e-324]
+        for value, starts in ((_encode_array(flat), range(0, n, 3 if budget == 1 else n)),
+                              (flat.tolist(), [0])):
+            pieces = list(bench._decoded_rows(value, flat.shape, "x"))
+            assert [start for start, _ in pieces] == list(starts)
+            got = np.full_like(flat, np.nan)
+            for start, rows in pieces:
+                got[start:start + len(rows)] = rows
+            assert_same_bytes(got, _decode_array(value, flat.shape))
+
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda t: t[:-4], id="a-quad-short"),
+        pytest.param(lambda t: t + "AAAA", id="a-quad-long"),
+        pytest.param(lambda t: t[:540] + "====" + t[544:], id="padding-ending-a-slice"),
+        pytest.param(lambda t: t[:600] + "*" + t[601:], id="non-base64-in-a-later-slice"),
+        pytest.param(lambda t: t[:-9] + "\u00e9" + t[-8:], id="non-ascii-in-the-last-slice"),
+    ])
+    def test_malformed_text_reported_as_by_the_whole_decode(self, corrupt, monkeypatch):
+        # 3 rows (544 base64 characters) a slice: the InputError is the one
+        # that decoding the whole text raises
+        monkeypatch.setattr(bench, "_SLICE_BUDGET", 1)
+        payload, flat = perturbed_eig_payload([2, 3, 2], 7, 4, 0.0)
+        payload["a"] = corrupt(payload["a"])
+        with pytest.raises(InputError) as whole:
+            _decode_array(payload["a"], flat.shape, "instance field 'a'")
+        with pytest.raises(InputError) as sliced:
+            payload_to_instance(payload)
+        assert str(sliced.value) == str(whole.value)
+
+    @pytest.mark.parametrize("n", [-1, 10**15])
+    def test_count_checked_before_the_stacks_are_allocated(self, n):
+        payload, _ = perturbed_eig_payload([2, 3, 2], 7, 4, 0.0)
+        payload["n"] = n
+        with pytest.raises(InputError, match="instance field 'a' holds"):
+            payload_to_instance(payload)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_column_stats_equal_nan_functions(seed):
+    # 1-11 seeds, ties, signed zeros, infinities, and rows (columns of the
+    # matrix) that are partly or wholly NaN: the stats of a matrix with no
+    # NaN take the plain functions, and both paths have the nan-functions'
+    # bytes
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, 1e-300])
+    for _ in range(400):
+        shape = (int(rng.integers(1, 12)), int(rng.integers(1, 6)))
+        kind = rng.random()
+        if kind < 0.5:  # mostly signed zeros: where the sign of a quantile shows
+            mat = rng.choice(pool[:4], size=shape)
+        elif kind < 0.75:
+            mat = rng.choice(pool, size=shape)
+        else:
+            mat = rng.standard_normal(shape)
+            mat[rng.random(shape) < 0.3] = rng.choice(pool)
+        if rng.random() < 0.3:
+            mat[rng.random(shape) < 0.3] = np.nan
+            mat[:, int(rng.integers(shape[1]))] = np.nan if rng.random() < 0.5 else mat[:, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN rows
+            got = _column_stats(mat)
+            want = {
+                "mean": np.nanmean(mat, axis=0), "median": np.nanmedian(mat, axis=0),
+                "q10": np.nanquantile(mat, 0.1, axis=0), "q90": np.nanquantile(mat, 0.9, axis=0),
+            }
+        assert list(got) == list(want)
+        for key, values in want.items():
+            assert_same_bytes(np.array(got[key]), values)
 
 
 class TestConfig:

@@ -177,6 +177,12 @@ class TestBadInputExits2:
         pytest.param({"n_probes": None}, id="n_probes-null"),
         pytest.param({"n_probes": -1}, id="n_probes-negative"),
         pytest.param({"probe_seed": None}, id="probe_seed-null"),
+        # the checkpoint keywords are not integers for the other fields
+        pytest.param({"t": "final"}, id="t-final"),
+        pytest.param({"k": "final"}, id="k-final"),
+        pytest.param({"seeds": "final"}, id="seeds-final"),
+        pytest.param({"seed_count": "geometric"}, id="seed_count-geometric"),
+        pytest.param({"seed_base": "geometric"}, id="seed_base-geometric"),
     ], ids=lambda entry: "-".join(entry))
     def test_non_numeric_config_value(self, tmp_path, capsys, no_instance, entry):
         cfg = tmp_path / "cfg.json"
@@ -207,6 +213,8 @@ class TestBadInputExits2:
                      id="component-missing-c0"),
         pytest.param("sdf_system", "components", [{"type": "quadratic", "p": 2, "rows": "2"}],
                      id="component-rows-text"),
+        pytest.param("sdf_system", "meta", {"component_opt": "low"},
+                     id="component-opt-text"),
     ])
     def test_malformed_instance_field(self, tmp_path, capsys, kind, field, value):
         # None deletes the field; "a" prefixes the valid base64 with the value
@@ -224,8 +232,10 @@ class TestBadInputExits2:
             payload[field] = value
         inst.write_text(json.dumps(payload))
         capsys.readouterr()
-        exits_2_with_one_line(capsys, ["run", "--instance", str(inst), "--t", "5",
-                                       "--seeds", "1", "--checkpoints", "final"])
+        err = exits_2_with_one_line(capsys, ["run", "--instance", str(inst), "--t", "5",
+                                             "--seeds", "1", "--checkpoints", "final"])
+        if field == "meta":
+            assert "meta.component_opt" in err
 
     @pytest.mark.parametrize("kind, name, value", [
         ("eig_min", "n", "x"), ("eig_min", "blocks", [2, "x"]), ("eig_min", "blocks", "2,2"),

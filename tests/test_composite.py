@@ -20,7 +20,7 @@ from smpx.composite import (
     sdf_scale,
 )
 from smpx.errors import ConfigError, InputError, NumericalError
-from smpx.geometry import EuclideanBallSetup, Pair, SimplexSetup, stack, unstack
+from smpx.geometry import PROBE_CHUNK, EuclideanBallSetup, Pair, SimplexSetup, stack, unstack
 from smpx.rng import RandomStream
 from smpx.solver import StepsizePolicy, run_batch
 from smpx.symmat import BlockStructure, BlockSymMatrix
@@ -461,10 +461,10 @@ class TestStackedOperator:
         cp = sdf_scale(sdf_system(sizes=(3, 1, 2), delta=0.1), 50).problem
         problem = composite.build_vi(cp)
         points = list(problem.setup.probe_points(RandomStream(3), 60))
-        probes = vi.ProbeSet(problem, points)
+        probes = vi.ProbeSet.from_points(problem, points)
         assert len(probes.chunks) > 1
         for k, (rows, _) in enumerate(probes.chunks):
-            chunk = points[k * vi._CHUNK:(k + 1) * vi._CHUNK]
+            chunk = points[k * PROBE_CHUNK:(k + 1) * PROBE_CHUNK]
             ref = vi._stack([operator_at(problem.operator, u) for u in chunk], points[0])
             for got, want in zip(rows, vi._rows(ref), strict=True):
                 assert not got.flags.writeable

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from smpx import bench, composite, eigopt, symmat, vi
 from smpx.errors import ConfigError, InputError, NumericalError
-from smpx.geometry import Pair, stack, unstack
+from smpx.geometry import PROBE_CHUNK, Pair, stack, unstack
 from smpx.rng import RandomStream
 from smpx.symmat import BlockStructure, BlockSymMatrix
 
@@ -275,7 +275,7 @@ class TestStackedInstance:
     def test_mats_are_read_only_views_of_one_stack(self, sizes):
         inst = load("eig_min", {"n": 5, "blocks": list(sizes)}, 21)
         for j, m in enumerate(inst.mats):
-            for s, full in zip(m.stacks, inst._stacks):
+            for s, full in zip(m.stacks, inst.stacks):
                 assert s.base is full
                 assert np.shares_memory(s, full[j])
         with pytest.raises(ValueError):
@@ -312,7 +312,7 @@ class TestStackedInstance:
         assert seen == set(range(len(sizes)))
 
 
-def probe_chunk(inst, seed, size=vi._CHUNK):
+def probe_chunk(inst, seed, size=PROBE_CHUNK):
     """The first ``size`` default probe points and their stacks."""
     setup = eigopt.build_setup(inst)
     chunk = list(itertools.islice(setup.probe_points(RandomStream(seed), size), size))
@@ -350,9 +350,9 @@ class TestStackedOperator:
         calls = []
         real = eigopt.exact_operator
         monkeypatch.setattr(eigopt, "exact_operator", lambda *a: calls.append(1) or real(*a))
-        stacked = vi.ProbeSet(problem, points)
+        stacked = vi.ProbeSet.from_points(problem, points)
         assert calls == []
-        reference = vi.ProbeSet(per_row, points)
+        reference = vi.ProbeSet.from_points(per_row, points)
         assert len(calls) == len(reference.chunks) == len(stacked.chunks)
         assert len(reference) == len(points) == len(stacked)
         for _ in range(5):

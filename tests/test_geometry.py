@@ -9,6 +9,7 @@ from helpers import (
     assert_same_bytes,
     mild_simplex_point,
     parts,
+    ref_extreme_points,
     ref_step,
     ref_spectahedron_extreme_points,
     ref_random_point,
@@ -19,6 +20,7 @@ from helpers import (
 from smpx import bench, checks, eigopt, geometry, symmat
 from smpx.errors import ConfigError, DomainError, InputError
 from smpx.geometry import (
+    PROBE_CHUNK,
     EuclideanBallSetup,
     Pair,
     ProductSetup,
@@ -432,7 +434,7 @@ class TestExtremePoints:
     def test_product_yields_cyclic_pairs(self, n, sizes):
         structure = BlockStructure(sizes)
         setup = ProductSetup(SimplexSetup(n), SpectahedronSetup(structure))
-        ex = SimplexSetup(n).extreme_points()
+        ex = list(SimplexSetup(n).extreme_points())
         ey = ref_spectahedron_extreme_points(structure)
         points = setup.extreme_points()
         assert iter(points) is points
@@ -522,3 +524,50 @@ def test_probe_points_draw_in_chunks_as_per_point_calls(setup):
     for z, r in zip(got, ref):
         for s, t in zip(parts(z), parts(r), strict=True):
             assert_same_bytes(s, t)
+
+
+_FAMILY_SETUPS = {
+    "eig_mid": lambda: ProductSetup(SimplexSetup(200), SpectahedronSetup(BlockStructure([32] * 4))),
+    "mixed": lambda: ProductSetup(SimplexSetup(5), SpectahedronSetup(BlockStructure([2, 3, 2, 1]))),
+    "x_longer": lambda: ProductSetup(SimplexSetup(40), SpectahedronSetup(BlockStructure([3, 1]))),
+    "spectahedron": lambda: SpectahedronSetup(BlockStructure([32, 1, 32])),
+    "simplex": lambda: SimplexSetup(70),
+    "ball": lambda: EuclideanBallSetup(3, 2.0),
+    "ball_product": lambda: ProductSetup(EuclideanBallSetup(2), SimplexSetup(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILY_SETUPS))
+def test_extreme_stack_equals_per_point_references(name):
+    # in index order, and for indices out of order and repeated
+    setup = _FAMILY_SETUPS[name]()
+    ref = ref_extreme_points(setup)
+    assert setup.n_extreme == len(ref) > 0
+    idx = np.arange(len(ref))
+    for order in (idx, idx[::-1], np.array([len(ref) - 1, 0, len(ref) - 1])):
+        got = unstack(setup.extreme_stack(order))
+        assert len(got) == len(order)
+        for z, i in zip(got, order.tolist()):
+            for s, t in zip(parts(z), parts(ref[i]), strict=True):
+                assert_same_bytes(s, t)
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILY_SETUPS))
+def test_probe_chunks_equal_per_point_probes(name):
+    # center, extreme points and random points in stacks of PROBE_CHUNK, the
+    # last one partial, with the bytes of the per-point references; the
+    # random points span several draws
+    setup = _FAMILY_SETUPS[name]()
+    n_random = 2 * _draw_chunk(setup) + 5
+    drawn, stream = RandomStream(4), RandomStream(4)
+    chunks = list(setup.probe_chunks(drawn, n_random))
+    ref = [setup.center, *ref_extreme_points(setup),
+           *(ref_random_point(setup, stream) for _ in range(n_random))]
+    got = [z for chunk in chunks for z in unstack(chunk)]
+    sizes = [len(unstack(chunk)) for chunk in chunks]
+    assert sizes == [min(PROBE_CHUNK, len(ref) - k) for k in range(0, len(ref), PROBE_CHUNK)]
+    assert sizes[-1] < PROBE_CHUNK
+    for z, r in zip(got, ref, strict=True):
+        for s, t in zip(parts(z), parts(r), strict=True):
+            assert_same_bytes(s, t)
+    assert_same_bytes(drawn.uniform(), stream.uniform())

@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 
 from smpx import bench, composite, eigopt, vi
 from smpx.errors import InputError, NumericalError
-from smpx.geometry import EuclideanBallSetup, Pair, SimplexSetup, SpectahedronSetup
+from smpx.geometry import (
+    PROBE_CHUNK,
+    EuclideanBallSetup,
+    Pair,
+    SimplexSetup,
+    SpectahedronSetup,
+)
 from smpx.rng import RandomStream
 from smpx.symmat import BlockStructure, BlockSymMatrix
 
@@ -62,8 +68,8 @@ def test_lower_bound_equals_per_probe_loop(name):
     problem = PROBLEMS[name]()
     stream = RandomStream(5)
     points = list(problem.setup.probe_points(stream, 60))
-    assert len(points) > 2 * vi._CHUNK and len(points) % vi._CHUNK  # last chunk partial
-    probes = vi.ProbeSet(problem, points)
+    assert len(points) > 2 * PROBE_CHUNK and len(points) % PROBE_CHUNK  # last chunk partial
+    probes = vi.ProbeSet.from_points(problem, points)
     for _ in range(6):
         z = problem.setup.random_point(stream)
         ref = ref_lower_bound(problem, z, points)
@@ -93,7 +99,7 @@ def exact_lower_bound(problem, z, probes):
     sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4).filter(lambda s: sum(s) >= 2),
     n=st.integers(2, 6),
     full_chunks=st.integers(0, 2),
-    rest=st.integers(1, vi._CHUNK - 1),
+    rest=st.integers(1, PROBE_CHUNK - 1),
     stacked=st.booleans(),
     seed=st.integers(0, 2**16),
 )
@@ -108,10 +114,10 @@ def test_lower_bound_matches_exact_sum(sizes, n, full_chunks, rest, stacked, see
     if not stacked:
         problem = dataclasses.replace(problem, probe_operator=None)
     stream = RandomStream(seed)
-    count = full_chunks * vi._CHUNK + rest
+    count = full_chunks * PROBE_CHUNK + rest
     points = list(itertools.islice(problem.setup.probe_points(stream, count), count))
     assert len(points) == count
-    probes = vi.ProbeSet(problem, points)
+    probes = vi.ProbeSet.from_points(problem, points)
     for _ in range(3):
         z = problem.setup.random_point(stream)
         assert_close(probes.lower_bound(z), exact_lower_bound(problem, z, points))
@@ -126,9 +132,9 @@ def test_non_finite_term_rejected_wherever_it_falls(where):
     with pytest.raises(NumericalError):
         vi.err_vi_lower(problem, z, points)
     with pytest.raises(NumericalError):
-        vi.ProbeSet(problem, points).lower_bound(z)
+        vi.ProbeSet.from_points(problem, points).lower_bound(z)
     with pytest.raises(NumericalError):
-        vi.ProbeSet(problem, points[:where] + points[where + 1:]).lower_bound(
+        vi.ProbeSet.from_points(problem, points[:where] + points[where + 1:]).lower_bound(
             np.array([0.5, float("inf"), 0.5])
         )
 
@@ -144,7 +150,7 @@ def test_rows_are_read_only_and_no_point_stack_is_kept(monkeypatch):
 
     real = vi._stack
     monkeypatch.setattr(vi, "_stack", stack)
-    probes = vi.ProbeSet(problem, problem.setup.probe_points(RandomStream(1), 50))
+    probes = vi.ProbeSet.from_points(problem, problem.setup.probe_points(RandomStream(1), 50))
     gc.collect()
     # ProbeSet stacks only the points, so every stack recorded here is a
     # chunk of points
@@ -161,9 +167,9 @@ def test_rows_are_read_only_and_no_point_stack_is_kept(monkeypatch):
 def test_generator_and_list_give_the_same_bound():
     problem = game_problem()
     points = list(problem.setup.probe_points(RandomStream(2), 50))
-    assert len(points) > vi._CHUNK and len(points) % vi._CHUNK  # last chunk partial
-    from_list = vi.ProbeSet(problem, points)
-    from_gen = vi.ProbeSet(problem, problem.setup.probe_points(RandomStream(2), 50))
+    assert len(points) > PROBE_CHUNK and len(points) % PROBE_CHUNK  # last chunk partial
+    from_list = vi.ProbeSet.from_points(problem, points)
+    from_gen = vi.ProbeSet.from_points(problem, problem.setup.probe_points(RandomStream(2), 50))
     assert len(from_gen) == len(from_list) == len(points)
     stream = RandomStream(3)
     for _ in range(4):
@@ -171,17 +177,31 @@ def test_generator_and_list_give_the_same_bound():
         assert_same_bytes(from_gen.lower_bound(z), from_list.lower_bound(z))
 
 
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_stacked_chunks_give_the_values_of_restacked_points(name):
+    # default_probes hands the operator the chunks of probe_chunks as they
+    # are built; stacking the same points one by one gives the same bytes
+    problem = PROBLEMS[name]()
+    chunked = vi.default_probes(problem, 3, 70)
+    restacked = vi.ProbeSet.from_points(problem, problem.setup.probe_points(RandomStream(3), 70))
+    assert len(chunked) == len(restacked) and len(chunked.chunks) > 2
+    for (rows, c), (ref_rows, ref_c) in zip(chunked.chunks, restacked.chunks, strict=True):
+        for got, want in zip(rows, ref_rows, strict=True):
+            assert_same_bytes(got, want)
+        assert_same_bytes(c, ref_c)
+
+
 def test_mismatched_probes_rejected():
     problem = vi.VIProblem(SimplexSetup(3), lambda z: z)
     with pytest.raises(InputError):
-        vi.ProbeSet(problem, [np.full(3, 1 / 3), np.full(4, 0.25)])
+        vi.ProbeSet.from_points(problem, [np.full(3, 1 / 3), np.full(4, 0.25)])
     with pytest.raises(InputError):
-        vi.ProbeSet(problem, [])
+        vi.ProbeSet.from_points(problem, [])
 
 
 def test_mismatched_point_rejected_by_the_bound():
     problem = game_problem()
-    probes = vi.ProbeSet(problem, problem.setup.probe_points(RandomStream(1), 5))
+    probes = vi.ProbeSet.from_points(problem, problem.setup.probe_points(RandomStream(1), 5))
     z = problem.setup.center
     other = SpectahedronSetup(BlockStructure((3, 3, 1, 2))).center
     for odd in (z.x, z.y, Pair(z.x[:-1], z.y), Pair(z.x, other), Pair(z.y, z.x)):
@@ -195,16 +215,16 @@ def test_mismatched_probe_in_a_later_chunk_rejected(odd):
     problem = vi.VIProblem(SimplexSetup(3), lambda z: z)
     if isinstance(odd, str):
         odd = Pair(np.full(3, 1 / 3), np.full(3, 1 / 3))
-    points = [np.full(3, 1 / 3)] * vi._CHUNK + [odd] * 3
+    points = [np.full(3, 1 / 3)] * PROBE_CHUNK + [odd] * 3
     with pytest.raises(InputError):
-        vi.ProbeSet(problem, points)
+        vi.ProbeSet.from_points(problem, points)
     with pytest.raises(InputError):
-        vi.ProbeSet(problem, iter(points))
+        vi.ProbeSet.from_points(problem, iter(points))
 
 
 def test_mismatched_block_structure_in_a_later_chunk_rejected():
     setups = [SpectahedronSetup(BlockStructure((2, 2))), SpectahedronSetup(BlockStructure((4,)))]
     problem = vi.VIProblem(setups[0], lambda z: z)
-    points = [setups[0].center] * vi._CHUNK + [setups[1].center]
+    points = [setups[0].center] * PROBE_CHUNK + [setups[1].center]
     with pytest.raises(InputError):
-        vi.ProbeSet(problem, points)
+        vi.ProbeSet.from_points(problem, points)
