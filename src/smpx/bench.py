@@ -1,14 +1,29 @@
 """Experiment harness: instance generation, seeded runs, statistics, files.
 
-Instances are stored as canonical JSON ("format": "smpx-instance",
-"version": 2).  Every float array of the instance data (the eig `a0` and
-`a`, the sdf components' `b0`, `bs`, `c0` and `cs`) is one base64 string of
-its little-endian float64 bytes in C order, the blocks of a matrix and the
-matrices of a list concatenated in order.  Values round-trip bit-exactly,
--0.0 and subnormals included, and loading decodes bytes instead of parsing
-decimal text.  Version-1 files, which hold the same arrays as nested lists
-of shortest round-trip decimals, are still read.  An eig file whose
-``meta["a_inf"]`` disagrees with its data is rejected.
+Instance files are version 3 of the "smpx-instance" format, laid out as
+
+    smpx-instance             the magic line
+    <L>                       the header's length in bytes: a decimal line
+    <header>                  L bytes of canonical JSON (UTF-8)
+    <data>                    the arrays' bytes, to the end of the file
+
+The header is the instance payload with every float array (the eig `a0`
+and `a`, the sdf components' `b0`, `bs`, `c0` and `cs`) replaced by its
+shape.  The data is each array's little-endian float64 bytes in C order,
+the arrays one after another in the order the header prints them: `a`,
+then `a0`; each component's `b0`, `bs`, `c0`, `cs`.  Loading checks that
+the shapes account for exactly the data before it allocates anything,
+then reads the bytes into read-only arrays, with no text to parse or
+decode; values round-trip bit-exactly, -0.0 and subnormals included.  A
+file is recognised by its magic line, never by its name.  Version-2 JSON
+files, which hold each array as one base64 string of the same bytes, and
+version-1 JSON files, which hold nested lists of decimals, still load.
+The eig_min instance with n = 200 and blocks 32,32,32,32 takes 6.59 MB
+(8.78 MB as version 2).  An eig file whose ``meta["a_inf"]`` disagrees with
+its data is rejected; that ``eigvalsh`` pass (about 36 ms of that file's
+set-up) is a correctness check and stays.  In-memory payloads
+(``build_instance_payload``) carry version 3 but keep base64 strings, so
+they stay JSON-serialisable.
 
 An experiment runs as one lock-step batch (``solver.run_batch``) whose
 rows are its (seed, horizon) runs.  Each family builds a plan per horizon
@@ -68,7 +83,11 @@ from .rng import RandomStream
 from .symmat import BlockStructure, BlockSymMatrix
 
 _KINDS = ("bilinear_simplex_spectahedron", "eig_min", "scalar_minimax", "sdf_system")
-_VERSION = 2  # the format version written; version 1 is still read
+_VERSION = 3  # the format version written; JSON versions 1 and 2 are still read
+_MAGIC = b"smpx-instance\n"  # the first line of a version-3 file
+# the float array fields, in the order canonical JSON prints them, and
+# the number of axes of each
+_ARRAY_RANKS = {"a": 2, "a0": 2, "b0": 2, "bs": 3, "c0": 2, "cs": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +110,57 @@ def _write_text(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
+def _array_slots(payload: dict):
+    """(object, name, where) of each float array field of a payload, in
+    the order canonical JSON prints them: the top level's, then each
+    component's; `where` prefixes `name` in messages."""
+    comps = payload.get("components")
+    objs = [(payload, "")]
+    if isinstance(comps, list):
+        objs += [(c, f"components[{i}].") for i, c in enumerate(comps) if isinstance(c, dict)]
+    for obj, where in objs:
+        for name in _ARRAY_RANKS:
+            if name in obj:
+                yield obj, name, where
+
+
+def _array_shape(payload: dict, obj: dict, name: str, where: str) -> tuple:
+    """The shape that `n`, `block_sizes` and a component's `p` and `rows`
+    give the float array field `name` of `obj` (the payload or a component)."""
+    n = _number_field(payload, "n", numbers.Integral)
+    if name in ("a", "a0"):
+        return (n if name == "a" else 1, _block_structure(payload).sum_sq)
+    p = _number_field(obj, "p", numbers.Integral, where)
+    if name in ("c0", "cs"):
+        return (p, p) if name == "c0" else (n, p, p)
+    rows = _number_field(obj, "rows", numbers.Integral, where)
+    return (rows, p) if name == "b0" else (n, rows, p)
+
+
 def save_payload(path: str, payload: dict) -> str:
-    _write_text(path, canonical_json(payload))
+    """Write the payload as a version-3 instance file (module docstring).
+
+    Each array field may be base64 text, a list of numbers or an array; it
+    must hold the shape that ``_array_shape`` gives it (InputError naming
+    the field otherwise).  The payload's `version` is written as it is.
+    """
+    header = dict(payload)
+    if isinstance(header.get("components"), list):
+        header["components"] = [dict(c) if isinstance(c, dict) else c
+                                for c in header["components"]]
+    arrays = []
+    for obj, name, where in _array_slots(header):
+        shape = _array_shape(header, obj, name, where)
+        arrays.append(_decode_array(obj[name], shape, f"instance field {where + name!r}"))
+        obj[name] = list(shape)
+    text = canonical_json(header).encode("utf-8")
+    try:
+        with open(path, "wb") as fh:
+            fh.write(_MAGIC + b"%d\n" % len(text) + text)
+            for a in arrays:
+                fh.write(np.ascontiguousarray(a, dtype="<f8"))
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
     return path
 
 
@@ -108,14 +176,71 @@ def read_json_object(path: str, what: str) -> dict:
     return data
 
 
-def load_payload(path: str) -> dict:
-    payload = read_json_object(path, "instance file")
+def _check_format(payload: dict, path: str, versions) -> None:
     if payload.get("format") != "smpx-instance":
         raise InputError(f"{path} is not an instance file")
     version = payload.get("version")
-    if version not in (1, _VERSION):
+    if version not in versions:
         raise InputError(f"{path}: unknown instance format version {version!r}")
+
+
+def load_payload(path: str) -> dict:
+    """The payload of an instance file: version 3 if the file starts with
+    the magic line, else JSON of version 1 or 2."""
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(len(_MAGIC)) == _MAGIC:
+                return _read_version_3(fh, path)
+    except OSError as exc:
+        raise InputError(f"cannot read instance file {path}: {exc}") from None
+    payload = read_json_object(path, "instance file")
+    _check_format(payload, path, (1, 2))
     return payload
+
+
+def _read_version_3(fh, path: str) -> dict:
+    """The header of the version-3 file open as `fh`, past its magic line,
+    with each array field's shape replaced by the read-only float64 array
+    that the data holds for it."""
+    size = os.fstat(fh.fileno()).st_size
+    line = fh.readline(22)
+    if not (line[-1:] == b"\n" and line[:-1].isdigit()):
+        raise InputError(f"{path}: the header length must be a line of decimal digits, "
+                         f"got {line!r}")
+    start = fh.tell() + int(line)
+    if start > size:
+        raise InputError(f"{path}: the header length {int(line)} runs past the end "
+                         f"of the file ({size} bytes)")
+    try:
+        header = json.loads(fh.read(int(line)).decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise InputError(f"{path}: the header is not UTF-8 JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise InputError(f"{path}: the header is not a JSON object")
+    _check_format(header, path, (_VERSION,))
+    # the shapes must account for exactly the data before anything is allocated
+    slots = list(_array_slots(header))
+    end = start
+    for obj, name, where in slots:
+        shape = obj[name]
+        if not (isinstance(shape, list) and len(shape) == _ARRAY_RANKS[name] and all(
+                type(d) is int and 0 <= d <= size for d in shape)):
+            raise InputError(f"{path}: instance field {where + name!r} must be a shape of "
+                             f"{_ARRAY_RANKS[name]} integers in [0, {size}], got {shape!r}")
+        end += 8 * math.prod(shape)
+        if end > size:
+            raise InputError(f"{path}: instance field {where + name!r} of shape {shape} "
+                             f"runs past the end of the file ({size} bytes)")
+    if end != size:
+        last = f"the last array {where + name!r}" if slots else "the header"
+        raise InputError(f"{path}: {size - end} bytes of data follow {last}")
+    for obj, name, _ in slots:
+        a = np.empty(obj[name], dtype="<f8")
+        if fh.readinto(a) != a.nbytes:
+            raise InputError(f"{path}: the file changed while it was read")
+        a.setflags(write=False)
+        obj[name] = a
+    return header
 
 
 def _encode_array(*parts) -> str:
@@ -127,11 +252,16 @@ def _encode_array(*parts) -> str:
 def _decode_array(value, shape, what="array") -> np.ndarray:
     """The float64 array of `shape` that `_encode_array` stored as `value`.
 
-    A version-1 value, a (nested) list of decimals, is read too.  A value
-    that is neither, or does not hold exactly prod(shape) floats, raises an
-    InputError that names it as `what`.  The base64 text is decoded from
-    the str itself, without an ASCII copy of it.
+    A version-1 value, a (nested) list of decimals, is read too, and an
+    array (a version-3 file's) is taken as it is if it has the shape.  A
+    value that is none of these, or does not hold exactly prod(shape)
+    floats, raises an InputError that names it as `what`.  The base64 text
+    is decoded from the str itself, without an ASCII copy of it.
     """
+    if isinstance(value, np.ndarray):  # as a version-3 file is read
+        if value.shape != tuple(shape):
+            raise InputError(f"{what} has shape {value.shape}, expected {tuple(shape)}")
+        return value
     count = math.prod(shape)
     if isinstance(value, str):
         try:
@@ -174,6 +304,13 @@ def _number_field(obj, name: str, kind, where: str = ""):
     return int(value) if kind is numbers.Integral else float(value)
 
 
+def _block_structure(payload: dict) -> BlockStructure:
+    sizes = _field(payload, "block_sizes")
+    if not (isinstance(sizes, list) and all(isinstance(p, numbers.Integral) for p in sizes)):
+        raise InputError(f"instance field 'block_sizes' must be a list of integers, got {sizes!r}")
+    return BlockStructure(tuple(int(p) for p in sizes))
+
+
 def _array_field(obj, name: str, shape, where: str = "") -> np.ndarray:
     return _decode_array(_field(obj, name, where), shape, f"instance field {where + name!r}")
 
@@ -191,11 +328,11 @@ def _decoded_rows(value, shape, what):
     Base64 text of the array's length is decoded a slice of rows at a time,
     a multiple of 3 rows (whole base64 quads) of about ``_SLICE_BUDGET``
     doubles, so the bytes of the whole array are never held at once.  Any
-    other value, a version-1 list or text of another length, is decoded
-    whole by ``_decode_array`` (which raises its InputError) before the first
-    piece is given, and so is text whose slices do not decode to exactly
-    their rows; that whole piece comes after the slices already given and
-    replaces them.
+    other value, a version-3 array, a version-1 list or text of another
+    length, is decoded whole by ``_decode_array`` (which checks its shape or
+    raises its InputError) before the first piece is given, and so is text
+    whose slices do not decode to exactly their rows; that whole piece comes
+    after the slices already given and replaces them.
     """
     n, m = shape
     chars = 4 * -(-8 * n * m // 3) if n > 0 and m > 0 else -1
@@ -240,7 +377,10 @@ def _symmetric_stacks(payload: dict, name: str, n: int, structure: BlockStructur
     for s in stacks:
         step = max(1, _SLICE_BUDGET // math.prod(s.shape[1:]))
         for start in range(0, n, step):
-            symmat.symmetrize(s[start:start + step])
+            try:
+                symmat.symmetrize(s[start:start + step])
+            except InputError as exc:
+                raise InputError(f"instance field {name!r}: {exc}") from None
         s.setflags(write=False)
     return stacks
 
@@ -382,15 +522,16 @@ _PARAM_TYPES = {
 
 
 def check_params(params) -> None:
-    """ConfigError unless params is a dict whose generator params are numbers."""
+    """ConfigError unless params is a dict whose generator params are
+    numbers; a param given as null is an error, not a default."""
     if params is None:
         return
     if not isinstance(params, dict):
         raise ConfigError(f"instance params must be an object, got {params!r}")
     for name, kind in _PARAM_TYPES.items():
-        value = params.get(name)
-        if value is None:
+        if name not in params:
             continue
+        value = params[name]
         if name in ("blocks", "scalars"):
             what = "a list of numbers"
             ok = isinstance(value, (list, tuple)) and all(isinstance(v, kind) for v in value)
@@ -424,11 +565,7 @@ def generate_instance(kind: str, params: dict, seed: int, path: str) -> str:
 def payload_to_instance(payload: dict):
     """Decode a payload into ('eig', EigInstance) or ('sdf', SDFSystem)."""
     kind = payload.get("kind")
-    sizes = _field(payload, "block_sizes")
-    if not (isinstance(sizes, list) and all(isinstance(p, numbers.Integral) for p in sizes)):
-        raise InputError(f"instance field 'block_sizes' must be a list of integers, got {sizes!r}")
-    sizes = tuple(int(p) for p in sizes)
-    structure = BlockStructure(sizes)
+    structure = _block_structure(payload)
     meta = payload.get("meta", {})
     if not isinstance(meta, dict):
         raise InputError(f"instance field 'meta' must be an object, got {meta!r}")
@@ -563,6 +700,9 @@ class ExperimentConfig:
             raise ConfigError(f"instance must be an object, got {self.instance!r}")
         if "path" not in self.instance:
             check_params(self.instance.get("params"))
+            seed = self.instance.get("seed", 0)
+            if not isinstance(seed, numbers.Integral):
+                raise ConfigError(f"instance seed must be an integer, got {seed!r}")
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
             raise ConfigError(f"output directory of {self.out!r} does not exist")
         if self.k < 1:

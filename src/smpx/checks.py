@@ -189,8 +189,9 @@ def instance_arrays(obj) -> list:
 
 
 def instance_round_trip_ok() -> bool:
-    """Write eig_min and sdf_system instance files, load them back, and
-    compare the decoded data with the in-memory payload's, byte for byte."""
+    """Write eig_min and sdf_system instance files (version 3), load them
+    back, and compare the decoded data with the in-memory payload's, byte
+    for byte."""
     cases = (
         ("eig_min", {"n": 5, "blocks": [3, 2, 3]}, 4),
         ("sdf_system", {"n": 4, "blocks": [2, 3], "delta": 0.1}, 6),
@@ -199,7 +200,10 @@ def instance_round_trip_ok() -> bool:
         for kind, params, seed in cases:
             payload = bench.build_instance_payload(kind, params, seed)
             path = bench.save_payload(os.path.join(base, kind + ".json"), payload)
-            loaded = instance_arrays(bench.payload_to_instance(bench.load_payload(path))[1])
+            raw = bench.load_payload(path)
+            if raw["version"] != 3:
+                return False
+            loaded = instance_arrays(bench.payload_to_instance(raw)[1])
             direct = instance_arrays(bench.payload_to_instance(payload)[1])
             if len(loaded) != len(direct) or any(
                 a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes()

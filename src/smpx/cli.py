@@ -36,7 +36,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="write a reproducible instance file")
+    gen = sub.add_parser(
+        "generate", help="write a reproducible instance file",
+        description="Write a reproducible instance file, version 3 of the smpx-instance "
+        "format: the line 'smpx-instance', the header's length in bytes on the next line, "
+        "the header (canonical JSON of the instance with each float array replaced by its "
+        "shape), then the arrays' little-endian float64 bytes in the header's order.  "
+        "Version-1 and version-2 JSON instance files still load; a file is recognised by "
+        "its first line, not by its name.  The eig_min instance with n=200 and blocks "
+        "32,32,32,32 takes about 6.59 MB (8.78 MB as version 2).")
     gen.add_argument("--kind", required=True,
                      choices=["bilinear_simplex_spectahedron", "eig_min",
                               "scalar_minimax", "sdf_system"])

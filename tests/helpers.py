@@ -227,7 +227,7 @@ def ref_eig_payload(kind, params, seed):
     mats = [[sym_block(p) for p in sizes] for _ in range(n)]
     a_inf = max(float(np.abs(np.linalg.eigvalsh(b)).max()) for m in mats for b in m)
     return {
-        "format": "smpx-instance", "version": 2, "kind": kind, "n": n,
+        "format": "smpx-instance", "version": 3, "kind": kind, "n": n,
         "block_sizes": list(sizes), "a0": _encode_array(*a0),
         "a": _encode_array(*(b for m in mats for b in m)),
         "meta": {"seed": seed, "scale": scale, "a_inf": a_inf},
@@ -440,3 +440,82 @@ def ref_run(method, problem, oracle, gamma, t, seed, checkpoints, error_fn):
             for name, value in error_fn(avg).items():
                 errors.setdefault(name, []).append(float(value))
     return averages, errors
+
+
+def v3_parts(path):
+    """(header, data) of a version-3 instance file."""
+    import json
+
+    from smpx.bench import _MAGIC
+
+    raw = open(path, "rb").read()
+    assert raw.startswith(_MAGIC)
+    eol = raw.index(b"\n", len(_MAGIC))
+    start = eol + 1 + int(raw[len(_MAGIC):eol])
+    return json.loads(raw[eol + 1:start]), raw[start:]
+
+
+def write_v3(path, header, data, length=None):
+    """Write a version-3 instance file of `header` (a dict, or the header's
+    bytes) and `data`; `length`, if given, replaces the header's length."""
+    from smpx.bench import _MAGIC, canonical_json
+
+    text = header if isinstance(header, bytes) else canonical_json(header).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC + b"%d\n" % (len(text) if length is None else length) + text + data)
+
+
+def _with_entry(data, i, change):
+    flat = np.frombuffer(data, "<f8").copy()
+    flat[i] = change(flat[i])
+    return flat.tobytes()
+
+
+# The file that V3_DEFECTS change: n = 3, blocks [2, 2], so the data is
+# `a`, (3, 8), then `a0`, (1, 8).  Entry 17 of the data is the (0, 1)
+# entry of the first block of the last data matrix.
+V3_BASE = ("eig_min", {"n": 3, "blocks": [2, 2]}, 1)
+
+# id -> (header, data) -> (header, data, header length or None), and the
+# pattern that the InputError's message matches
+V3_DEFECTS = {
+    "data-truncated": (lambda h, d: (h, d[:-8], None),
+                       r"field 'a0' of shape \[1, 8\] runs past the end of the file"),
+    "data-trailing": (lambda h, d: (h, d + bytes(8), None),
+                      "8 bytes of data follow the last array 'a0'"),
+    "header-length-past-end": (lambda h, d: (h, d, 10**6),
+                               "header length 1000000 runs past the end"),
+    "header-length-negative": (lambda h, d: (h, d, -5), "header length must be a line"),
+    "header-not-utf8": (lambda h, d: (b"\xff" + b"{}", d, None), "header is not UTF-8 JSON"),
+    "header-not-json": (lambda h, d: (b'{"n": 3', d, None), "header is not UTF-8 JSON"),
+    "header-not-object": (lambda h, d: (b"[1, 2]", d, None), "header is not a JSON object"),
+    "unknown-version": (lambda h, d: (dict(h, version=4), d, None),
+                        "unknown instance format version 4"),
+    "not-an-instance": (lambda h, d: (dict(h, format="x"), d, None), "is not an instance file"),
+    "shape-of-the-wrong-rank": (lambda h, d: (dict(h, a=[3, 8, 1]), d, None),
+                                "field 'a' must be a shape of 2 integers"),
+    "shape-disagrees-with-n": (lambda h, d: (dict(h, n=4), d, None),
+                               r"field 'a' has shape \(3, 8\), expected \(4, 8\)"),
+    "shape-disagrees-with-block-sizes": (
+        lambda h, d: (dict(h, block_sizes=[2, 1, 1]), d, None),
+        r"field 'a0' has shape \(1, 8\), expected \(1, 6\)"),
+    "count-past-the-file": (lambda h, d: (dict(h, n=10**15, a=[10**15, 8]), d, None),
+                            "field 'a' must be a shape of 2 integers in"),
+    "count-larger-than-the-file": (lambda h, d: (dict(h, a=[300, 300]), d, None),
+                                   r"field 'a' of shape \[300, 300\] runs past the end"),
+    "nan-entry": (lambda h, d: (h, _with_entry(d, 17, lambda v: np.nan), None),
+                  "field 'a': non-finite entries in block"),
+    "asymmetric-block": (lambda h, d: (h, _with_entry(d, 17, lambda v: v + 1e-6), None),
+                         "field 'a': block is not symmetric within tolerance"),
+}
+
+
+def write_v3_defect(path, defect):
+    """Write the V3_BASE instance to `path` with the V3_DEFECTS change
+    `defect`; return the pattern of the message it raises."""
+    from smpx.bench import generate_instance
+
+    change, pattern = V3_DEFECTS[defect]
+    generate_instance(*V3_BASE, path)
+    write_v3(path, *change(*v3_parts(path)))
+    return pattern

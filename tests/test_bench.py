@@ -5,7 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import assert_same_bytes, ref_eig_payload
+from helpers import (
+    V3_BASE,
+    V3_DEFECTS,
+    assert_same_bytes,
+    ref_eig_payload,
+    v3_parts,
+    write_v3_defect,
+)
 
 from smpx import bench, checks, composite, solver, vi
 from smpx.bench import (
@@ -89,19 +96,19 @@ class TestGenerate:
         assert inst.n == 4
 
     def test_payload_file_round_trip(self, tmp_path):
-        path = str(tmp_path / "inst.json")
-        generate_instance("sdf_system", {"n": 4, "blocks": [2, 2]}, 5, path)
-        payload = load_payload(path)
-        again = str(tmp_path / "again.json")
-        with open(again, "w") as fh:
-            fh.write(canonical_json(payload))
-        assert open(path, "rb").read() == open(again, "rb").read()
+        # a loaded file, written again, gives the generator's bytes
+        for kind in ("eig_min", "sdf_system"):
+            path = str(tmp_path / f"{kind}.json")
+            generate_instance(kind, {"n": 4, "blocks": [2, 2]}, 5, path)
+            again = save_payload(str(tmp_path / "again.json"), load_payload(path))
+            assert open(path, "rb").read() == open(again, "rb").read()
 
 
 SPECIAL = np.array([-0.0, 5e-324])  # a signed zero and the smallest subnormal
 
-# kind -> (params, seed) of the version-1 files in tests/data, which the
-# decimal-list encoder that version 2 replaced wrote
+# kind -> (params, seed) of the version-1 and version-2 files in
+# tests/data: v1_* written by the decimal-list encoder that version 2
+# replaced, v2_* by the base64 JSON writer that version 3 replaced
 V1_FILES = {
     "eig_min": ({"n": 3, "blocks": [2, 1]}, 7),
     "scalar_minimax": ({"n": 3}, 2),
@@ -138,8 +145,9 @@ class TestInstanceFormat:
     def test_file_round_trip_is_bit_exact(self, kind, tmp_path):
         payload, special = special_payload(kind)
         path = save_payload(str(tmp_path / "inst.json"), payload)
+        assert open(path, "rb").read(len(bench._MAGIC)) == bench._MAGIC
         loaded = load_payload(path)
-        assert loaded["version"] == 2
+        assert loaded["version"] == 3
         _, direct = payload_to_instance(payload)
         _, again = payload_to_instance(loaded)
         assert_same_bytes(special(again), SPECIAL)
@@ -150,25 +158,35 @@ class TestInstanceFormat:
 
     @pytest.mark.parametrize("kind", sorted(V1_FILES))
     def test_version_1_file_decodes_like_version_2(self, kind, tmp_path):
+        # the v1 and v2 files and a fresh v3 file of one generator call
+        # decode to the same bytes
         params, seed = V1_FILES[kind]
-        old = load_payload(os.path.join(DATA, f"v1_{kind}.json"))
-        assert old["version"] == 1
-        path = generate_instance(kind, params, seed, str(tmp_path / "v2.json"))
-        new = load_payload(path)
-        assert new["meta"] == old["meta"]
-        family_old, inst_old = payload_to_instance(old)
+        path = generate_instance(kind, params, seed, str(tmp_path / "v3.json"))
+        payloads = [load_payload(os.path.join(DATA, f"v{v}_{kind}.json")) for v in (1, 2)]
+        payloads.append(load_payload(path))
+        assert [p["version"] for p in payloads] == [1, 2, 3]
+        new = payloads[-1]
         family_new, inst_new = payload_to_instance(new)
-        assert family_old == family_new
-        pairs = zip(checks.instance_arrays(inst_old), checks.instance_arrays(inst_new),
-                    strict=True)
-        for a, b in pairs:
-            assert_same_bytes(a, b)
+        for old in payloads[:-1]:
+            assert new["meta"] == old["meta"]
+            family_old, inst_old = payload_to_instance(old)
+            assert family_old == family_new
+            pairs = zip(checks.instance_arrays(inst_old), checks.instance_arrays(inst_new),
+                        strict=True)
+            for a, b in pairs:
+                assert_same_bytes(a, b)
 
     @pytest.mark.parametrize("cut", [1, 4, 12])
     def test_truncated_array_rejected(self, cut, tmp_path):
+        # a version-2 file; the writer of version 3 refuses a short array
         payload = build_instance_payload("eig_min", {"n": 3, "blocks": [2, 2]}, 1)
         payload["a"] = payload["a"][:-cut]
-        path = save_payload(str(tmp_path / "cut.json"), payload)
+        with pytest.raises(InputError, match="instance field 'a'"):
+            save_payload(str(tmp_path / "cut.bin"), payload)
+        payload["version"] = 2
+        path = str(tmp_path / "cut.json")
+        with open(path, "w") as fh:
+            fh.write(canonical_json(payload))
         with pytest.raises(InputError):
             payload_to_instance(load_payload(path))
 
@@ -189,12 +207,59 @@ class TestInstanceFormat:
         del payload["meta"]["a_inf"]  # nothing declared, nothing to compare
         payload_to_instance(payload)
 
-    @pytest.mark.parametrize("version", [0, 3, "2", None])
+    @pytest.mark.parametrize("version", [0, 4, "2", None])
     def test_unknown_version_rejected(self, version, tmp_path):
         payload = build_instance_payload("eig_min", {"n": 3, "blocks": [2, 2]}, 1)
         payload["version"] = version
         path = save_payload(str(tmp_path / "v.json"), payload)
         with pytest.raises(InputError):
+            load_payload(path)
+
+
+class TestVersion3File:
+    """Malformed version-3 files raise an InputError naming what is wrong."""
+
+    @pytest.mark.parametrize("defect", sorted(V3_DEFECTS))
+    def test_defect_rejected(self, defect, tmp_path):
+        path = str(tmp_path / "inst.json")
+        pattern = write_v3_defect(path, defect)
+        with pytest.raises(InputError, match=pattern):
+            payload_to_instance(load_payload(path))
+
+    @pytest.mark.parametrize("defect", ["count-past-the-file", "count-larger-than-the-file"])
+    def test_count_checked_before_the_arrays_are_allocated(self, defect, tmp_path,
+                                                           monkeypatch):
+        path = str(tmp_path / "inst.json")
+        pattern = write_v3_defect(path, defect)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("array allocated before the count was checked")
+        monkeypatch.setattr(bench.np, "empty", refuse)
+        with pytest.raises(InputError, match=pattern):
+            load_payload(path)
+
+    def test_arrays_are_read_only_and_exact(self, tmp_path):
+        path = generate_instance(*V3_BASE, str(tmp_path / "inst.bin"))
+        payload, data = load_payload(path), v3_parts(path)[1]
+        for name, shape in (("a", (3, 8)), ("a0", (1, 8))):
+            assert payload[name].shape == shape and not payload[name].flags.writeable
+        assert payload["a"].tobytes() + payload["a0"].tobytes() == data
+
+    def test_recognised_by_content_not_name(self, tmp_path):
+        # a version-3 file under a .json name, a version-2 file under another
+        v3 = generate_instance(*V3_BASE, str(tmp_path / "inst.json"))
+        v2 = str(tmp_path / "inst.smpx")
+        with open(os.path.join(DATA, "v2_eig_min.json"), "rb") as src, open(v2, "wb") as dst:
+            dst.write(src.read())
+        assert load_payload(v3)["version"] == 3
+        assert load_payload(v2)["version"] == 2
+
+    def test_json_file_of_version_3_rejected(self, tmp_path):
+        # version 3 is the binary layout only
+        path = str(tmp_path / "v3.json")
+        with open(path, "w") as fh:
+            fh.write(canonical_json(build_instance_payload(*V3_BASE)))
+        with pytest.raises(InputError, match="unknown instance format version 3"):
             load_payload(path)
 
 

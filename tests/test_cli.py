@@ -1,8 +1,10 @@
 import csv
 import json
 import math
+import re
 
 import pytest
+from helpers import V3_DEFECTS, write_v3_defect
 
 from smpx import bench
 from smpx.cli import main
@@ -33,7 +35,7 @@ class TestGenerateCommand:
              "--seed", "3", "--out", out]
         )
         assert code == 0
-        payload = json.load(open(out))
+        payload = bench.load_payload(out)
         assert payload["kind"] == "eig_min"
         assert payload["n"] == 4
 
@@ -98,9 +100,9 @@ class TestRunCommand:
         inst = str(tmp_path / "inst.json")
         main(["generate", "--kind", "eig_min", "--n", "4", "--blocks", "2,2",
               "--seed", "3", "--out", inst])
-        payload = json.load(open(inst))
+        payload = bench.load_payload(inst)
         payload["meta"]["a_inf"] *= 1.01
-        json.dump(payload, open(inst, "w"))
+        bench.save_payload(inst, payload)
         code = main(["run", "--instance", inst, "--t", "8", "--seeds", "0",
                      "--out", str(tmp_path / "e")])
         assert code == 2
@@ -115,8 +117,8 @@ class TestRunCommand:
         inst = tmp_path / "inst.json"
         main(["generate", "--kind", "eig_min", "--n", "4", "--blocks", "2,2",
               "--seed", "3", "--out", str(inst)])
-        text = inst.read_text()
-        inst.write_text(text[: len(text) // 2])
+        data = inst.read_bytes()
+        inst.write_bytes(data[: len(data) // 2])
         assert main(["run", "--instance", str(inst), "--t", "8"]) == 2
 
     def test_large_rmsa_stepsize_runs_to_completion(self, tmp_path):
@@ -217,11 +219,11 @@ class TestBadInputExits2:
                      id="component-opt-text"),
     ])
     def test_malformed_instance_field(self, tmp_path, capsys, kind, field, value):
-        # None deletes the field; "a" prefixes the valid base64 with the value
+        # a version-2 JSON file; None deletes the field; "a" prefixes the
+        # valid base64 with the value
         inst = tmp_path / "inst.json"
-        assert main(["generate", "--kind", kind, "--n", "4", "--blocks", "2,2",
-                     "--out", str(inst)]) == 0
-        payload = json.loads(inst.read_text())
+        payload = bench.build_instance_payload(kind, {"n": 4, "blocks": [2, 2]}, 0)
+        payload["version"] = 2
         if field == "a0" and isinstance(value, list):
             payload["version"] = 1
         if value is None:
@@ -241,11 +243,28 @@ class TestBadInputExits2:
         ("eig_min", "n", "x"), ("eig_min", "blocks", [2, "x"]), ("eig_min", "blocks", "2,2"),
         ("eig_min", "scale", "big"), ("sdf_system", "delta", "x"), ("sdf_system", "noise_m", "x"),
         ("sdf_system", "smooth_scale", [1.0]), ("sdf_system", "n_smooth", 1.5),
+        ("eig_min", "scale", None), ("sdf_system", "delta", None),
     ], ids=lambda v: str(v).replace(" ", ""))
     def test_non_numeric_instance_param(self, tmp_path, capsys, no_instance, kind, name, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"instance": {"kind": kind, "params": {name: value}}}))
-        exits_2_with_one_line(capsys, ["run", "--config", str(cfg)])
+        err = exits_2_with_one_line(capsys, ["run", "--config", str(cfg)])
+        assert name in err
+
+    @pytest.mark.parametrize("seed", [math.nan, 1.5, "3", None, [1]], ids=str)
+    def test_non_integer_instance_seed(self, tmp_path, capsys, no_instance, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instance": {"kind": "eig_min", "seed": seed}}))
+        err = exits_2_with_one_line(capsys, ["run", "--config", str(cfg)])
+        assert "instance seed" in err
+
+    @pytest.mark.parametrize("defect", sorted(V3_DEFECTS))
+    def test_malformed_version_3_file(self, tmp_path, capsys, defect):
+        inst = str(tmp_path / "inst.json")
+        pattern = write_v3_defect(inst, defect)
+        err = exits_2_with_one_line(capsys, ["run", "--instance", inst, "--t", "5",
+                                             "--seeds", "1", "--checkpoints", "final"])
+        assert re.search(pattern, err)
 
 
 class TestVerifyCommand:
