@@ -142,9 +142,10 @@ def save_payload(path: str, payload: dict) -> str:
 
     Each array field may be base64 text, a list of numbers or an array; it
     must hold the shape that ``_array_shape`` gives it (InputError naming
-    the field otherwise).  The payload's `version` is written as it is.
+    the field otherwise).  The header declares version 3 whatever version
+    the payload was read as.
     """
-    header = dict(payload)
+    header = dict(payload, version=_VERSION)
     if isinstance(header.get("components"), list):
         header["components"] = [dict(c) if isinstance(c, dict) else c
                                 for c in header["components"]]
@@ -180,7 +181,7 @@ def _check_format(payload: dict, path: str, versions) -> None:
     if payload.get("format") != "smpx-instance":
         raise InputError(f"{path} is not an instance file")
     version = payload.get("version")
-    if version not in versions:
+    if type(version) is not int or version not in versions:  # not true or 2.0
         raise InputError(f"{path}: unknown instance format version {version!r}")
 
 

@@ -11,6 +11,7 @@ from helpers import (
     assert_same_bytes,
     ref_eig_payload,
     v3_parts,
+    write_v3,
     write_v3_defect,
 )
 
@@ -207,13 +208,29 @@ class TestInstanceFormat:
         del payload["meta"]["a_inf"]  # nothing declared, nothing to compare
         payload_to_instance(payload)
 
-    @pytest.mark.parametrize("version", [0, 4, "2", None])
+    @pytest.mark.parametrize("version", [0, 4, "2", None, True, 2.0])
     def test_unknown_version_rejected(self, version, tmp_path):
-        payload = build_instance_payload("eig_min", {"n": 3, "blocks": [2, 2]}, 1)
+        # in a version-3 header and in a JSON file
+        path = generate_instance(*V3_BASE, str(tmp_path / "v.bin"))
+        header, data = v3_parts(path)
+        write_v3(path, dict(header, version=version), data)
+        payload = build_instance_payload(*V3_BASE)
         payload["version"] = version
-        path = save_payload(str(tmp_path / "v.json"), payload)
-        with pytest.raises(InputError):
-            load_payload(path)
+        json_path = tmp_path / "v.json"
+        json_path.write_text(canonical_json(payload))
+        for p in (path, str(json_path)):
+            with pytest.raises(InputError, match="unknown instance format version"):
+                load_payload(p)
+
+    def test_saved_version_2_payload_loads_as_version_3(self, tmp_path):
+        old = load_payload(os.path.join(DATA, "v2_eig_min.json"))
+        path = save_payload(str(tmp_path / "v3.bin"), old)
+        new = load_payload(path)
+        assert new["version"] == 3
+        pairs = zip(checks.instance_arrays(payload_to_instance(old)[1]),
+                    checks.instance_arrays(payload_to_instance(new)[1]), strict=True)
+        for a, b in pairs:
+            assert_same_bytes(a, b)
 
 
 class TestVersion3File:
