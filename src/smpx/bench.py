@@ -50,7 +50,6 @@ from __future__ import annotations
 import base64
 import binascii
 import dataclasses
-import itertools
 import json
 import math
 import numbers
@@ -316,43 +315,10 @@ def _array_field(obj, name: str, shape, where: str = "") -> np.ndarray:
     return _decode_array(_field(obj, name, where), shape, f"instance field {where + name!r}")
 
 
-# Doubles per slice of the base64 decode and of the symmetry check and
-# symmetrization in ``_symmetric_stacks``: 512 KB, 16 matrices of blocks
-# 4 x 32, so a slice's temporaries stay small next to the stacks.
+# Doubles per slice of the symmetry check and symmetrization in
+# ``_symmetric_stacks``: 512 KB, 16 matrices of blocks 4 x 32, so a
+# slice's temporaries stay small next to the stacks.
 _SLICE_BUDGET = 1 << 16
-
-
-def _decoded_rows(value, shape, what):
-    """(first row, rows) pieces that cover, in order, the (n, m) array
-    ``_decode_array(value, shape, what)``.
-
-    Base64 text of the array's length is decoded a slice of rows at a time,
-    a multiple of 3 rows (whole base64 quads) of about ``_SLICE_BUDGET``
-    doubles, so the bytes of the whole array are never held at once.  Any
-    other value, a version-3 array, a version-1 list or text of another
-    length, is decoded whole by ``_decode_array`` (which checks its shape or
-    raises its InputError) before the first piece is given, and so is text
-    whose slices do not decode to exactly their rows; that whole piece comes
-    after the slices already given and replaces them.
-    """
-    n, m = shape
-    chars = 4 * -(-8 * n * m // 3) if n > 0 and m > 0 else -1
-    if isinstance(value, str) and len(value) == chars:
-        step = 3 * max(1, _SLICE_BUDGET // (3 * m))
-        try:
-            for start in range(0, n, step):
-                stop = min(start + step, n)
-                # 8 m bytes a row, so 32 m / 3 base64 characters a row
-                text = value[start * m * 32 // 3:stop * m * 32 // 3 if stop < n else None]
-                raw = binascii.a2b_base64(text, strict_mode=True)
-                if len(raw) != 8 * m * (stop - start):
-                    break
-                yield start, np.frombuffer(raw, "<f8").reshape(stop - start, m)
-            else:
-                return
-        except ValueError:  # binascii.Error, or a non-ASCII character
-            pass
-    yield 0, _decode_array(value, shape, what)
 
 
 def _symmetric_stacks(payload: dict, name: str, n: int, structure: BlockStructure) -> list:
@@ -360,21 +326,14 @@ def _symmetric_stacks(payload: dict, name: str, n: int, structure: BlockStructur
     n matrices that the instance field `name` stores as the rows of an
     (n, sum p^2) array (``flat_columns`` layout).
 
-    The rows are decoded into the stacks a slice at a time
-    (``_decoded_rows``).  The blocks are then checked and symmetrized by
-    ``symmat.symmetrize``, as ``BlockSymMatrix`` checks its blocks, a slice
-    of matrices at a time in the stack itself.
+    The field is decoded whole (``_array_field``), and each size group's
+    blocks are gathered from it by one ``np.take``.  The blocks are then
+    checked and symmetrized by ``symmat.symmetrize``, as ``BlockSymMatrix``
+    checks its blocks, a slice of matrices at a time in the stack itself.
     """
-    pieces = _decoded_rows(_field(payload, name), (n, structure.sum_sq), f"instance field {name!r}")
-    first = next(pieces)  # the field's size is checked before the stacks exist
-    stacks = [np.empty((n, len(idx), p, p)) for p, idx in structure.groups]
-    columns = structure.flat_columns()
-    for start, rows in itertools.chain([first], pieces):
-        for s, cols in zip(stacks, columns):
-            # the columns are in range; mode "clip" writes to out without
-            # the buffer copy that the default mode makes
-            out = s[start:start + len(rows)].reshape(len(rows), *cols.shape)
-            np.take(rows, cols, axis=1, out=out, mode="clip")
+    rows = _array_field(payload, name, (n, structure.sum_sq))
+    stacks = [np.take(rows, cols.reshape(len(idx), p, p), axis=1)
+              for (p, idx), cols in zip(structure.groups, structure.flat_columns())]
     for s in stacks:
         step = max(1, _SLICE_BUDGET // math.prod(s.shape[1:]))
         for start in range(0, n, step):
@@ -684,17 +643,22 @@ class ExperimentConfig:
             raise ConfigError(f"unknown oracle mode {self.oracle!r}")
         if not (self.stepsize == "auto" or isinstance(self.stepsize, numbers.Real)):
             raise ConfigError(f"stepsize must be 'auto' or a number, got {self.stepsize!r}")
-        for name in ("t", "k", "seeds", "seed_count", "seed_base", "checkpoints"):
-            value = getattr(self, name)
-            if value is None or (name == "checkpoints" and value in ("geometric", "final")):
-                continue
-            ints = value if isinstance(value, (list, tuple)) else [value]
-            if not all(isinstance(v, numbers.Integral) for v in ints):
-                raise ConfigError(f"{name} must be an integer or a list of them, got {value!r}")
-        for name in ("n_probes", "probe_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        # each field in the form it is used; only the seed fields may be null
+        one = lambda v: isinstance(v, numbers.Integral)  # noqa: E731
+        many = lambda v: isinstance(v, (list, tuple)) and all(map(one, v))  # noqa: E731
+        for name, ok, form in (
+            ("t", one(self.t) or many(self.t), "an integer or a list of integers"),
+            ("k", one(self.k), "an integer"),
+            ("seeds", self.seeds is None or many(self.seeds), "null or a list of integers"),
+            ("seed_count", self.seed_count is None or one(self.seed_count), "null or an integer"),
+            ("seed_base", one(self.seed_base), "an integer"),
+            ("checkpoints", self.checkpoints in ("geometric", "final") or many(self.checkpoints),
+             "'geometric', 'final' or a list of integers"),
+            ("n_probes", one(self.n_probes), "an integer"),
+            ("probe_seed", one(self.probe_seed), "an integer"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {form}, got {getattr(self, name)!r}")
         if self.n_probes < 0:
             raise ConfigError(f"n_probes must be >= 0, got {self.n_probes}")
         if not isinstance(self.instance, dict):

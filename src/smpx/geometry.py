@@ -19,10 +19,14 @@ entropy proxes are linear; steps have no limit on the spread of the dual
 vector, and ``prox_map`` from a boundary point raises DomainError.
 
 ``step(s, xi, rates)`` works on stacks: the logits and the dual vectors
-of R points along a leading axis (``stack``, ``unstack``), one row per
-seed of a lock-step solver batch, with an (R, n) array for a vector, a
-``BlockStack`` of (R, k, p, p) arrays for a block matrix and a pair of
-stacks for a pair.  Row r steps by rates[r] times its dual vector, its
+of R points along a leading axis, one row per seed of a lock-step solver
+batch, with an (R, n) array for a vector, a ``BlockStack`` of
+(R, k, p, p) arrays for a block matrix and a pair of stacks for a pair.
+``stack`` is the one function that stacks given points; it checks that
+they agree in type, shape and block structure and hold numbers, and its
+stacks are read-only.  ``unstack`` gives the rows back, ``flat_rows`` the parts as
+(R, d) views.  ``dual_norm`` is ``dual_norms`` on a stack of one (the
+ball's is its norm).  Row r steps by rates[r] times its dual vector, its
 own stepsize, so the step takes the raw oracle values; it forms the
 products in a temporary of its own, which the geometry's arithmetic then
 overwrites, and writes neither s nor xi.  Each row gets the bytes it gets
@@ -111,18 +115,34 @@ class Pair:
 
 
 def stack(points):
-    """Points (or dual vectors) of one kind stacked along a new leading axis:
-    an (R, ...) array for arrays, a ``BlockStack`` for block matrices, a
-    pair of stacks for pairs."""
+    """Points (or dual vectors) of one kind stacked along a new leading axis,
+    read-only: an (R, ...) array for arrays, a ``BlockStack`` for block
+    matrices, a pair of stacks for pairs.
+
+    Every point must have the type, shape and block structure of the first
+    and hold numbers, or InputError is raised.
+    """
     first = points[0]
     if isinstance(first, Pair):
+        if not all(isinstance(z, Pair) for z in points):
+            raise InputError("stacked points differ in type")
         return Pair(stack([z.x for z in points]), stack([z.y for z in points]))
     if isinstance(first, BlockSymMatrix):
-        for z in points:
-            if z.structure is not first.structure and z.structure != first.structure:
-                raise InputError("block structure mismatch")
-        return BlockStack(first.structure, [np.array(g) for g in zip(*[z.stacks for z in points])])
-    return np.array(points, dtype=float)
+        if not all(isinstance(z, BlockSymMatrix) and z.structure == first.structure
+                   for z in points):
+            raise InputError("stacked points differ in block structure")
+        out = BlockStack(first.structure, [np.array(g) for g in zip(*[z.stacks for z in points])])
+    elif any(isinstance(z, (Pair, BlockSymMatrix)) or np.shape(z) != np.shape(first)
+             for z in points):
+        raise InputError("stacked points differ in type or shape")
+    else:
+        try:
+            out = np.array(points, dtype=float)
+        except (TypeError, ValueError):
+            raise InputError("stacked points are not arrays of numbers") from None
+    for a in getattr(out, "stacks", [out]):
+        a.setflags(write=False)
+    return out
 
 
 def unstack(stacked, decomposed: bool = False) -> list:
@@ -133,6 +153,16 @@ def unstack(stacked, decomposed: bool = False) -> list:
     if isinstance(stacked, Pair):
         return list(map(Pair, unstack(stacked.x, decomposed), unstack(stacked.y, decomposed)))
     return stacked.rows(decomposed)
+
+
+def flat_rows(stacked) -> list:
+    """The parts of a ``stack`` result as 2-D (R, d) views, one row per
+    point: x before y for a pair, one per size group for block matrices."""
+    if isinstance(stacked, Pair):
+        return flat_rows(stacked.x) + flat_rows(stacked.y)
+    if isinstance(stacked, BlockStack):
+        return [s.reshape(len(s), -1) for s in stacked.stacks]
+    return [stacked.reshape(len(stacked), -1)]
 
 
 def concat(stacks):
@@ -195,11 +225,13 @@ class ProxSetup:
         raise NotImplementedError
 
     def dual_norm(self, xi) -> float:
-        raise NotImplementedError
+        """The conjugate norm of xi: ``dual_norms`` of its stack of one."""
+        return float(self.dual_norms(stack([xi]))[0])
 
     def dual_norms(self, xi) -> np.ndarray:
-        """(R,) ``dual_norm`` of each row of a stack, with its bytes."""
-        return np.array([self.dual_norm(row) for row in unstack(xi)])
+        """(R,) conjugate norms of the rows of a stack, each row's from the
+        row alone."""
+        raise NotImplementedError
 
     def omega(self, z) -> float:
         raise NotImplementedError
@@ -345,6 +377,9 @@ class EuclideanBallSetup(ProxSetup):
 
     dual_norm = norm
 
+    def dual_norms(self, xi):
+        return np.array([self.norm(row) for row in xi])
+
     def omega(self, z):
         return 0.5 * float(np.dot(z, z))
 
@@ -415,9 +450,6 @@ class SimplexSetup(ProxSetup):
 
     def norm(self, z):
         return float(np.abs(z).sum())
-
-    def dual_norm(self, xi):
-        return float(np.abs(xi).max())
 
     def dual_norms(self, xi):
         return np.maximum.reduce(np.abs(xi), axis=1)
@@ -514,9 +546,6 @@ class SpectahedronSetup(ProxSetup):
 
     def norm(self, z):
         return symmat.trace_norm(z)
-
-    def dual_norm(self, xi):
-        return symmat.spectral_norm(xi)
 
     def dual_norms(self, xi):
         # one eigvalsh per size group: the per-matrix LAPACK calls of the rows
@@ -682,12 +711,6 @@ class ProductSetup(ProxSetup):
         return math.sqrt(
             self.sx.norm(z.x) ** 2 / self.sx.omega_radius**2
             + self.sy.norm(z.y) ** 2 / self.sy.omega_radius**2
-        )
-
-    def dual_norm(self, xi):
-        return math.sqrt(
-            self.sx.omega_radius**2 * self.sx.dual_norm(xi.x) ** 2
-            + self.sy.omega_radius**2 * self.sy.dual_norm(xi.y) ** 2
         )
 
     def dual_norms(self, xi):

@@ -15,9 +15,11 @@ lower bound over a finite probe set.  Written as <F(u), z> - <F(u), u>,
 the bound needs of a probe only its operator value and one number, both
 computed once, so the probe set keeps those and not the points.  The
 probes come as stacked chunks (``ProxSetup.probe_chunks``), and each
-chunk's values from one call of the problem's ``probe_operator``.  For
-saddle-point instances the functional (Nash) error is the exact duality
-gap and is computed from the instance's closed forms.
+chunk's values from one call of the problem's ``probe_operator``; probes
+given one by one, and the candidate z, are stacked by ``geometry.stack``,
+which checks their type, shape and block structure.  For saddle-point
+instances the functional (Nash) error is the exact duality gap and is
+computed from the instance's closed forms.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .geometry import PROBE_CHUNK, Pair, ProxSetup, inner, stack, unstack
+from .geometry import PROBE_CHUNK, Pair, ProxSetup, flat_rows, inner, stack, unstack
 from .rng import RandomStream
-from .symmat import BlockStack, BlockSymMatrix
+from .symmat import BlockStack
 
 
 @dataclass(frozen=True)
@@ -85,54 +87,14 @@ def err_vi_lower(problem: VIProblem, z, probes: Sequence) -> float:
     return ProbeSet.from_points(problem, probes).lower_bound(z)
 
 
-def _stack(items, first):
-    """The items stacked along a new leading axis: an (n, ...) read-only
-    array for arrays, ``BlockStack`` for block matrices, a Pair for pairs.
-
-    Every item must have the type, shape and block structure of ``first``,
-    or InputError is raised.
-    """
-    if isinstance(first, Pair):
-        if not all(isinstance(u, Pair) for u in items):
-            raise InputError("probe items differ in type")
-        return Pair(_stack([u.x for u in items], first.x), _stack([u.y for u in items], first.y))
-    if isinstance(first, BlockSymMatrix):
-        if not all(isinstance(u, BlockSymMatrix) and u.structure == first.structure
-                   for u in items):
-            raise InputError("probe items differ in block structure")
-        stacks = tuple(np.stack(group) for group in zip(*(u.stacks for u in items)))
-        for s in stacks:
-            s.setflags(write=False)
-        return BlockStack(first.structure, stacks)
-    if any(isinstance(u, (Pair, BlockSymMatrix)) or np.shape(u) != np.shape(first)
-           for u in items):
-        raise InputError("probe items differ in type or shape")
-    try:
-        out = np.array(items, dtype=float)
-    except (TypeError, ValueError):
-        raise InputError("probe items are not arrays of numbers") from None
-    out.setflags(write=False)
-    return out
-
-
-def _kind(stack):
+def _kind(stacked):
     """The type of a stack of probes, with its probes' shape or block
     structure: what the stacks of one probe set have in common."""
-    if isinstance(stack, Pair):
-        return ("pair", _kind(stack.x), _kind(stack.y))
-    if isinstance(stack, BlockStack):
-        return ("blocks", stack.structure)
-    return ("array", np.shape(stack)[1:])
-
-
-def _rows(stack) -> list:
-    """The parts of a ``_stack`` result as 2-D (n, d) views, one row per
-    item: x before y for a pair, one per size group for block matrices."""
-    if isinstance(stack, Pair):
-        return _rows(stack.x) + _rows(stack.y)
-    if isinstance(stack, BlockStack):
-        return [s.reshape(len(s), -1) for s in stack.stacks]
-    return [stack.reshape(len(stack), -1)]
+    if isinstance(stacked, Pair):
+        return ("pair", _kind(stacked.x), _kind(stacked.y))
+    if isinstance(stacked, BlockStack):
+        return ("blocks", stacked.structure)
+    return ("array", np.shape(stacked)[1:])
 
 
 class ProbeSet:
@@ -145,8 +107,8 @@ class ProbeSet:
     sequence of points), and the chunks are taken one at a time, so a
     generator of chunks is never held whole.  ``chunks`` lists, per chunk,
     the values as read-only (P, d) views of their stacks (one per part, as
-    ``_rows`` gives them) and c as a read-only (P,) array.  The values of a
-    chunk come from one ``problem.probe_operator`` call, or one
+    ``flat_rows`` gives them) and c as a read-only (P,) array.  The values
+    of a chunk come from one ``problem.probe_operator`` call, or one
     ``problem.operator`` call when the problem has no probe operator.
     """
 
@@ -162,8 +124,8 @@ class ProbeSet:
                 self._kind = kind
             elif kind != self._kind:
                 raise InputError("probe chunks differ in type, shape or block structure")
-            rows = _rows(operator(points))
-            c = sum(np.vecdot(v, u) for v, u in zip(rows, _rows(points), strict=True))
+            rows = flat_rows(operator(points))
+            c = sum(np.vecdot(v, u) for v, u in zip(rows, flat_rows(points), strict=True))
             c.setflags(write=False)
             self.chunks.append((rows, c))
             self._n += len(c)
@@ -178,7 +140,7 @@ class ProbeSet:
         def chunks():
             it = iter(points)
             while chunk := list(itertools.islice(it, PROBE_CHUNK)):
-                yield _stack(chunk, chunk[0])
+                yield stack(chunk)
 
         return cls(problem, chunks())
 
@@ -193,10 +155,10 @@ class ProbeSet:
         that a NaN is neither skipped nor returned depending on where it
         falls.
         """
-        zs = _stack([z], z)
+        zs = stack([z])
         if _kind(zs) != self._kind:
             raise InputError("point differs from the probes in type, shape or block structure")
-        zs = [r[0] for r in _rows(zs)]
+        zs = [r[0] for r in flat_rows(zs)]
         terms = np.concatenate(
             [sum(v @ x for v, x in zip(rows, zs)) - c for rows, c in self.chunks]
         )

@@ -331,25 +331,6 @@ class TestStackedDecode:
         with pytest.raises(InputError, match=message):
             payload_to_instance(payload)
 
-
-    @pytest.mark.parametrize("budget", [1, bench._SLICE_BUDGET])
-    @pytest.mark.parametrize("n", [1, 2, 3, 7])
-    def test_decoded_rows_cover_the_array(self, n, budget, monkeypatch):
-        # slices of 3 rows, the last one shorter, or one slice, and no whole
-        # decode after them; a version-1 list whole: the rows of
-        # _decode_array, bit for bit
-        monkeypatch.setattr(bench, "_SLICE_BUDGET", budget)
-        flat = np.random.default_rng(n).standard_normal((n, 5))
-        flat[0, :2] = [-0.0, 5e-324]
-        for value, starts in ((_encode_array(flat), range(0, n, 3 if budget == 1 else n)),
-                              (flat.tolist(), [0])):
-            pieces = list(bench._decoded_rows(value, flat.shape, "x"))
-            assert [start for start, _ in pieces] == list(starts)
-            got = np.full_like(flat, np.nan)
-            for start, rows in pieces:
-                got[start:start + len(rows)] = rows
-            assert_same_bytes(got, _decode_array(value, flat.shape))
-
     @pytest.mark.parametrize("corrupt", [
         pytest.param(lambda t: t[:-4], id="a-quad-short"),
         pytest.param(lambda t: t + "AAAA", id="a-quad-long"),

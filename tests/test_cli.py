@@ -185,6 +185,14 @@ class TestBadInputExits2:
         pytest.param({"seeds": "final"}, id="seeds-final"),
         pytest.param({"seed_count": "geometric"}, id="seed_count-geometric"),
         pytest.param({"seed_base": "geometric"}, id="seed_base-geometric"),
+        # only seeds and seed_count may be null; seeds is a list, seed_count
+        # an integer
+        pytest.param({"k": None}, id="k-null"),
+        pytest.param({"t": None}, id="t-null"),
+        pytest.param({"checkpoints": None}, id="checkpoints-null"),
+        pytest.param({"seed_base": None}, id="seed_base-null"),
+        pytest.param({"seed_count": [1, 2]}, id="seed_count-list"),
+        pytest.param({"seeds": 3}, id="seeds-number"),
     ], ids=lambda entry: "-".join(entry))
     def test_non_numeric_config_value(self, tmp_path, capsys, no_instance, entry):
         cfg = tmp_path / "cfg.json"

@@ -20,7 +20,15 @@ from smpx.composite import (
     sdf_scale,
 )
 from smpx.errors import ConfigError, InputError, NumericalError
-from smpx.geometry import PROBE_CHUNK, EuclideanBallSetup, Pair, SimplexSetup, stack, unstack
+from smpx.geometry import (
+    PROBE_CHUNK,
+    EuclideanBallSetup,
+    Pair,
+    SimplexSetup,
+    flat_rows,
+    stack,
+    unstack,
+)
 from smpx.rng import RandomStream
 from smpx.solver import StepsizePolicy, run_batch
 from smpx.symmat import BlockStructure, BlockSymMatrix
@@ -465,8 +473,8 @@ class TestStackedOperator:
         assert len(probes.chunks) > 1
         for k, (rows, _) in enumerate(probes.chunks):
             chunk = points[k * PROBE_CHUNK:(k + 1) * PROBE_CHUNK]
-            ref = vi._stack([operator_at(problem.operator, u) for u in chunk], points[0])
-            for got, want in zip(rows, vi._rows(ref), strict=True):
+            ref = stack([operator_at(problem.operator, u) for u in chunk])
+            for got, want in zip(rows, flat_rows(ref), strict=True):
                 assert not got.flags.writeable
                 assert_same_bytes(got, want)
 

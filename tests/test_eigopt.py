@@ -316,7 +316,7 @@ def probe_chunk(inst, seed, size=PROBE_CHUNK):
     """The first ``size`` default probe points and their stacks."""
     setup = eigopt.build_setup(inst)
     chunk = list(itertools.islice(setup.probe_points(RandomStream(seed), size), size))
-    return chunk, vi._stack(chunk, chunk[0])
+    return chunk, stack(chunk)
 
 
 class TestStackedOperator:

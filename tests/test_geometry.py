@@ -381,6 +381,62 @@ def stack_setups():
 _SETUP_IDS = ["ball", "simplex", "spectahedron", "product"]
 
 
+def closed_form_dual_norm(setup, xi) -> float:
+    """The conjugate norm of one dual vector by its closed form: the
+    Euclidean norm, the largest absolute entry, the spectral norm, or
+    sqrt(R_x^2 ||xi_x||^2 + R_y^2 ||xi_y||^2) on a product."""
+    if isinstance(setup, ProductSetup):
+        return math.sqrt(
+            setup.sx.omega_radius**2 * closed_form_dual_norm(setup.sx, xi.x) ** 2
+            + setup.sy.omega_radius**2 * closed_form_dual_norm(setup.sy, xi.y) ** 2
+        )
+    if isinstance(setup, SpectahedronSetup):
+        return symmat.spectral_norm(xi)
+    if isinstance(setup, SimplexSetup):
+        return float(np.abs(xi).max())
+    return float(np.linalg.norm(xi))
+
+
+class TestStack:
+    """``stack`` returns read-only stacks and rejects points that differ from
+    the first in type, shape or block structure, or that are not numbers."""
+
+    @pytest.mark.parametrize("setup", stack_setups(), ids=_SETUP_IDS)
+    def test_stacks_are_read_only(self, setup):
+        stream = RandomStream(4)
+        stacked = stack([setup.random_point(stream) for _ in range(3)])
+        for a in parts(stacked):
+            assert len(a) == 3 and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_stacks_copy_the_points(self):
+        x = np.full(3, 1 / 3)
+        stacked = stack([x, x])
+        x[0] = 1.0
+        assert_same_bytes(stacked, np.full((2, 3), 1 / 3))
+        assert x.flags.writeable
+
+    @pytest.mark.parametrize("points", [
+        pytest.param(lambda x, y: [Pair(x, y), x], id="pair-then-array"),
+        pytest.param(lambda x, y: [x, Pair(x, y)], id="array-then-pair"),
+        pytest.param(lambda x, y: [y, x], id="block-matrix-then-array"),
+        pytest.param(lambda x, y: [x, np.full(4, 0.25)], id="shape"),
+        pytest.param(lambda x, y: [x, x[:, None]], id="rank"),
+        pytest.param(lambda x, y: [y, SpectahedronSetup(BlockStructure((2, 1))).center],
+                     id="block-structure"),
+        pytest.param(lambda x, y: [Pair(x, y), Pair(x, SimplexSetup(3).center)],
+                     id="pair-part"),
+        pytest.param(lambda x, y: [x, ["a", 0.5, 0.5]], id="text"),
+        pytest.param(lambda x, y: [x, [{}, 0.5, 0.5]], id="object"),
+    ])
+    def test_mismatched_points_rejected(self, points):
+        x = np.full(3, 1 / 3)
+        y = SpectahedronSetup(BlockStructure((2, 1, 3))).center
+        with pytest.raises(InputError):
+            stack(points(x, y))
+
+
 class TestStackedStep:
     """Row r of ``step(s, xi, rates)`` is the per-point step by rates[r] *
     xi_r, bit for bit, and the step writes neither s nor xi."""
@@ -409,8 +465,11 @@ class TestStackedStep:
     def test_dual_norms_equal_per_row_dual_norms(self, setup):
         stream = RandomStream(6)
         xi = stack([setup.random_dual(stream, 2.0) for _ in range(5)])
-        ref = np.array([setup.dual_norm(row) for row in unstack(xi)])
-        assert_same_bytes(setup.dual_norms(xi), ref)
+        got = setup.dual_norms(xi)
+        assert_same_bytes(got, np.array([setup.dual_norm(row) for row in unstack(xi)]))
+        # the closed forms are code apart from the stacked kernels
+        ref = np.array([closed_form_dual_norm(setup, row) for row in unstack(xi)])
+        assert_same_bytes(got, ref)
 
 
 class TestExtremePoints:

@@ -24,6 +24,7 @@ from smpx.geometry import (
     Pair,
     SimplexSetup,
     SpectahedronSetup,
+    flat_rows,
 )
 from smpx.rng import RandomStream
 from smpx.symmat import BlockStructure, BlockSymMatrix
@@ -143,13 +144,13 @@ def test_rows_are_read_only_and_no_point_stack_is_kept(monkeypatch):
     problem = game_problem()
     stacked = []
 
-    def stack(items, first):
-        out = real(items, first)
-        stacked.extend(weakref.ref(r.base) for r in vi._rows(out))
+    def stack(points):
+        out = real(points)
+        stacked.extend(weakref.ref(r.base) for r in flat_rows(out))
         return out
 
-    real = vi._stack
-    monkeypatch.setattr(vi, "_stack", stack)
+    real = vi.stack
+    monkeypatch.setattr(vi, "stack", stack)
     probes = vi.ProbeSet.from_points(problem, problem.setup.probe_points(RandomStream(1), 50))
     gc.collect()
     # ProbeSet stacks only the points, so every stack recorded here is a
