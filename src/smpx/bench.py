@@ -472,6 +472,12 @@ def _gen_sdf(params: dict, seed: int) -> dict:
     }
 
 
+def _is_number(v, kind=numbers.Integral) -> bool:
+    """v is a number of the kind, and not a boolean: JSON true and false are
+    not numbers."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
 # the generator params and the number type each takes ("blocks" and
 # "scalars" are lists of them)
 _PARAM_TYPES = {
@@ -483,7 +489,8 @@ _PARAM_TYPES = {
 
 def check_params(params) -> None:
     """ConfigError unless params is a dict whose generator params are
-    numbers; a param given as null is an error, not a default."""
+    numbers; a param given as null, true or false is an error, not a
+    default or a 1."""
     if params is None:
         return
     if not isinstance(params, dict):
@@ -494,9 +501,9 @@ def check_params(params) -> None:
         value = params[name]
         if name in ("blocks", "scalars"):
             what = "a list of numbers"
-            ok = isinstance(value, (list, tuple)) and all(isinstance(v, kind) for v in value)
+            ok = isinstance(value, (list, tuple)) and all(_is_number(v, kind) for v in value)
         else:
-            what, ok = "a number", isinstance(value, kind)
+            what, ok = "a number", _is_number(value, kind)
         if not ok:
             raise ConfigError(f"instance param {name} must be {what}, got {value!r}")
 
@@ -588,6 +595,13 @@ def payload_to_instance(payload: dict):
 # experiment configuration
 
 
+# Largest oracle averaging width and replication count of a config: an
+# oracle call draws 2 k uniforms a row, and each replication is a row of the
+# experiment's one lock-step batch.
+MAX_K = 1_000_000
+MAX_SEED_COUNT = 100_000
+
+
 @dataclass
 class ExperimentConfig:
     """Everything needed to re-run an experiment bit-identically."""
@@ -636,15 +650,21 @@ class ExperimentConfig:
         return cps
 
     def validate(self):
-        """Reject a bad setting before any instance is built."""
+        """Reject a bad setting before any instance is built or array
+        allocated.
+
+        Each field must have the form it is used in; JSON true and false
+        are not numbers.  ``k`` must lie in 1..``MAX_K`` and ``seed_count``
+        be at most ``MAX_SEED_COUNT``.
+        """
         if self.solver not in ("smp", "rmsa"):
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.oracle not in ("sampled", "exact"):
             raise ConfigError(f"unknown oracle mode {self.oracle!r}")
-        if not (self.stepsize == "auto" or isinstance(self.stepsize, numbers.Real)):
+        if not (self.stepsize == "auto" or _is_number(self.stepsize, numbers.Real)):
             raise ConfigError(f"stepsize must be 'auto' or a number, got {self.stepsize!r}")
         # each field in the form it is used; only the seed fields may be null
-        one = lambda v: isinstance(v, numbers.Integral)  # noqa: E731
+        one = _is_number
         many = lambda v: isinstance(v, (list, tuple)) and all(map(one, v))  # noqa: E731
         for name, ok, form in (
             ("t", one(self.t) or many(self.t), "an integer or a list of integers"),
@@ -661,17 +681,20 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be {form}, got {getattr(self, name)!r}")
         if self.n_probes < 0:
             raise ConfigError(f"n_probes must be >= 0, got {self.n_probes}")
+        if not 1 <= self.k <= MAX_K:
+            raise ConfigError(f"k must be between 1 and {MAX_K}, got {self.k}")
+        if self.seed_count is not None and self.seed_count > MAX_SEED_COUNT:
+            raise ConfigError(
+                f"seed_count must be at most {MAX_SEED_COUNT}, got {self.seed_count}")
         if not isinstance(self.instance, dict):
             raise ConfigError(f"instance must be an object, got {self.instance!r}")
         if "path" not in self.instance:
             check_params(self.instance.get("params"))
             seed = self.instance.get("seed", 0)
-            if not isinstance(seed, numbers.Integral):
+            if not _is_number(seed):
                 raise ConfigError(f"instance seed must be an integer, got {seed!r}")
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
             raise ConfigError(f"output directory of {self.out!r} does not exist")
-        if self.k < 1:
-            raise ConfigError("oracle averaging width must be >= 1")
         if len(self.horizons()) > 1 and self.checkpoints != "final":
             # one row per horizon keeps the output table keyed by t
             raise ConfigError("horizon sweeps require checkpoints='final'")

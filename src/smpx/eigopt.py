@@ -11,7 +11,13 @@ one block index from the block traces of y: the y-part uses the sampled
 matrix -(A_0 + A_j), the x-part the traces against the normalized sampled
 block.  Averaging k independent samples cuts the noise level by sqrt(k).
 The sampler draws at every row of a stack of points at once, each row's
-uniforms from its own stream, and ``sample_xi`` is its stack of one.
+uniforms from its own stream, and ``sample_xi`` is its stack of one.  Its
+x-part is one stacked matrix-vector product per size group that the rows
+sampled: the rows' (n, p^2) data slabs, gathered at most ``_SLAB_BUDGET``
+doubles at a time, against their normalized blocks.  A chunk of one row
+multiplies the slab view itself, so a lone row, or a row whose slab is
+over the budget, copies no data; every row gets the bytes of its product
+alone.
 
 The exact operator works on a stack of points too, with one matrix-vector
 product per row and block, so a row gets the bytes it gets in a stack of
@@ -22,7 +28,6 @@ and operator part across the rows, which rounds differently.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -37,6 +42,13 @@ from .symmat import BlockStack, BlockStructure, BlockSymMatrix
 from .vi import SaddleInstance, VIProblem, draw
 
 _TRACE_SLACK = 1e-12
+
+# Doubles of the (n, p^2) data slabs that one stacked x-part product of the
+# sampler gathers: 256 KB, all 6 rows of a 20-matrix game with 4 x 4 blocks
+# (320 doubles a slab) in one product, while a slab of 200 matrices with
+# 32 x 32 blocks (1.6 MB) is over it alone and is multiplied as a view, so a
+# gather never copies more than this of the data whatever the row count.
+_SLAB_BUDGET = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -256,33 +268,43 @@ def _xi_from_indices(inst: EigInstance, ys: BlockStack, js, blocks) -> Pair:
     """Oracle values at the rows of ys for sampled matrix indices js and
     block indices ``blocks``, one of each per row.
 
-    Per size group, the sampled blocks of the rows come in one gather and
-    one trace normalization, the rows ordered by sampled block.  The x-part
-    of the rows that sampled block i is then one (n, p^2) x (rows, p^2, 1)
-    product over their contiguous rows: a matrix-vector product per row,
-    with no copy of the data.
+    The rows' size groups and rows in group come from ``slot_group`` and
+    ``slot_row``, one gather each.  Per size group that some row sampled,
+    the rows' sampled blocks come in one gather and one trace normalization,
+    and the x-part is one stacked product of the rows' (n, p^2) data slabs,
+    gathered from ``_flats``, with their (p^2, 1) normalized blocks: a
+    matrix-vector product per row.  The rows go in chunks whose gathered
+    slabs hold at most ``_SLAB_BUDGET`` doubles; a chunk of one row
+    multiplies the slab view itself and copies no data.
     """
     structure = inst.structure
-    slots = [structure.slots[i] for i in blocks.tolist()]
-    # the rows by sampled (group, block), and by row within a block
-    order = sorted(range(len(slots)), key=slots.__getitem__)
-    # with one block sampled, its product is the whole x-part
-    fx = None if len(set(slots)) == 1 else np.empty((len(js), inst.n))
-    for g, rows in itertools.groupby(order, key=lambda row: slots[row][0]):
-        rows = list(rows)
-        rs = [slots[row][1] for row in rows]
+    n_rows = len(js)
+    if len(structure.groups) == 1:
+        sampled = [(0, np.arange(n_rows), structure.slot_row[blocks])]
+    else:
+        gs = structure.slot_group[blocks]
+        sampled = []
+        for g in range(len(structure.groups)):
+            rows = np.flatnonzero(gs == g)
+            if len(rows):
+                sampled.append((g, rows, structure.slot_row[blocks[rows]]))
+    fx = None
+    for g, rows, rs in sampled:
         yb = ys.stacks[g][rows, rs]
         ybar = yb / np.maximum(yb.trace(axis1=1, axis2=2), 1e-300)[:, None, None]
         ybar = ybar.reshape(len(rows), -1, 1)
-        start = 0
-        for r, run in itertools.groupby(rs):
-            stop = start + len(list(run))
-            part = (inst._flats[g][r] @ ybar[start:stop])[:, :, 0]
-            if fx is None:
+        flat = inst._flats[g]
+        per = max(1, _SLAB_BUDGET // flat[0].size)
+        for a in range(0, len(rows), per):
+            b = min(a + per, len(rows))
+            slabs = flat[rs[a]] if b - a == 1 else flat[rs[a:b]]
+            part = (slabs @ ybar[a:b])[:, :, 0]
+            if b - a == n_rows:  # one product for every row, in row order
                 fx = part
             else:
-                fx[rows[start:stop]] = part
-            start = stop
+                if fx is None:
+                    fx = np.empty((n_rows, inst.n))
+                fx[rows[a:b]] = part
     fy = []
     for a0, s in zip(inst.a0.stacks, inst.stacks):
         v = s[js]
@@ -298,8 +320,10 @@ def _sample(inst: EigInstance, ys: BlockStack, cum_x, cum_blocks, u: np.ndarray)
     (from u[:, 0]), through their (R, n) cumulative sums ``cum_x``; the
     block index the block traces of y, clamped at zero and renormalized
     against round-off (from u[:, 1]), through their (R, m) cumulative sums
-    ``cum_blocks``.  Cost is one pass over the data restricted to the
-    sampled blocks plus one copy of the sampled matrices.
+    ``cum_blocks``.  The (R,) index arrays go to ``_xi_from_indices`` as
+    they are.  Cost is one pass over the data restricted to the sampled
+    blocks, in gathers of at most ``_SLAB_BUDGET`` doubles or as views,
+    plus one copy of the sampled matrices.
     """
     js = inverse_cdf_index(cum_x, u[:, 0])
     blocks = inverse_cdf_index(cum_blocks, u[:, 1])

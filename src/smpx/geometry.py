@@ -35,8 +35,8 @@ per matrix, and the per-row reductions (a simplex total and its
 ``math.log``, a spectahedron shift and trace) add as the one-row step
 adds.  A row whose dual vector is not finite raises InputError with its
 ``row``.  ``prox_map`` is the step of a stack of one at rate 1.0, which
-leaves every dual value as it is.  ``take_rows`` cuts a stack to its
-first rows, so a solver batch can retire rows.
+leaves every dual value as it is.  ``take_rows`` cuts a stack to a slice of
+its rows, so a solver batch can retire rows.
 
 ``random_points(stream, count)`` stacks the points of ``count``
 successive ``random_point(stream, interior=False)`` calls, bit for bit:
@@ -179,13 +179,13 @@ def concat(stacks):
     return np.concatenate(stacks)
 
 
-def take_rows(stacked, n: int):
-    """The first n rows of a ``stack`` result, as views."""
+def take_rows(stacked, rows: slice):
+    """The rows of a ``stack`` result in the slice ``rows``, as views."""
     if isinstance(stacked, Pair):
-        return Pair(take_rows(stacked.x, n), take_rows(stacked.y, n))
+        return Pair(take_rows(stacked.x, rows), take_rows(stacked.y, rows))
     if isinstance(stacked, BlockStack):
-        return BlockStack(stacked.structure, [a[:n] for a in stacked.stacks])
-    return stacked[:n]
+        return BlockStack(stacked.structure, [a[rows] for a in stacked.stacks])
+    return stacked[rows]
 
 
 def _require_finite(parts) -> None:
@@ -297,7 +297,7 @@ class ProxSetup:
         if self._draw_width is not None:
             return self._from_uniforms(stream.uniforms((count, self._draw_width)))
         points = [self.random_point(stream, interior=False) for _ in range(count)]
-        return stack(points) if points else take_rows(stack([self.center]), 0)
+        return stack(points) if points else take_rows(stack([self.center]), slice(0))
 
     def _from_uniforms(self, u):
         """The stacked points of the (count, ``_draw_width``) uniforms u,

@@ -269,7 +269,7 @@ def run_batch(method: str, problem, oracle: Callable, policy, seeds, checkpoints
         if ts[live - 1] == tau:
             while live and ts[live - 1] == tau:
                 live -= 1
-            s, r, acc = (take_rows(a, live) for a in (s, r, acc))
+            s, r, acc = (take_rows(a, slice(live)) for a in (s, r, acc))
             gammas, streams = gammas[:live], streams[:live]
     wall_ms = 1000.0 * (time.perf_counter() - began) / n
     return RunBatch(

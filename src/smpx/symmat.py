@@ -35,11 +35,13 @@ class BlockStructure:
     """Sizes (p_1, ..., p_m) of the diagonal blocks and their size groups.
 
     ``groups`` lists (p, block indices) per distinct size, in order of first
-    appearance; ``slots[i]`` is (group, row in group) of block i.
+    appearance; ``slots[i]`` is (group, row in group) of block i, and
+    ``slot_group`` and ``slot_row`` hold the same as two read-only integer
+    arrays, so an array of block indices maps to both with one gather each.
     """
 
     __slots__ = ("block_sizes", "total_dim", "max_block", "sum_sq", "groups", "slots",
-                 "_order")
+                 "slot_group", "slot_row", "_order")
 
     def __init__(self, block_sizes):
         sizes = tuple(int(p) for p in block_sizes)
@@ -58,6 +60,9 @@ class BlockStructure:
             for r, i in enumerate(idx):
                 slots[i] = (g, r)
         self.slots = tuple(slots)
+        self.slot_group, self.slot_row = np.array(slots, dtype=np.intp).T.copy()
+        self.slot_group.setflags(write=False)
+        self.slot_row.setflags(write=False)
         # position of block i in the concatenation of the groups' rows
         self._order = None if len(self.groups) == 1 else np.argsort(
             np.concatenate([idx for _, idx in self.groups])

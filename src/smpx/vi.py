@@ -32,9 +32,14 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .geometry import PROBE_CHUNK, Pair, ProxSetup, flat_rows, inner, stack, unstack
+from .geometry import PROBE_CHUNK, Pair, ProxSetup, flat_rows, inner, stack, take_rows, unstack
 from .rng import RandomStream
 from .symmat import BlockStack
+
+
+# Numbers per stack of the draws of one ``oracle_stats`` oracle call: 1 MB,
+# a few thousand draws of a small instance.
+_STATS_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -187,21 +192,36 @@ def oracle_stats(
     """Monte-Carlo estimates of the oracle bias and second moment at z.
 
     Returns (||mean deviation||_*, mean ||deviation||_*^2); deterministic
-    for a fixed seed.
+    for a fixed seed.  The draws come as the rows of stacked oracle calls,
+    ``oracle(stack([z] * c), [stream] * c)`` with at most
+    ``_STATS_BUDGET`` numbers in a stack: the rows take their uniforms
+    from the one stream in row order, so they are the n_samples successive
+    single draws, bit for bit.  The squared norms add in draw order in a
+    Python loop, and the deviations in draw order along the rows
+    (``np.cumsum``), so the figures are those of a loop of single draws.
     """
     if n_samples < 1:
         raise InputError("need at least one sample")
     stream = RandomStream(seed)
-    fz = unstack(problem.operator(stack([z])))[0]
-    dual_norm = problem.setup.dual_norm
-    acc = None
+    fz = problem.operator(stack([z]))
+    chunk = max(1, _STATS_BUDGET // sum(v.shape[1] for v in flat_rows(fz)))
+    dual_norms = problem.setup.dual_norms
+    acc = None  # the deviations' running sum, a stack of one
     m2 = 0.0
-    for _ in range(n_samples):
-        d = draw(oracle, z, stream) - fz
-        m2 += dual_norm(d) ** 2
-        acc = d if acc is None else acc + d
-    bias = dual_norm((1.0 / n_samples) * acc)
-    return bias, m2 / n_samples
+    for start in range(0, n_samples, chunk):
+        c = min(chunk, n_samples - start)
+        d = oracle(stack([z] * c), [stream] * c) - fz
+        for v in dual_norms(d).tolist():
+            m2 += v**2
+        rows = flat_rows(d)
+        if acc is not None:
+            for v, a in zip(rows, flat_rows(acc), strict=True):
+                v[0] += a[0]
+        for v in rows:
+            np.cumsum(v, axis=0, out=v)
+        acc = take_rows(d, slice(c - 1, c))
+    bias = dual_norms((1.0 / n_samples) * acc)[0]
+    return float(bias), m2 / n_samples
 
 
 def estimate_noise_level(

@@ -282,6 +282,24 @@ def ref_sample_xi(a0, mats, x, y_blocks, stream):
     return xi_x, [-(a + m) for a, m in zip(a0, mats[j])], j, i
 
 
+def ref_oracle_stats(oracle, problem, z, n_samples, seed):
+    """``vi.oracle_stats`` one draw at a time: (bias, second moment), with
+    the squared norms and the deviations added in draw order."""
+    from smpx.rng import RandomStream
+    from smpx.vi import draw
+
+    stream = RandomStream(seed)
+    fz = operator_at(problem.operator, z)
+    dual_norm = problem.setup.dual_norm
+    acc = None
+    m2 = 0.0
+    for _ in range(n_samples):
+        d = draw(oracle, z, stream) - fz
+        m2 += dual_norm(d) ** 2
+        acc = d if acc is None else acc + d
+    return dual_norm((1.0 / n_samples) * acc), m2 / n_samples
+
+
 # ---------------------------------------------------------------------------
 # reference paths for the stacked probe bound and the composite oracle
 

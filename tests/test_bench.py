@@ -298,8 +298,9 @@ class TestStackedDecode:
     @pytest.mark.parametrize("budget", [1, 40, bench._SLICE_BUDGET])
     def test_stacks_equal_per_matrix_construction(self, budget, monkeypatch):
         # the blocks are symmetric to within the tolerance, not exactly, so
-        # the symmetrization changes bytes; a small budget decodes 3 rows and
-        # checks one or a few matrices per slice
+        # the symmetrization changes bytes; the field is decoded whole, and a
+        # small budget checks and symmetrizes one matrix (budget 1) or a few
+        # (budget 40) per slice
         monkeypatch.setattr(bench, "_SLICE_BUDGET", budget)
         sizes = [3, 1, 2, 3, 1]
         structure = BlockStructure(sizes)
@@ -339,8 +340,10 @@ class TestStackedDecode:
         pytest.param(lambda t: t[:-9] + "\u00e9" + t[-8:], id="non-ascii-in-the-last-slice"),
     ])
     def test_malformed_text_reported_as_by_the_whole_decode(self, corrupt, monkeypatch):
-        # 3 rows (544 base64 characters) a slice: the InputError is the one
-        # that decoding the whole text raises
+        # the field is decoded whole, whatever the symmetrize slices, so the
+        # InputError is the one that decoding the whole text raises; the ids
+        # name where a sliced decode of 3 rows (544 base64 characters) a
+        # slice would cut the text
         monkeypatch.setattr(bench, "_SLICE_BUDGET", 1)
         payload, flat = perturbed_eig_payload([2, 3, 2], 7, 4, 0.0)
         payload["a"] = corrupt(payload["a"])

@@ -193,6 +193,23 @@ class TestBadInputExits2:
         pytest.param({"seed_base": None}, id="seed_base-null"),
         pytest.param({"seed_count": [1, 2]}, id="seed_count-list"),
         pytest.param({"seeds": 3}, id="seeds-number"),
+        # JSON true and false are not numbers
+        pytest.param({"t": True}, id="t-true"),
+        pytest.param({"t": [True]}, id="t-list-true"),
+        pytest.param({"k": True}, id="k-true"),
+        pytest.param({"seeds": [0, True]}, id="seeds-true"),
+        pytest.param({"seed_count": True}, id="seed_count-true"),
+        pytest.param({"seed_base": False}, id="seed_base-false"),
+        pytest.param({"n_probes": True}, id="n_probes-true"),
+        pytest.param({"probe_seed": False}, id="probe_seed-false"),
+        pytest.param({"checkpoints": [1, True]}, id="checkpoints-true"),
+        pytest.param({"stepsize": True}, id="stepsize-true"),
+        # out of range, rejected before anything is allocated
+        pytest.param({"k": 0}, id="k-zero"),
+        pytest.param({"k": 10**30}, id="k-huge"),
+        pytest.param({"k": bench.MAX_K + 1}, id="k-above-limit"),
+        pytest.param({"seed_count": 10**30}, id="seed_count-huge"),
+        pytest.param({"seed_count": bench.MAX_SEED_COUNT + 1}, id="seed_count-above-limit"),
     ], ids=lambda entry: "-".join(entry))
     def test_non_numeric_config_value(self, tmp_path, capsys, no_instance, entry):
         cfg = tmp_path / "cfg.json"
@@ -252,6 +269,9 @@ class TestBadInputExits2:
         ("eig_min", "scale", "big"), ("sdf_system", "delta", "x"), ("sdf_system", "noise_m", "x"),
         ("sdf_system", "smooth_scale", [1.0]), ("sdf_system", "n_smooth", 1.5),
         ("eig_min", "scale", None), ("sdf_system", "delta", None),
+        # JSON true and false are not numbers
+        ("eig_min", "n", True), ("eig_min", "blocks", [2, True]), ("eig_min", "scale", False),
+        ("scalar_minimax", "scalars", [1.0, True]), ("sdf_system", "n_smooth", True),
     ], ids=lambda v: str(v).replace(" ", ""))
     def test_non_numeric_instance_param(self, tmp_path, capsys, no_instance, kind, name, value):
         cfg = tmp_path / "cfg.json"
@@ -259,7 +279,7 @@ class TestBadInputExits2:
         err = exits_2_with_one_line(capsys, ["run", "--config", str(cfg)])
         assert name in err
 
-    @pytest.mark.parametrize("seed", [math.nan, 1.5, "3", None, [1]], ids=str)
+    @pytest.mark.parametrize("seed", [math.nan, 1.5, "3", None, [1], True], ids=str)
     def test_non_integer_instance_seed(self, tmp_path, capsys, no_instance, seed):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"instance": {"kind": "eig_min", "seed": seed}}))

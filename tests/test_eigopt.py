@@ -312,6 +312,70 @@ class TestStackedInstance:
         assert seen == set(range(len(sizes)))
 
 
+# the structures of the benchmark's game (one size group) and of the
+# eig_mixed golden (three size groups, the 1 x 1 one with copied slabs)
+GATHER_CASES = {
+    "game": ("bilinear_simplex_spectahedron", {"n": 20, "blocks": [4, 4, 4]}, 7),
+    "mixed": ("eig_min", {"n": 5, "blocks": [2, 3, 2, 1]}, 7),
+}
+
+
+def one_block_point(z, i):
+    """z with y's mass moved onto block i, so every draw samples block i."""
+    blocks = [b / np.trace(b) if r == i else np.zeros_like(b)
+              for r, b in enumerate(z.y.blocks)]
+    return Pair(z.x, BlockSymMatrix(z.y.structure, blocks, _validate=False))
+
+
+class TestGatheredSampler:
+    """Each row of the k-averaged oracle on a stack, each row with its own
+    stream, has the bytes of k reference draws from that stream: whatever
+    the other rows sample, and whether the rows' slabs are gathered a
+    budget's worth at a time or one row at a time."""
+
+    @pytest.mark.parametrize("state", ["random", "one-block"])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n_rows", [1, 2, 7, 40, 150])
+    @pytest.mark.parametrize("case", list(GATHER_CASES))
+    def test_rows_equal_reference_draws(self, monkeypatch, case, n_rows, k, state):
+        inst = load(*GATHER_CASES[case])
+        setup = eigopt.build_setup(inst)
+        stream = RandomStream(100 + n_rows)
+        points = [setup.random_point(stream) for _ in range(n_rows)]
+        if state == "one-block":
+            last = len(inst.structure.block_sizes) - 1
+            points = [one_block_point(z, last) for z in points]
+        mats = [m.blocks for m in inst.mats]
+        want, seen = [], set()
+        for row, z in enumerate(points):
+            ref_stream = RandomStream(row)
+            draws = [ref_sample_xi(inst.a0.blocks, mats, z.x, z.y.blocks, ref_stream)
+                     for _ in range(k)]
+            seen.update(i for *_, i in draws)
+            xs, ys, *_ = draws[0]
+            for dx, dy, *_ in draws[1:]:
+                xs, ys = xs + dx, [u + v for u, v in zip(ys, dy)]
+            if k > 1:
+                xs, ys = (1.0 / k) * xs, [(1.0 / k) * b for b in ys]
+            want.append((xs, ys))
+        if state == "one-block":
+            assert seen == {last}
+        elif n_rows >= 40:
+            assert seen == set(range(len(inst.structure.block_sizes)))
+        zs = stack(points)
+        got = {"default": eigopt.averaged_oracle(inst, k)(
+            zs, [RandomStream(row) for row in range(n_rows)])}
+        monkeypatch.setattr(eigopt, "_SLAB_BUDGET", 1)  # one row per product
+        got["one-row"] = eigopt.averaged_oracle(inst, k)(
+            zs, [RandomStream(row) for row in range(n_rows)])
+        for xi in got.values():
+            assert xi.x.shape == (n_rows, inst.n)
+            for f, (xs, ys) in zip(unstack(xi), want, strict=True):
+                assert_same_bytes(f.x, xs)
+                for a, b in zip(f.y.blocks, ys, strict=True):
+                    assert_same_bytes(a, b)
+
+
 def probe_chunk(inst, seed, size=PROBE_CHUNK):
     """The first ``size`` default probe points and their stacks."""
     setup = eigopt.build_setup(inst)

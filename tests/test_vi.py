@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from helpers import exact_at
+from helpers import assert_same_bytes, exact_at, ref_oracle_stats
 
-from smpx import bench, composite, eigopt
+from smpx import bench, composite, eigopt, vi
 from smpx.errors import InputError
 from smpx.geometry import EuclideanBallSetup, Pair
 from smpx.rng import RandomStream
@@ -173,6 +173,30 @@ class TestOracleStats:
         ratio = m2_1 / m2_4
         assert 4.0 * 0.8 <= ratio <= 4.0 * 1.2
 
+
+    @pytest.mark.parametrize("budget", ["default", "3-draws"])
+    @pytest.mark.parametrize("case", ["eig-k1", "eig-k3", "sdf-noisy-only", "sdf-with-exact"])
+    def test_equals_per_draw_loop(self, monkeypatch, case, budget):
+        # the stacked draws give the figures of a loop of single draws, to
+        # the bit, whether the draws fit one stack or span many
+        if case.startswith("eig"):
+            inst, saddle = small_saddle()
+            problem, orc = saddle.problem, eigopt.averaged_oracle(inst, int(case[-1]))
+        else:
+            n_smooth = 0 if case == "sdf-noisy-only" else 2
+            payload = bench.build_instance_payload(
+                "sdf_system", {"n": 4, "blocks": [2, 1, 2], "n_smooth": n_smooth}, 3)
+            _, system = bench.payload_to_instance(payload)
+            cp = composite.sdf_scale(system, 50).problem
+            problem, orc = composite.build_vi(cp), composite.build_oracle(cp)
+        if budget == "3-draws":  # 12 or 13 numbers a point
+            monkeypatch.setattr(vi, "_STATS_BUDGET", 40)
+        stream = RandomStream(17)
+        for n_samples in (1, 7, 200):
+            z = problem.setup.random_point(stream)
+            got = oracle_stats(orc, problem, z, n_samples, seed=n_samples)
+            want = ref_oracle_stats(orc, problem, z, n_samples, n_samples)
+            assert_same_bytes(np.array(got), np.array(want))
 
     @pytest.mark.parametrize("family", ["eig", "composite"])
     def test_noise_level_equals_per_point_stats(self, family):
