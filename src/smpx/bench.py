@@ -595,11 +595,12 @@ def payload_to_instance(payload: dict):
 # experiment configuration
 
 
-# Largest oracle averaging width and replication count of a config: an
-# oracle call draws 2 k uniforms a row, and each replication is a row of the
-# experiment's one lock-step batch.
-MAX_K = 1_000_000
-MAX_SEED_COUNT = 100_000
+# Largest run count of a config and uniform count of one oracle call: every
+# (seed, horizon) run is a row of the experiment's one lock-step batch, and a
+# sampled eig oracle call draws 2 k uniforms a row at once (256 MB at the
+# limit).
+MAX_RUNS = 100_000
+MAX_ORACLE_UNIFORMS = 1 << 25
 
 
 @dataclass
@@ -654,8 +655,10 @@ class ExperimentConfig:
         allocated.
 
         Each field must have the form it is used in; JSON true and false
-        are not numbers.  ``k`` must lie in 1..``MAX_K`` and ``seed_count``
-        be at most ``MAX_SEED_COUNT``.
+        are not numbers.  The runs, one per seed (from ``seeds`` or
+        ``seed_count``) and horizon, must number at most ``MAX_RUNS``, and
+        ``k`` must be at least 1 with 2 k uniforms for every run at most
+        ``MAX_ORACLE_UNIFORMS``.
         """
         if self.solver not in ("smp", "rmsa"):
             raise ConfigError(f"unknown solver {self.solver!r}")
@@ -681,11 +684,18 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be {form}, got {getattr(self, name)!r}")
         if self.n_probes < 0:
             raise ConfigError(f"n_probes must be >= 0, got {self.n_probes}")
-        if not 1 <= self.k <= MAX_K:
-            raise ConfigError(f"k must be between 1 and {MAX_K}, got {self.k}")
-        if self.seed_count is not None and self.seed_count > MAX_SEED_COUNT:
+        # the batch's size, counted before seed_list builds a list
+        seed_field = "seeds" if self.seeds is not None else "seed_count"
+        runs = len(self.horizons()) * (
+            len(self.seeds) if self.seeds is not None else self.seed_count or 1)
+        if runs > MAX_RUNS:
+            raise ConfigError(f"{seed_field} and t give {runs} runs, more than {MAX_RUNS}")
+        if self.k < 1:
+            raise ConfigError(f"k must be at least 1, got {self.k}")
+        if 2 * self.k * max(runs, 1) > MAX_ORACLE_UNIFORMS:
             raise ConfigError(
-                f"seed_count must be at most {MAX_SEED_COUNT}, got {self.seed_count}")
+                f"k = {self.k} draws {2 * self.k} uniforms for each of {runs} runs, "
+                f"more than {MAX_ORACLE_UNIFORMS} in one oracle call")
         if not isinstance(self.instance, dict):
             raise ConfigError(f"instance must be an object, got {self.instance!r}")
         if "path" not in self.instance:

@@ -11,13 +11,13 @@ one block index from the block traces of y: the y-part uses the sampled
 matrix -(A_0 + A_j), the x-part the traces against the normalized sampled
 block.  Averaging k independent samples cuts the noise level by sqrt(k).
 The sampler draws at every row of a stack of points at once, each row's
-uniforms from its own stream, and ``sample_xi`` is its stack of one.  Its
-x-part is one stacked matrix-vector product per size group that the rows
-sampled: the rows' (n, p^2) data slabs, gathered at most ``_SLAB_BUDGET``
-doubles at a time, against their normalized blocks.  A chunk of one row
-multiplies the slab view itself, so a lone row, or a row whose slab is
-over the budget, copies no data; every row gets the bytes of its product
-alone.
+uniforms from its own stream, and ``sample_xi`` is its stack of one.  Per
+size group that the rows sampled, its x-part is one stacked matrix-vector
+product of the rows' (n, p^2) data slabs, gathered, against their
+normalized blocks when the slabs are small (``_GATHER_SLAB``,
+``_GATHER_BUDGET``); otherwise one product per sampled block over the view
+of its slab, for all rows that sampled it, which copies no data.  Either
+way every row gets the bytes of its product alone.
 
 The exact operator works on a stack of points too, with one matrix-vector
 product per row and block, so a row gets the bytes it gets in a stack of
@@ -43,12 +43,16 @@ from .vi import SaddleInstance, VIProblem, draw
 
 _TRACE_SLACK = 1e-12
 
-# Doubles of the (n, p^2) data slabs that one stacked x-part product of the
-# sampler gathers: 256 KB, all 6 rows of a 20-matrix game with 4 x 4 blocks
-# (320 doubles a slab) in one product, while a slab of 200 matrices with
-# 32 x 32 blocks (1.6 MB) is over it alone and is multiplied as a view, so a
-# gather never copies more than this of the data whatever the row count.
-_SLAB_BUDGET = 1 << 15
+# The sampler's x-part gathers the (n, p^2) data slabs that the rows of a
+# size group sampled into one stacked product when a slab holds at most
+# _GATHER_SLAB doubles (32 KB) and all of them at most _GATHER_BUDGET
+# (256 KB); otherwise each sampled block multiplies the view of its slab, once
+# for all rows that sampled it.  On a 2-core Haswell box with OpenBLAS, a
+# copied slab of 3,200 doubles cost less than the matmul call it saved at 4
+# to 16 rows, while one of 12,800 cost more even at 2 rows; and past about
+# 40,000 gathered doubles the views were as fast or faster.
+_GATHER_SLAB = 1 << 12
+_GATHER_BUDGET = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -273,13 +277,14 @@ def _xi_from_indices(inst: EigInstance, ys: BlockStack, js, blocks) -> Pair:
     the rows' sampled blocks come in one gather and one trace normalization,
     and the x-part is one stacked product of the rows' (n, p^2) data slabs,
     gathered from ``_flats``, with their (p^2, 1) normalized blocks: a
-    matrix-vector product per row.  The rows go in chunks whose gathered
-    slabs hold at most ``_SLAB_BUDGET`` doubles; a chunk of one row
-    multiplies the slab view itself and copies no data.
+    matrix-vector product per row.  A group whose slabs are over
+    ``_GATHER_SLAB`` doubles each or ``_GATHER_BUDGET`` together instead
+    takes one product per sampled block, over the view of its slab, for the
+    rows that sampled it, and copies no data.
     """
     structure = inst.structure
     n_rows = len(js)
-    if len(structure.groups) == 1:
+    if len(structure.groups) == 1:  # every row in the one group
         sampled = [(0, np.arange(n_rows), structure.slot_row[blocks])]
     else:
         gs = structure.slot_group[blocks]
@@ -294,17 +299,19 @@ def _xi_from_indices(inst: EigInstance, ys: BlockStack, js, blocks) -> Pair:
         ybar = yb / np.maximum(yb.trace(axis1=1, axis2=2), 1e-300)[:, None, None]
         ybar = ybar.reshape(len(rows), -1, 1)
         flat = inst._flats[g]
-        per = max(1, _SLAB_BUDGET // flat[0].size)
-        for a in range(0, len(rows), per):
-            b = min(a + per, len(rows))
-            slabs = flat[rs[a]] if b - a == 1 else flat[rs[a:b]]
-            part = (slabs @ ybar[a:b])[:, :, 0]
-            if b - a == n_rows:  # one product for every row, in row order
+        size = flat[0].size
+        if size <= _GATHER_SLAB and len(rows) * size <= _GATHER_BUDGET:
+            products = [(slice(None), flat[rs])]  # one gathered product
+        else:  # one product per sampled block, over the view of its slab
+            products = [(rs == r, flat[r]) for r in set(rs.tolist())]
+        for sel, slabs in products:
+            part = (slabs @ ybar[sel])[:, :, 0]
+            if len(part) == n_rows:  # one product for every row, in row order
                 fx = part
             else:
                 if fx is None:
                     fx = np.empty((n_rows, inst.n))
-                fx[rows[a:b]] = part
+                fx[rows[sel]] = part
     fy = []
     for a0, s in zip(inst.a0.stacks, inst.stacks):
         v = s[js]
@@ -322,8 +329,8 @@ def _sample(inst: EigInstance, ys: BlockStack, cum_x, cum_blocks, u: np.ndarray)
     against round-off (from u[:, 1]), through their (R, m) cumulative sums
     ``cum_blocks``.  The (R,) index arrays go to ``_xi_from_indices`` as
     they are.  Cost is one pass over the data restricted to the sampled
-    blocks, in gathers of at most ``_SLAB_BUDGET`` doubles or as views,
-    plus one copy of the sampled matrices.
+    blocks, small slabs gathered and large ones as views, plus one copy of
+    the sampled matrices.
     """
     js = inverse_cdf_index(cum_x, u[:, 0])
     blocks = inverse_cdf_index(cum_blocks, u[:, 1])

@@ -649,7 +649,7 @@ class SpectahedronSetup(ProxSetup):
         pos = idx // 2
         block = np.repeat(np.arange(len(sizes)), sizes)[pos]
         offset = pos - np.cumsum([0, *sizes])[block]
-        group, row = np.array(structure.slots).T[:, block]
+        group, row = structure.slot_group[block], structure.slot_row[block]
         sign = np.where(idx % 2 == 0, 6.0, -6.0)
         shift = np.maximum(sign, 0.0)[:, None, None]
         total = self._extreme_totals()[idx % 2, block][:, None, None]

@@ -194,11 +194,15 @@ def oracle_stats(
     Returns (||mean deviation||_*, mean ||deviation||_*^2); deterministic
     for a fixed seed.  The draws come as the rows of stacked oracle calls,
     ``oracle(stack([z] * c), [stream] * c)`` with at most
-    ``_STATS_BUDGET`` numbers in a stack: the rows take their uniforms
-    from the one stream in row order, so they are the n_samples successive
-    single draws, bit for bit.  The squared norms add in draw order in a
-    Python loop, and the deviations in draw order along the rows
-    (``np.cumsum``), so the figures are those of a loop of single draws.
+    ``_STATS_BUDGET`` numbers in a stack.  The figures are those of a loop
+    of n_samples single draws, bit for bit, when the oracle takes each
+    row's uniforms from ``streams[r]`` in one pass over the rows in row
+    order, as every oracle built on ``rng.uniform_rows`` does: the rows then
+    take the one stream's uniforms as successive single draws would.  An
+    oracle that draws in several passes over the rows still gives
+    independent draws, but not those of the single-draw loop.  The squared
+    norms add in draw order in a Python loop, and the deviations in draw
+    order along the rows (``np.cumsum``).
     """
     if n_samples < 1:
         raise InputError("need at least one sample")

@@ -207,17 +207,33 @@ class TestBadInputExits2:
         # out of range, rejected before anything is allocated
         pytest.param({"k": 0}, id="k-zero"),
         pytest.param({"k": 10**30}, id="k-huge"),
-        pytest.param({"k": bench.MAX_K + 1}, id="k-above-limit"),
+        pytest.param({"k": bench.MAX_ORACLE_UNIFORMS // 2 + 1}, id="k-above-limit"),
         pytest.param({"seed_count": 10**30}, id="seed_count-huge"),
-        pytest.param({"seed_count": bench.MAX_SEED_COUNT + 1}, id="seed_count-above-limit"),
+        pytest.param({"seed_count": bench.MAX_RUNS + 1}, id="seed_count-above-limit"),
+        pytest.param({"seeds": list(range(bench.MAX_RUNS + 1))}, id="seeds-above-limit"),
+        pytest.param({"t": list(range(1, bench.MAX_RUNS + 2)), "checkpoints": "final"},
+                     id="t-above-limit"),
     ], ids=lambda entry: "-".join(entry))
     def test_non_numeric_config_value(self, tmp_path, capsys, no_instance, entry):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"instance": {"kind": "eig_min", "params": {"n": 4}},
                                    **entry}))
         err = exits_2_with_one_line(capsys, ["run", "--config", str(cfg)])
-        (field,) = entry
-        assert field in err
+        field = next(iter(entry))
+        assert re.search(rf"\b{field}\b", err)
+
+    @pytest.mark.parametrize("seeds", [
+        pytest.param({"seed_count": bench.MAX_RUNS}, id="seed_count"),
+        pytest.param({"seeds": list(range(bench.MAX_RUNS))}, id="seeds"),
+    ])
+    def test_oracle_uniforms_above_limit(self, tmp_path, capsys, no_instance, seeds):
+        # k and the run count each at their limit: together, one oracle call
+        # would draw far more uniforms than MAX_ORACLE_UNIFORMS
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instance": {"kind": "eig_min", "params": {"n": 4}},
+                                   "k": bench.MAX_ORACLE_UNIFORMS // 2, **seeds}))
+        err = exits_2_with_one_line(capsys, ["run", "--config", str(cfg)])
+        assert "k = " in err and str(bench.MAX_ORACLE_UNIFORMS) in err
 
     def test_duplicate_seeds(self, tmp_path, capsys, no_instance):
         # outputs are keyed by seed: a repeated seed would mix up the rows

@@ -330,8 +330,8 @@ def one_block_point(z, i):
 class TestGatheredSampler:
     """Each row of the k-averaged oracle on a stack, each row with its own
     stream, has the bytes of k reference draws from that stream: whatever
-    the other rows sample, and whether the rows' slabs are gathered a
-    budget's worth at a time or one row at a time."""
+    the other rows sample, and whether the rows' slabs are gathered into one
+    product or multiplied as views, one product per sampled block."""
 
     @pytest.mark.parametrize("state", ["random", "one-block"])
     @pytest.mark.parametrize("k", [1, 3])
@@ -363,12 +363,16 @@ class TestGatheredSampler:
         elif n_rows >= 40:
             assert seen == set(range(len(inst.structure.block_sizes)))
         zs = stack(points)
-        got = {"default": eigopt.averaged_oracle(inst, k)(
-            zs, [RandomStream(row) for row in range(n_rows)])}
-        monkeypatch.setattr(eigopt, "_SLAB_BUDGET", 1)  # one row per product
-        got["one-row"] = eigopt.averaged_oracle(inst, k)(
-            zs, [RandomStream(row) for row in range(n_rows)])
-        for xi in got.values():
+        got = []
+        # the default limits, then every group as views, then every group
+        # gathered
+        for limit in (None, 0, 1 << 40):
+            if limit is not None:
+                monkeypatch.setattr(eigopt, "_GATHER_SLAB", limit)
+                monkeypatch.setattr(eigopt, "_GATHER_BUDGET", limit)
+            got.append(eigopt.averaged_oracle(inst, k)(
+                zs, [RandomStream(row) for row in range(n_rows)]))
+        for xi in got:
             assert xi.x.shape == (n_rows, inst.n)
             for f, (xs, ys) in zip(unstack(xi), want, strict=True):
                 assert_same_bytes(f.x, xs)
